@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -74,9 +75,44 @@ class CheckFailure(Exception):
 
 
 class Parser(argparse.ArgumentParser):
+    """Usage errors end as one stderr line and exit code 1; -h shows usage."""
+
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
 
 
 def parse_facets_json(data):
@@ -93,6 +129,9 @@ def parse_facets_json(data):
         if not all(isinstance(v, int) and not isinstance(v, bool)
                    for v in facet):
             raise InputError(f"facet {i} has non-integer vertices")
+        if min(facet) < 0:
+            raise InputError(f"facet {i} has a negative vertex; vertex ids "
+                             "must be non-negative integers")
         facets.append(tuple(facet))
     return generate_complex(facets)
 
@@ -111,6 +150,9 @@ def parse_edge_lines(text: str):
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputError(f"line {lineno}: vertices must be integers")
+        if min(u, v) < 0:
+            raise InputError(f"line {lineno}: negative vertex; vertex ids "
+                             "must be non-negative integers")
         if u == v:
             raise InputError(f"line {lineno}: self loop {u}")
         vertices.update((u, v))
@@ -425,7 +467,7 @@ def cmd_fixtures(args):
 
 
 def _add_k(p):
-    p.add_argument("-k", type=int, default=2,
+    p.add_argument("-k", type=positive_int, default=2,
                    help="interaction order (default 2)")
 
 
@@ -491,7 +533,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("spectrum", help="Laplacian block spectra")
     p.add_argument("file", metavar="FILE")
     _add_k(p)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=positive_float, default=1e-8,
                    help="zero mode threshold (default 1e-8)")
     p.set_defaults(fn=cmd_spectrum)
 
@@ -499,8 +541,8 @@ def build_parser() -> Parser:
                                       "operator")
     p.add_argument("file", metavar="FILE")
     _add_k(p)
-    p.add_argument("--tmax", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--tmax", type=nonnegative_float, default=1.0)
+    p.add_argument("--dt", type=positive_float, default=0.01)
     p.add_argument("--complex", action="store_true",
                    help="use the complex flow that mixes in the diagonal")
     p.set_defaults(fn=cmd_deform)

@@ -8,8 +8,6 @@ how the reference tables print them.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property, lru_cache
 
 from . import exact
@@ -17,23 +15,6 @@ from .basis import InteractionBasis, build_basis, wu_characteristic
 from .differential import (DiracLaplacian, GradedIntMatrix,
                            dirac_and_laplacian, interaction_derivative)
 from .exact import SparseIntMatrix
-
-
-def _threads() -> int:
-    try:
-        n = int(os.environ.get("WUCALC_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_maybe_parallel(fn, items):
-    n = _threads()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def integer_rank(m) -> int:
@@ -47,7 +28,7 @@ def betti_vector(d: GradedIntMatrix):
     """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade."""
     sizes = d.grade_sizes
     nblocks = len(d.blocks)
-    ranks = _map_maybe_parallel(exact.rank, d.blocks)
+    ranks = [exact.rank(b) for b in d.blocks]
 
     def r(p):
         return ranks[p] if 0 <= p < nblocks else 0
@@ -68,11 +49,11 @@ def harmonic_basis(dl: DiracLaplacian):
     Vectors are primitive integer vectors; their count per grade equals the
     Betti number (Hodge-Weyl), which the tests cross-check.
     """
-    return _map_maybe_parallel(exact.kernel_basis, dl.laplacian_blocks)
+    return [exact.kernel_basis(b) for b in dl.laplacian_blocks]
 
 
 def laplacian_nullities(dl: DiracLaplacian):
-    return _map_maybe_parallel(exact.nullity, dl.laplacian_blocks)
+    return [exact.nullity(b) for b in dl.laplacian_blocks]
 
 
 def normalize_complexes(complexes, k=None):

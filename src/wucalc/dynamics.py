@@ -211,25 +211,3 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     }
     return states, report
 
-
-def trajectory_to_csv(states) -> str:
-    """Flatten snapshots to CSV: one row per snapshot, columns t then the
-    matrix entries in row-major order (real part, then imaginary if any)."""
-    lines = []
-    n = states[0].matrix.shape[0]
-    is_complex = any(numpy.iscomplexobj(s.matrix) for s in states)
-    header = ["t"]
-    header += [f"re_{i}_{j}" for i in range(n) for j in range(n)]
-    if is_complex:
-        header += [f"im_{i}_{j}" for i in range(n) for j in range(n)]
-    lines.append(",".join(header))
-    for s in states:
-        row = [f"{s.time:.10g}"]
-        m = s.matrix
-        row += [f"{float(numpy.real(m[i, j])):.12g}"
-                for i in range(n) for j in range(n)]
-        if is_complex:
-            row += [f"{float(numpy.imag(m[i, j])):.12g}"
-                    for i in range(n) for j in range(n)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

@@ -5,13 +5,17 @@ so ranks, determinants, kernels and characteristic polynomials come out
 exact. Floating point is never used here; the numeric side of the package
 lives in dynamics.py.
 
-Two elimination strategies coexist on purpose:
+One sparse elimination core, _echelon(), serves rank(), nullity() and
+kernel_basis(). It works on a dict-of-rows copy, eliminates columns in
+ascending order, prefers unit pivots (smallest magnitude first) and rescales
+rows by their gcd, which keeps entries tiny on the very sparse derivative and
+Laplacian blocks. Because columns go in ascending order, its pivot columns
+are those of Gauss-Jordan, and back-substitution through its pivot rows
+yields the unique reduced-echelon kernel basis.
 
-* rank() works on a sparse dict-of-rows copy, prefers unit pivots (smallest
-  magnitude first) and rescales rows by their gcd. Rescaling is harmless for
-  rank and keeps entries tiny on the very sparse derivative blocks.
-* det_bareiss() is the classic fraction-free elimination without any row
-  scaling, because the determinant value itself is the result.
+det_bareiss() stays a separate fraction-free elimination without any row
+scaling: the determinant value itself is the result, and gcd rescaling
+would change it.
 """
 
 from __future__ import annotations
@@ -29,13 +33,6 @@ class SparseIntMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else {}
-
-    @classmethod
-    def from_triples(cls, nrows, ncols, triples):
-        m = cls(nrows, ncols)
-        for i, j, v in triples:
-            m.add(i, j, v)
-        return m
 
     @classmethod
     def from_dense(cls, dense):
@@ -147,12 +144,15 @@ def _row_gcd_normalize(row):
             row[j] //= g
 
 
-def rank(m: SparseIntMatrix) -> int:
-    """Exact rank over the rationals by sparse integer elimination.
+def _echelon(m: SparseIntMatrix):
+    """Sparse fraction-free row echelon form of m, one pivot at a time.
 
-    Columns are processed in ascending order; the pivot in a column is the
-    entry of smallest magnitude (unit entries first), ties broken by row
-    sparsity and then row index, which keeps the elimination deterministic.
+    Yields (pivot column, pivot row) in ascending column order; a pivot row
+    is a {col: value} dict whose entries all sit at or right of its pivot
+    column. The pivot in a column is the entry of smallest magnitude (unit
+    entries first), ties broken by row sparsity and then row index, which
+    keeps the elimination deterministic. Each pivot row leaves the working
+    set when it is yielded, so a caller that drops it holds no memory.
     """
     rows = {i: dict(r) for i, r in m.rows.items()}
     colrows: dict = {}
@@ -160,7 +160,8 @@ def rank(m: SparseIntMatrix) -> int:
         for j in r:
             colrows.setdefault(j, set()).add(i)
 
-    rk = 0
+    # fill-in only lands in columns some pivot row already touches, so the
+    # columns present at the start are all the columns that can ever pivot
     for c in sorted(colrows):
         cand = colrows.get(c)
         if not cand:
@@ -197,10 +198,14 @@ def rank(m: SparseIntMatrix) -> int:
                 _row_gcd_normalize(row)
             else:
                 del rows[r]
-        rk += 1
+        yield c, prow
         if not rows:
-            break
-    return rk
+            return
+
+
+def rank(m: SparseIntMatrix) -> int:
+    """Exact rank over the rationals by sparse integer elimination."""
+    return sum(1 for _ in _echelon(m))
 
 
 def nullity(m: SparseIntMatrix) -> int:
@@ -255,65 +260,56 @@ def det_bareiss(matrix) -> int:
 
 
 def _primitive(vec):
-    """Scale a Fraction vector to a primitive integer vector, first sign > 0."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
+    """Divide an integer vector by its content and make its first non-zero
+    entry positive."""
     g = 0
-    for v in ints:
+    for v in vec:
         g = gcd(g, v)
     if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
+        vec = [v // g for v in vec]
+    for v in vec:
         if v:
             if v < 0:
-                ints = [-w for w in ints]
+                vec = [-w for w in vec]
             break
-    return ints
+    return vec
 
 
 def kernel_basis(m: SparseIntMatrix):
     """Exact kernel of an integer matrix, as primitive integer vectors.
 
-    Gauss-Jordan over Fractions; one basis vector per free column, ordered
-    by ascending free-column index, so the result is deterministic.
+    One basis vector per free (non-pivot) column f, ordered by ascending f:
+    the kernel vector that is 1 at f and 0 at every other free column, which
+    is the reduced-echelon basis Gauss-Jordan gives, so the result is
+    deterministic. Its last non-zero entry sits at f, because a pivot row
+    only reaches columns right of its pivot. Each vector is found by integer
+    back-substitution through the echelon pivot rows.
     """
-    ncols = m.ncols
-    dense = []
-    for i in sorted(m.rows):
-        dense.append([Fraction(m.rows[i].get(j, 0)) for j in range(ncols)])
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(dense)):
-            if dense[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        dense[r], dense[sel] = dense[sel], dense[r]
-        pv = dense[r][c]
-        if pv != 1:
-            dense[r] = [x / pv for x in dense[r]]
-        for i in range(len(dense)):
-            if i != r and dense[i][c]:
-                f = dense[i][c]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(dense):
-            break
-    pivot_cols = {c for _, c in pivots}
+    pivots = list(_echelon(m))
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for f in range(ncols):
+    for f in range(m.ncols):
         if f in pivot_cols:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for rr, cc in pivots:
-            vec[cc] = -dense[rr][f]
+        # x is the kernel vector scaled to integers; pivots right of f
+        # only see zeros of x, so their entries stay 0
+        x = {f: 1}
+        for c, prow in reversed(pivots):
+            if c > f:
+                continue
+            s = sum(v * x[j] for j, v in prow.items() if j in x)
+            if not s:
+                continue
+            p = prow[c]
+            scale = abs(p) // gcd(s, p)
+            if scale != 1:
+                for j in x:
+                    x[j] *= scale
+                s *= scale
+            x[c] = -s // p
+        vec = [0] * m.ncols
+        for j, v in x.items():
+            vec[j] = v
         basis.append(_primitive(vec))
     return basis
 
@@ -346,7 +342,3 @@ def charpoly(dense) -> list:
             raise ArithmeticError("characteristic polynomial not integral")
         out.append(int(c))
     return out
-
-
-def identity(n: int) -> SparseIntMatrix:
-    return SparseIntMatrix(n, n, {i: {i: 1} for i in range(n)})

@@ -134,49 +134,31 @@ def induced_block_maps(t: dict, basis: InteractionBasis):
     return blocks
 
 
-def _solve_gram(gram, rhs):
-    """Solve gram * X = rhs over the rationals; gram is invertible."""
-    n = len(gram)
-    m = len(rhs[0]) if rhs else 0
-    a = [[Fraction(gram[i][j]) for j in range(n)]
-         + [Fraction(rhs[i][j]) for j in range(m)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def lefschetz_number(t: dict, c: Complex, k: int) -> int:
-    """Alternating sum of traces of the induced map on cohomology, exact."""
+    """Alternating sum of traces of the induced map on cohomology, exact.
+
+    The harmonic forms h_i of a grade are its reduced-echelon kernel basis
+    (exact.kernel_basis): the last non-zero entry of h_i sits at its own
+    free column f_i, where every other h_j is 0. The induced map U is a
+    chain map and orthogonal, so it keeps the harmonic space, and
+    U h_i = sum_j a_ji h_j has (U h_i)[f_i] = a_ii h_i[f_i]. Its trace on
+    cohomology is therefore sum_i (U h_i)[f_i] / h_i[f_i].
+    """
     data = cohomology_data(tuple([c] * k))
-    basis = data.basis
-    blocks = induced_block_maps(t, basis)
+    blocks = induced_block_maps(t, data.basis)
     total = Fraction(0)
     for p, kernel in enumerate(data.harmonic):
-        b = len(kernel)
-        if b == 0:
+        if not kernel:
             continue
-        u = blocks[p]
-        # columns of K are the kernel vectors; trace of the projection of
-        # U onto the kernel is tr((K^T K)^-1 K^T U K)
-        uk = []
+        free = {}
         for vec in kernel:
-            img = [0] * len(vec)
-            for (row, col), sign in u.items():
-                img[row] += sign * vec[col]
-            uk.append(img)
-        gram = [[sum(a * b_ for a, b_ in zip(v, w)) for w in kernel]
-                for v in kernel]
-        rhs = [[sum(a * b_ for a, b_ in zip(v, w)) for w in uk]
-               for v in kernel]
-        x = _solve_gram(gram, rhs)
-        tr = sum(x[i][i] for i in range(b))
+            f = max(j for j, v in enumerate(vec) if v)
+            free[f] = vec
+        tr = Fraction(0)
+        for (row, col), sign in blocks[p].items():
+            vec = free.get(row)
+            if vec is not None:
+                tr += Fraction(sign * vec[col], vec[row])
         total += tr if p % 2 == 0 else -tr
     if total.denominator != 1:
         raise ArithmeticError(f"non-integer Lefschetz number {total}")

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .basis import build_basis, euler_polynomial, wu_characteristic
+from .basis import euler_polynomial, wu_characteristic
 from .cohomology import cohomology_data
-from .differential import interaction_derivative
 from .simplicial import Complex
 
 
@@ -103,11 +102,6 @@ def cell_f_vector(c):
 def cell_euler_polynomial(c):
     fv = cell_f_vector(c)
     return list(fv) if fv else [0]
-
-
-def cell_boundary_matrices(c):
-    """Graded boundary matrices of a cell complex (its k=1 derivative)."""
-    return interaction_derivative(build_basis([c]))
 
 
 def disjoint_union(a: Complex, b: Complex) -> Complex:
@@ -217,15 +211,6 @@ def kuenneth_check(g: Complex, h: Complex, k: int) -> dict:
         "poincare_expected": list(expected),
         "kuenneth_ok": ok,
     }
-
-
-def multivariate_poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
 
 
 def ring_euler_polynomial(e) -> list:

@@ -9,6 +9,7 @@ small dense helpers work over Fractions. Slow on purpose.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 PRIMES = (2147483647, 1000000007)
 
@@ -150,12 +151,13 @@ def naive_interaction_data(facet_lists):
     return sizes, betti
 
 
-def fraction_rank(rows):
-    """Exact rank of a dense matrix by Gauss elimination over Fractions."""
+def fraction_rref(rows):
+    """Gauss-Jordan over Fractions: the reduced row echelon form of a dense
+    matrix and its pivot columns, in ascending order."""
     m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
     if not m:
-        return 0
-    rank = 0
+        return m, pivots
     ncols = len(m[0])
     r = 0
     for c in range(ncols):
@@ -172,12 +174,44 @@ def fraction_rank(rows):
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-        rank += 1
         if r == len(m):
             break
-    return rank
+    return m, pivots
+
+
+def fraction_rank(rows):
+    """Exact rank of a dense matrix by Gauss elimination over Fractions."""
+    return len(fraction_rref(rows)[1])
+
+
+def fraction_kernel(rows):
+    """Kernel of a dense integer matrix with at least one row: one vector
+    per free column f, read off the reduced row echelon form (1 at f, 0 at
+    the other free columns), scaled to a primitive integer vector whose
+    first non-zero entry is positive."""
+    ncols = len(rows[0])
+    m, pivots = fraction_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][f]
+        den = 1
+        for x in vec:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in vec]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        sign = -1 if next(v for v in ints if v) < 0 else 1
+        basis.append([sign * v // g for v in ints])
+    return basis
 
 
 def fraction_det(rows):

@@ -235,3 +235,27 @@ def test_no_arguments_is_a_usage_error(capsys):
 def test_unknown_command_is_a_usage_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "{neg}", "-k", "2"],
+    ["fvector", "{neg_edges}"],
+    ["betti", "{f}", "-k", "0"],
+    ["wu", "{f}", "-k", "-1"],
+    ["lefschetz", "{f}", "-k", "two"],
+    ["deform", "{f}", "-k", "1", "--dt", "0"],
+    ["deform", "{f}", "-k", "1", "--dt", "nan"],
+    ["deform", "{f}", "-k", "1", "--tmax", "-1"],
+    ["spectrum", "{f}", "--tol", "-1"],
+])
+def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
+    neg_edges = tmp_path / "neg.txt"
+    neg_edges.write_text("1 2\n-1 2\n")
+    paths = {"f": triangle,
+             "neg": write_json(tmp_path, "neg.json", [[0, -1], [1, 2]]),
+             "neg_edges": str(neg_edges)}
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

@@ -2,9 +2,11 @@ import random
 
 import numpy as np
 
+from wucalc.catalog import cylinder
+from wucalc.cohomology import cohomology_data
 from wucalc.exact import SparseIntMatrix, charpoly, det_bareiss, kernel_basis, rank
 
-from oracles import fraction_det, fraction_rank
+from oracles import PRIMES, fraction_det, fraction_kernel, fraction_rank, rank_mod
 
 
 def random_int_matrix(rng, nrows, ncols, lo=-4, hi=4, density=0.7):
@@ -64,6 +66,59 @@ def test_kernel_basis_vectors_are_annihilated():
         for vec in basis:
             image = [sum(a * b for a, b in zip(row, vec)) for row in rows]
             assert all(x == 0 for x in image), f"{vec} not in kernel"
+
+
+def elimination_cases(rng):
+    """Seeded dense integer matrices for the elimination core: non-unit
+    entries, zero rows and columns, no columns at all, full rank and
+    dependent rows."""
+    cases = [[[]], [[], []], [[0, 0, 0]], [[2, 4], [3, 6]]]
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        hi = rng.choice([1, 4, 40])
+        rows = random_int_matrix(rng, nrows, ncols, -hi, hi,
+                                 density=rng.choice([0.3, 0.7, 1.0]))
+        if rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if rng.random() < 0.3:
+            j = rng.randrange(ncols)
+            for row in rows:
+                row[j] = 0
+        if nrows > 1 and rng.random() < 0.3:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        cases.append(rows)
+    return cases
+
+
+def test_elimination_core_matches_the_oracles():
+    full_rank = deficient = 0
+    for rows in elimination_cases(random.Random(48)):
+        m = to_sparse(rows)
+        r = rank(m)
+        entries = {(i, j): v for i, row in enumerate(rows)
+                   for j, v in enumerate(row) if v}
+        assert all(r == rank_mod(entries, q) for q in PRIMES), rows
+        assert kernel_basis(m) == fraction_kernel(rows), rows
+        full_rank += r == min(m.nrows, m.ncols)
+        deficient += r < min(m.nrows, m.ncols)
+    assert full_rank > 20 and deficient > 20
+
+
+def test_kernel_of_a_matrix_without_rows_is_the_identity():
+    assert kernel_basis(SparseIntMatrix(0, 3)) == [[1, 0, 0], [0, 1, 0],
+                                                   [0, 0, 1]]
+    assert rank(SparseIntMatrix(0, 3)) == 0
+
+
+def test_cylinder_harmonic_forms_match_the_fraction_oracle():
+    # the 160x160 and 144x144 order-2 Laplacian blocks carrying the
+    # cylinder's two harmonic forms
+    c = cylinder()
+    data = cohomology_data((c, c))
+    for p in (2, 3):
+        block = data.dirac.laplacian_blocks[p]
+        assert data.harmonic[p] == fraction_kernel(block.to_dense())
 
 
 def test_kernel_basis_vectors_are_primitive_integers():
