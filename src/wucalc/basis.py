@@ -7,12 +7,15 @@ pairwise intersection, for k >= 3 it is strictly stronger (three edges of a
 triangle meet pairwise but have empty common intersection). Tuples are
 graded by total dimension.
 
-Enumeration works on integer bitsets. Tuples are extended one part at a
-time while carrying the running intersection of the parts chosen so far, as
-a bitset of vertices; the candidates for the next slot are the cells that
-meet that running set, obtained by OR-ing per-vertex incidence bitsets.
-Wu characteristics never materialize tuples: the innermost sum is a
-weighted popcount.
+Enumeration works on integer bitsets. One walk, _walk, chooses the cells of
+the first k-1 slots one part at a time while carrying the running
+intersection of the parts chosen so far, as a bitset of vertices; the
+candidates for the next slot are the cells that meet that running set,
+obtained by OR-ing per-vertex incidence bitsets. The walk hands each prefix
+to its consumer together with the candidate bitset of the last slot, so
+build_basis expands the last slot into tuples while the Wu characteristic
+and the dimension-profile counts never materialize tuples: their innermost
+sum is a popcount.
 
 Everything accepts any object implementing the small cell interface of
 simplicial.Complex (cells, cell_dim, cell_boundary, cell_support, flat_key,
@@ -152,12 +155,6 @@ class InteractionBasis:
     def total(self):
         return sum(len(g) for g in self.grades)
 
-    def tuple_dim(self, t):
-        return sum(sys.cell_dim(part) for sys, part in zip(self.systems, t))
-
-    def tuple_weight(self, t):
-        return 1 if self.tuple_dim(t) % 2 == 0 else -1
-
     def sort_key(self, t):
         flat = tuple(x for sys, part in zip(self.systems, t)
                      for x in sys.flat_key(part))
@@ -166,6 +163,28 @@ class InteractionBasis:
 
     def __repr__(self):
         return f"InteractionBasis(k={self.k}, grade_sizes={self.grade_sizes()})"
+
+
+def _walk(ctx):
+    """Yield (parts, dsum, last) for every tuple parts of cells for the
+    first k-1 slots with a non-empty common intersection: dsum is their
+    total dimension and last the candidate bitset of the final system.
+    Prefixes come in depth-first order over ascending cell ids."""
+    k = len(ctx.systems)
+    cell_lists, dims, sup_bits = ctx.cell_lists, ctx.dims, ctx.sup_bits
+
+    def rec(j, parts, running, dsum):
+        cand = ctx.candidates(j, running)
+        if j == k - 1:
+            yield parts, dsum, cand
+            return
+        for idx in _bits(cand):
+            sup = sup_bits[j][idx]
+            nxt = tuple(r & s for r, s in zip(running, sup)) if running else sup
+            yield from rec(j + 1, parts + (cell_lists[j][idx],), nxt,
+                           dsum + dims[j][idx])
+
+    return rec(0, (), (), 0)
 
 
 def build_basis(complexes) -> InteractionBasis:
@@ -177,40 +196,14 @@ def build_basis(complexes) -> InteractionBasis:
     downstream matrix layout.
     """
     systems = list(complexes)
-    if not systems:
-        raise ValueError("need at least one complex")
     ctx = _IntersectionContext(systems)
-    k = len(systems)
-    cell_lists = ctx.cell_lists
-    dims = ctx.dims
-
-    raw = []  # (total_dim, tuple of cells)
-    parts = [0] * k
-
-    def rec(j, running, dsum):
-        cand = ctx.full[0] if j == 0 else ctx.candidates(j, running)
-        last = j == k - 1
-        sup = ctx.sup_bits[j]
-        for idx in _bits(cand):
-            parts[j] = idx
-            d = dsum + dims[j][idx]
-            if last:
-                raw.append((d, tuple(cell_lists[t][parts[t]]
-                                     for t in range(k))))
-            else:
-                if j == 0:
-                    nxt = sup[idx]
-                else:
-                    nxt = tuple(r & s for r, s in zip(running, sup[idx]))
-                rec(j + 1, nxt, d)
-
-    if all(cell_lists):
-        rec(0, (), 0)
-
-    max_grade = max((d for d, _ in raw), default=-1)
-    grades = [[] for _ in range(max_grade + 1)]
-    for d, t in raw:
-        grades[d].append(t)
+    last_cells, last_dims = ctx.cell_lists[-1], ctx.dims[-1]
+    by_grade: dict = {}
+    for parts, dsum, last in _walk(ctx):
+        for idx in _bits(last):
+            by_grade.setdefault(dsum + last_dims[idx], []).append(
+                parts + (last_cells[idx],))
+    grades = [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
     b = InteractionBasis(systems, grades, {})
     for p, tuples in enumerate(grades):
         tuples.sort(key=b.sort_key)
@@ -226,78 +219,33 @@ def wu_characteristic(complexes) -> int:
     the Euler characteristic. Tuples are never materialized: the last
     factor is summed by parity popcounts on the candidate bitset.
     """
-    systems = list(complexes)
-    if not systems:
-        raise ValueError("need at least one complex")
-    ctx = _IntersectionContext(systems)
-    k = len(systems)
-    if any(not cells for cells in ctx.cell_lists):
-        return 0
-    if k == 1:
-        return ctx.signed_count(0, ctx.full[0])
-    dims = ctx.dims
-
-    def rec(j, running):
-        if j == k - 1:
-            return ctx.signed_count(j, ctx.candidates(j, running))
-        cand = ctx.full[0] if j == 0 else ctx.candidates(j, running)
-        sup = ctx.sup_bits[j]
-        total = 0
-        for idx in _bits(cand):
-            w = 1 if dims[j][idx] % 2 == 0 else -1
-            if j == 0:
-                nxt = sup[idx]
-            else:
-                nxt = tuple(r & s for r, s in zip(running, sup[idx]))
-            total += w * rec(j + 1, nxt)
-        return total
-
-    return rec(0, ())
+    ctx = _IntersectionContext(list(complexes))
+    t = len(ctx.systems) - 1
+    total = 0
+    for _, dsum, last in _walk(ctx):
+        w = ctx.signed_count(t, last)
+        total += -w if dsum % 2 else w
+    return total
 
 
 def _profile_counts(c, k) -> dict:
     """Counts of commonly intersecting k-tuples keyed by dimension profile."""
     ctx = _IntersectionContext([c] * k)
-    counts: dict = {}
-    if not ctx.cell_lists[0]:
-        return counts
-    dims = ctx.dims[0]
     dmasks = ctx.dim_masks[0]
-
-    def rec(j, running, profile):
-        if j == k - 1:
-            cj = ctx.candidates(j, running)
-            for d, mask in dmasks.items():
-                n = (cj & mask).bit_count()
-                if n:
-                    key = profile + (d,)
-                    counts[key] = counts.get(key, 0) + n
-            return
-        cand = ctx.full[0] if j == 0 else ctx.candidates(j, running)
-        sup = ctx.sup_bits[j]
-        for idx in _bits(cand):
-            if j == 0:
-                nxt = sup[idx]
-            else:
-                nxt = tuple(r & s for r, s in zip(running, sup[idx]))
-            rec(j + 1, nxt, profile + (dims[idx],))
-
-    if k == 1:
+    counts: dict = {}
+    for parts, _, last in _walk(ctx):
+        profile = tuple(c.cell_dim(x) for x in parts)
         for d, mask in dmasks.items():
-            counts[(d,)] = mask.bit_count()
-    else:
-        rec(0, (), ())
+            n = (last & mask).bit_count()
+            if n:
+                key = profile + (d,)
+                counts[key] = counts.get(key, 0) + n
     return counts
 
 
 def f_matrix(c: Complex):
     """V[i][j] = number of intersecting ordered (i-simplex, j-simplex) pairs."""
-    counts = _profile_counts(c, 2)
-    if not counts:
-        return []
-    top = max(max(p) for p in counts)
-    return [[counts.get((i, j), 0) for j in range(top + 1)]
-            for i in range(top + 1)]
+    return f_tensor(c, 2)
 
 
 def f_tensor(c: Complex, k: int):

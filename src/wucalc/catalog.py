@@ -429,7 +429,6 @@ MAIN_TABLE_NOTES = {
 # the 4-sphere has 4.58 million tuples; everything else finishes in
 # seconds.
 GATES = {
-    "slow": set(),
     "large": {("four_sphere", 3)},
 }
 

@@ -381,6 +381,8 @@ def cmd_deform(args):
     try:
         states, report = lax_deform(data.dirac, mode=mode,
                                     t_max=args.tmax, dt=args.dt)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     except ArithmeticError as exc:
         emit({"error": str(exc)})
         raise CheckFailure(str(exc))
@@ -425,9 +427,7 @@ def cmd_fixtures(args):
     print("main table (name, k, wu, betti):")
     for (name, k), (wu_expected, betti_expected) in sorted(
             catalog.MAIN_TABLE.items()):
-        gated_large = (name, k) in catalog.GATES["large"]
-        gated_slow = (name, k) in catalog.GATES["slow"]
-        if (gated_large or gated_slow) and not args.large:
+        if (name, k) in catalog.GATES["large"] and not args.large:
             print(f"  SKIP {name} k={k} (gated)")
             continue
         c = catalog.NAMED[name]()

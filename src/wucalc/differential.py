@@ -1,10 +1,9 @@
 """Exterior derivative, Dirac operator and Hodge Laplacian on interaction bases.
 
-The derivative of a form F on k-tuples is
-    dF(x_1, ..., x_k) = sum_j (-1)^(dim x_1 + ... + dim x_(j-1)) F(..., dx_j, ...)
-where dx_j runs over the signed boundary faces of part j. Face tuples that
-drop out of the basis (the parts lose their common point) are omitted; a
-tuple between two basis tuples is itself in the basis, which is why the
+The derivative of a form on k-tuples sends each tuple to its signed faces
+by the Leibniz rule of simplicial.leibniz_boundary. Face tuples that drop
+out of the basis (the parts lose their common point) are omitted; a tuple
+between two basis tuples is itself in the basis, which is why the
 restricted d still squares to zero.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
@@ -15,14 +14,7 @@ from __future__ import annotations
 
 from .basis import InteractionBasis
 from .exact import SparseIntMatrix
-
-
-def boundary_chain(s):
-    """Signed codimension-1 faces of a simplex: term m is (s minus its m-th
-    smallest vertex, (-1)^m). Vertices have an empty boundary."""
-    if len(s) <= 1:
-        return []
-    return [(s[:m] + s[m + 1:], 1 if m % 2 == 0 else -1) for m in range(len(s))]
+from .simplicial import leibniz_boundary
 
 
 class GradedIntMatrix:
@@ -47,25 +39,20 @@ class GradedIntMatrix:
 
 def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
     systems = b.systems
-    k = b.k
+    index = b.index
     blocks = []
     for p in range(b.n_grades - 1):
-        lower = b.grades[p]
-        upper = b.grades[p + 1]
-        col_of = {t: i for i, t in enumerate(lower)}
-        m = SparseIntMatrix(len(upper), len(lower))
-        for row, t in enumerate(upper):
-            pre = 0
-            for j in range(k):
-                sys = systems[j]
-                part = t[j]
-                sign_j = 1 if pre % 2 == 0 else -1
-                for face, fsign in sys.cell_boundary(part):
-                    ft = t[:j] + (face,) + t[j + 1:]
-                    col = col_of.get(ft)
-                    if col is not None:
-                        m.add(row, col, sign_j * fsign)
-                pre += sys.cell_dim(part)
+        m = SparseIntMatrix(len(b.grades[p + 1]), len(b.grades[p]))
+        for row, t in enumerate(b.grades[p + 1]):
+            # distinct (slot, vertex) removals give distinct face tuples, so
+            # each column is written once and needs no accumulation
+            entries = {}
+            for ft, sign in leibniz_boundary(systems, t):
+                hit = index.get(ft)
+                if hit is not None:
+                    entries[hit[1]] = sign
+            if entries:
+                m.rows[row] = entries
         blocks.append(m)
     return GradedIntMatrix(b, blocks)
 

@@ -17,6 +17,11 @@ from .exact import SparseIntMatrix
 
 log = logging.getLogger(__name__)
 
+# RK4 step budget of lax_deform: each step evaluates the bracket four times
+# on dense n x n matrices, so a longer flow is an input error to reject
+# before the first step
+MAX_LAX_STEPS = 100_000
+
 
 def block_spectra(dl: DiracLaplacian, tol: float = 1e-9,
                   exact_nullities=None):
@@ -129,12 +134,6 @@ class DeformationState:
         self.matrix = matrix
         self.grading = list(grading)
 
-    def raising(self):
-        return _raising_part(self.matrix, self.grading)
-
-    def diagonal(self):
-        return _diagonal_part(self.matrix, self.grading)
-
     def __repr__(self):
         return f"DeformationState(t={self.time:.4f}, n={self.matrix.shape[0]})"
 
@@ -153,8 +152,9 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
 
     In real mode B = d - d^T built from the current raising part; the flow
     is isospectral and pushes D toward block diagonal form. Complex mode
-    adds -i b and makes the operator genuinely complex. Raises on spectral
-    drift beyond ten times the allowed tolerance.
+    adds -i b and makes the operator genuinely complex. Raises ValueError
+    before the first step when t_max / dt exceeds MAX_LAX_STEPS, and
+    ArithmeticError on spectral drift beyond ten times the allowed tolerance.
 
     Returns (states, report): states has the initial and final snapshot plus
     up to `keep` intermediate ones, report carries the drift diagnostics.
@@ -163,6 +163,9 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
         raise ValueError(f"unknown deformation mode {mode!r}")
     if dt <= 0 or t_max < 0:
         raise ValueError("need dt > 0 and t_max >= 0")
+    if not t_max / dt <= MAX_LAX_STEPS:
+        raise ValueError(f"t_max / dt = {t_max / dt:.3g} asks for more than "
+                         f"{MAX_LAX_STEPS} RK4 steps")
     grading = dl.grading()
     d = numpy.array(dl.dirac.to_dense(), dtype=float)
     if mode == "complex":

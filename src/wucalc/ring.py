@@ -15,7 +15,7 @@ from itertools import product as iter_product
 
 from .basis import euler_polynomial, wu_characteristic
 from .cohomology import cohomology_data
-from .simplicial import Complex
+from .simplicial import Complex, leibniz_boundary
 
 
 class ProductComplex:
@@ -40,17 +40,8 @@ class ProductComplex:
 
     @staticmethod
     def cell_boundary(cell):
-        """Leibniz rule: the face in slot j carries sign (-1)^(dims before j)."""
-        out = []
-        pre = 0
-        for j, part in enumerate(cell):
-            sign_j = 1 if pre % 2 == 0 else -1
-            for m in range(len(part)) if len(part) > 1 else ():
-                face = part[:m] + part[m + 1:]
-                fsign = 1 if m % 2 == 0 else -1
-                out.append((cell[:j] + (face,) + cell[j + 1:], sign_j * fsign))
-            pre += len(part) - 1
-        return out
+        """Leibniz rule over the factor simplices, as in leibniz_boundary."""
+        return leibniz_boundary((Complex,) * len(cell), cell)
 
     @staticmethod
     def cell_support(cell):
@@ -142,35 +133,30 @@ class RingElement:
         return f"RingElement({len(self.terms)} terms)"
 
 
-def _term_complex(factors):
-    return factors[0] if len(factors) == 1 else ProductComplex(factors)
+def _terms(e):
+    """The (coeff, factors) terms of a Complex, ProductComplex or RingElement."""
+    if isinstance(e, Complex):
+        return ((1, (e,)),)
+    if isinstance(e, ProductComplex):
+        return ((1, e.factors),)
+    return e.terms
 
 
 def ring_wu(e, k: int) -> int:
     """Wu characteristic of a ring element: linear over terms, computed on
     each product term by direct enumeration of intersecting cell tuples."""
-    if isinstance(e, (Complex, ProductComplex)):
-        e = RingElement([(1, (e,))]) if isinstance(e, Complex) \
-            else RingElement([(1, e.factors)])
-    total = 0
-    for coeff, factors in e.terms:
-        c = _term_complex(factors)
-        total += coeff * wu_characteristic([c] * k)
-    return total
+    return sum(coeff * wu_characteristic([product_cell_complex(factors)] * k)
+               for coeff, factors in _terms(e))
 
 
 def ring_betti(e, k: int):
     """Betti vector of a non-negative ring element, computed directly on the
     product-cell interaction basis. Negative coefficients are rejected."""
-    if isinstance(e, Complex):
-        e = RingElement([(1, (e,))])
-    elif isinstance(e, ProductComplex):
-        e = RingElement([(1, e.factors)])
     out: list = []
-    for coeff, factors in e.terms:
+    for coeff, factors in _terms(e):
         if coeff < 0:
             raise ValueError("cohomology of a negative combination is undefined")
-        c = _term_complex(factors)
+        c = product_cell_complex(factors)
         betti = cohomology_data(tuple([c] * k)).betti
         if len(betti) > len(out):
             out.extend([0] * (len(betti) - len(out)))
@@ -216,12 +202,8 @@ def kuenneth_check(g: Complex, h: Complex, k: int) -> dict:
 def ring_euler_polynomial(e) -> list:
     """Euler polynomial of a ring element: additive over terms, multiplicative
     over factors (cell counts of a product multiply as polynomials)."""
-    if isinstance(e, Complex):
-        return euler_polynomial(e)
-    if isinstance(e, ProductComplex):
-        e = RingElement([(1, e.factors)])
     total: list = []
-    for coeff, factors in e.terms:
+    for coeff, factors in _terms(e):
         poly = euler_polynomial(factors[0])
         for f in factors[1:]:
             poly = poly_mul(poly, euler_polynomial(f))

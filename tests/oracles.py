@@ -85,6 +85,26 @@ def rank_mod(entries, p):
     return rank
 
 
+def naive_derivative_entries(tuples):
+    """Non-zero entries of the interaction derivative on a basis of tuples,
+    as {(tuple, face tuple): value}: the sum over slots j and faces of part
+    j of (-1)^(dims of the parts before j) times the face sign, keeping the
+    face tuples that are in the basis."""
+    basis = set(tuples)
+    entries = {}
+    for t in tuples:
+        pre = 0
+        for j in range(len(t)):
+            sj = 1 if pre % 2 == 0 else -1
+            for s, face in simplex_boundary(t[j]):
+                ft = t[:j] + (face,) + t[j + 1:]
+                if ft in basis:
+                    key = (t, ft)
+                    entries[key] = entries.get(key, 0) + sj * s
+            pre += len(t[j]) - 1
+    return {key: v for key, v in entries.items() if v}
+
+
 def naive_interaction_data(facet_lists):
     """Grade sizes and Betti numbers of the interaction complex.
 
@@ -95,7 +115,6 @@ def naive_interaction_data(facet_lists):
     tuples = common_tuples(cell_lists)
     if not tuples:
         return [], []
-    k = len(facet_lists)
     tdim = {t: sum(len(p) - 1 for p in t) for t in tuples}
     top = max(tdim.values())
     grades = [[] for _ in range(top + 1)]
@@ -106,23 +125,12 @@ def naive_interaction_data(facet_lists):
     pos = {}
     for p, g in enumerate(grades):
         for i, t in enumerate(g):
-            pos[t] = (p, i)
+            pos[t] = i
 
-    boundaries = []
-    for p in range(1, top + 1):
-        entries = {}
-        for ci, t in enumerate(grades[p]):
-            pre = 0
-            for j in range(k):
-                sj = 1 if pre % 2 == 0 else -1
-                for s, face in simplex_boundary(t[j]):
-                    ft = t[:j] + (face,) + t[j + 1:]
-                    hit = pos.get(ft)
-                    if hit is not None:
-                        key = (hit[1], ci)
-                        entries[key] = entries.get(key, 0) + sj * s
-                pre += len(t[j]) - 1
-        boundaries.append({key: v for key, v in entries.items() if v})
+    # boundaries[p - 1] maps grade p to grade p - 1: {(face row, column): v}
+    boundaries = [{} for _ in range(top)]
+    for (t, ft), v in naive_derivative_entries(tuples).items():
+        boundaries[tdim[t] - 1][(pos[ft], pos[t])] = v
 
     for p in range(len(boundaries) - 1):
         a, b = boundaries[p], boundaries[p + 1]

@@ -268,7 +268,7 @@ def test_criterion_10_barycentric_invariance():
 def test_criterion_11_connection_f_vector_and_declarations():
     cc = connection_complex(catalog.octahedron())
     assert list(f_vector(cc)) == [26, 180, 556, 918, 900, 560, 224, 54, 6]
-    gated = catalog.GATES["large"] | catalog.GATES["slow"]
+    gated = catalog.GATES["large"]
     assert ("four_sphere", 3) in gated
     print("criterion 11 PASS: octahedron connection f-vector matches; "
           "stretch rows stay behind the large marker")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from wucalc.basis import (
     build_basis, eval_multivariate, euler_polynomial, f_matrix, f_tensor,
@@ -8,7 +9,7 @@ from wucalc.catalog import (
     complete_complex, generate_complex, path_complex, rabbit, star_complex,
 )
 from wucalc.cohomology import normalize_complexes
-from wucalc.simplicial import Graph, whitney_complex, zagreb_index
+from wucalc.simplicial import Complex, Graph, whitney_complex, zagreb_index
 
 from oracles import common_tuples, naive_wu, random_facets
 
@@ -116,6 +117,25 @@ def test_f_tensor_diagonal_symmetry_and_total():
         for j in range(n):
             for k in range(n):
                 assert t[i][j][k] == t[k][j][i]
+
+
+def test_profile_counts_match_brute_force_enumeration():
+    rng = random.Random(2741)
+    for _ in range(15):
+        c = generate_complex(random_facets(rng))
+        for k in (1, 2, 3):
+            naive = Counter(tuple(len(x) - 1 for x in t)
+                            for t in common_tuples([c.cells] * k))
+            assert multivariate_euler_polynomial(c, k) == naive
+
+
+def test_the_complex_with_no_cells_has_no_tuples():
+    c = Complex([])
+    for k in (1, 2, 3):
+        b = build_basis([c] * k)
+        assert b.grades == [] and b.index == {}
+        assert wu_characteristic([c] * k) == 0
+        assert f_tensor(c, k) == []
 
 
 def test_euler_polynomial_coefficients_count_simplices():

@@ -246,6 +246,7 @@ def test_unknown_command_is_a_usage_error(capsys):
     ["deform", "{f}", "-k", "1", "--dt", "0"],
     ["deform", "{f}", "-k", "1", "--dt", "nan"],
     ["deform", "{f}", "-k", "1", "--tmax", "-1"],
+    ["deform", "{f}", "-k", "1", "--tmax", "1e9"],
     ["spectrum", "{f}", "--tol", "-1"],
 ])
 def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):

@@ -3,18 +3,41 @@ import random
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
-    boundary_chain, dirac_and_laplacian, export_dense_csv, export_sparse_text,
+    dirac_and_laplacian, export_dense_csv, export_sparse_text,
     interaction_derivative, laplacian_is_block_diagonal, verify_d_squared,
 )
+from wucalc.simplicial import Complex
 
-from oracles import random_facets, simplex_boundary
+from oracles import (
+    common_tuples, naive_derivative_entries, random_facets, simplex_boundary,
+)
 
 
 def test_boundary_chain_signs_alternate():
-    chain = boundary_chain((1, 2, 3))
+    chain = Complex.cell_boundary((1, 2, 3))
     expected = {face: sign for sign, face in simplex_boundary((1, 2, 3))}
     assert {face: sign for face, sign in chain} == expected
-    assert boundary_chain((7,)) == []
+    assert Complex.cell_boundary((7,)) == []
+
+
+def _derivative_entries(b):
+    d = interaction_derivative(b)
+    return {(b.grades[p + 1][i], b.grades[p][j]): v
+            for p, m in enumerate(d.blocks) for i, j, v in m.triples()}
+
+
+def test_every_derivative_entry_matches_the_naive_sign_sum():
+    rng = random.Random(4409)
+    for _ in range(12):
+        c = generate_complex(random_facets(rng))
+        for k in (1, 2, 3):
+            b = build_basis(tuple([c] * k))
+            naive = naive_derivative_entries(common_tuples([c.cells] * k))
+            assert _derivative_entries(b) == naive
+        h = generate_complex(random_facets(rng))
+        b = build_basis((c, h))
+        naive = naive_derivative_entries(common_tuples([c.cells, h.cells]))
+        assert _derivative_entries(b) == naive
 
 
 def test_derivative_blocks_have_consecutive_grade_shapes():

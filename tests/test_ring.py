@@ -4,7 +4,8 @@ from wucalc.basis import (
     multivariate_euler_polynomial, wu_characteristic,
 )
 from wucalc.catalog import (
-    complete_complex, cycle_complex, generate_complex, star_complex,
+    complete_complex, cycle_complex, generate_complex, path_complex,
+    star3_x_star3, star_complex,
 )
 from wucalc.cohomology import normalize_complexes
 from wucalc.ring import (
@@ -112,6 +113,29 @@ def test_product_cells_pair_dimensions_additively():
         a, b = cell
         assert len(a) - 1 + len(b) - 1 == pc.cell_dim(cell)
     assert cell_euler_polynomial(pc) == ring_euler_polynomial(pc)
+
+
+def test_product_cell_boundary_follows_the_leibniz_rule():
+    pc = product_cell_complex([path_complex(3), complete_complex(3)])
+    # the faces of the second part carry (-1)^(dim of the first part)
+    assert dict(pc.cell_boundary(((1, 2), (1, 2, 3)))) == {
+        ((2,), (1, 2, 3)): 1,
+        ((1,), (1, 2, 3)): -1,
+        ((1, 2), (2, 3)): -1,
+        ((1, 2), (1, 3)): 1,
+        ((1, 2), (1, 2)): -1,
+    }
+    assert pc.cell_boundary(((1,), (2,))) == []
+
+
+def test_product_boundary_squares_to_zero():
+    pc = star3_x_star3()
+    for cell in pc.cells:
+        acc = {}
+        for face, s in pc.cell_boundary(cell):
+            for ff, t in pc.cell_boundary(face):
+                acc[ff] = acc.get(ff, 0) + s * t
+        assert not any(acc.values()), cell
 
 
 def test_ring_element_arithmetic_matches_componentwise_data():

@@ -30,8 +30,7 @@ def _row_result(name, k):
 def _main_params():
     params = []
     for (name, k), expected in sorted(catalog.MAIN_TABLE.items()):
-        gated = ((name, k) in catalog.GATES["large"]
-                 or (name, k) in catalog.GATES["slow"])
+        gated = (name, k) in catalog.GATES["large"]
         marks = [pytest.mark.large] if gated else []
         params.append(pytest.param(name, k, expected,
                                    id=f"{name}-k{k}", marks=marks))
@@ -106,6 +105,6 @@ def test_corrected_cells_disagree_with_the_misprint(key):
 
 
 def test_gates_only_hide_known_heavy_rows():
-    gated = catalog.GATES["slow"] | catalog.GATES["large"]
+    gated = catalog.GATES["large"]
     assert gated <= set(catalog.MAIN_TABLE)
     assert gated == {("four_sphere", 3)}
