@@ -1,7 +1,8 @@
 """Exact Betti vectors, harmonic representatives, and the Euler-Poincare check.
 
-All ranks are computed over the rationals with exact integer elimination;
-floating point is never involved. Betti vectors are reported with length
+All ranks are computed over the rationals with exact integer elimination,
+except that a Laplacian nullity takes the GF(q) rank of exact.rank_mod when
+the derivative ranks certify it. Betti vectors are reported with length
 equal to the number of grades of the basis (trailing zeros kept), which is
 how the reference tables print them.
 """
@@ -24,18 +25,18 @@ def integer_rank(m) -> int:
     return exact.rank(m)
 
 
+def incident_ranks(d: GradedIntMatrix):
+    """rank(d_(p-1)) + rank(d_p) for each grade p, exact; the derivative
+    into grade 0 and the one out of the top grade are zero."""
+    ranks = [0] + [exact.rank(b) for b in d.blocks] + [0]
+    return [ranks[p] + ranks[p + 1] for p in range(len(d.grade_sizes))]
+
+
 def betti_vector(d: GradedIntMatrix):
     """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade."""
-    sizes = d.grade_sizes
-    nblocks = len(d.blocks)
-    ranks = [exact.rank(b) for b in d.blocks]
-
-    def r(p):
-        return ranks[p] if 0 <= p < nblocks else 0
-
     betti = []
-    for p, n in enumerate(sizes):
-        b = n - r(p) - r(p - 1)
+    for p, (n, r) in enumerate(zip(d.grade_sizes, incident_ranks(d))):
+        b = n - r
         if b < 0:
             raise ArithmeticError(
                 f"negative Betti number at grade {p}: rank bookkeeping is broken")
@@ -53,7 +54,22 @@ def harmonic_basis(dl: DiracLaplacian):
 
 
 def laplacian_nullities(dl: DiracLaplacian):
-    return [exact.nullity(b) for b in dl.laplacian_blocks]
+    """dim ker L_p for each grade p, exact.
+
+    Each rank is sandwiched: rank_GF(q)(L_p) <= rank_Q(L_p) holds for any
+    integer matrix, and L_p = d_p^T d_p + d_(p-1) d_(p-1)^T, as assembled by
+    DiracLaplacian, gives rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by
+    subadditivity alone, no Hodge theorem used. When exact.rank_mod(L_p)
+    reaches that bound the rank is proven and the nullity is n_p minus it;
+    otherwise the block takes the exact route, exact.nullity(L_p).
+    """
+    out = []
+    for lp, bound in zip(dl.laplacian_blocks, incident_ranks(dl.derivative)):
+        if exact.rank_mod(lp) == bound:
+            out.append(lp.ncols - bound)
+        else:
+            out.append(exact.nullity(lp))
+    return out
 
 
 def normalize_complexes(complexes, k=None):

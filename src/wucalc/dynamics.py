@@ -17,10 +17,13 @@ from .exact import SparseIntMatrix
 
 log = logging.getLogger(__name__)
 
-# RK4 step budget of lax_deform: each step evaluates the bracket four times
-# on dense n x n matrices, so a longer flow is an input error to reject
-# before the first step
+# RK4 budgets of lax_deform: each step evaluates the bracket four times on
+# dense n x n matrices, so a flow with more steps, or with more work
+# (steps x n**3), is an input error to reject before the first step; 100
+# steps of cylinder at k = 2 (n = 416, work 7.2e9) take 4 s on a 2-vCPU
+# host, so the work budget is about a minute there
 MAX_LAX_STEPS = 100_000
+MAX_LAX_WORK = 10 ** 11
 
 
 def block_spectra(dl: DiracLaplacian, tol: float = 1e-9,
@@ -153,8 +156,9 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     In real mode B = d - d^T built from the current raising part; the flow
     is isospectral and pushes D toward block diagonal form. Complex mode
     adds -i b and makes the operator genuinely complex. Raises ValueError
-    before the first step when t_max / dt exceeds MAX_LAX_STEPS, and
-    ArithmeticError on spectral drift beyond ten times the allowed tolerance.
+    before the dense copy when t_max / dt exceeds MAX_LAX_STEPS or steps
+    times n**3 exceeds MAX_LAX_WORK, and ArithmeticError on spectral drift
+    beyond ten times the allowed tolerance.
 
     Returns (states, report): states has the initial and final snapshot plus
     up to `keep` intermediate ones, report carries the drift diagnostics.
@@ -166,6 +170,11 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     if not t_max / dt <= MAX_LAX_STEPS:
         raise ValueError(f"t_max / dt = {t_max / dt:.3g} asks for more than "
                          f"{MAX_LAX_STEPS} RK4 steps")
+    steps = max(1, int(round(t_max / dt)))
+    if steps * dl.size ** 3 > MAX_LAX_WORK:
+        raise ValueError(f"{steps} RK4 steps on a {dl.size} x {dl.size} "
+                         f"Dirac matrix exceed the work budget of "
+                         f"{MAX_LAX_WORK:.0e} steps x n^3")
     grading = dl.grading()
     d = numpy.array(dl.dirac.to_dense(), dtype=float)
     if mode == "complex":
@@ -175,7 +184,6 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     tol = 1e-6 * norm0
 
     states = [DeformationState(0.0, d.copy(), grading)]
-    steps = max(1, int(round(t_max / dt)))
     h = t_max / steps
     snap_every = max(1, steps // keep) if keep else steps + 1
     t = 0.0

@@ -1,9 +1,9 @@
 """Exact integer and rational linear algebra.
 
-Everything in this module runs on arbitrary-precision integers or Fractions,
-so ranks, determinants, kernels and characteristic polynomials come out
-exact. Floating point is never used here; the numeric side of the package
-lives in dynamics.py.
+Everything in this module but rank_mod() runs on arbitrary-precision
+integers or Fractions, so ranks, determinants, kernels and characteristic
+polynomials come out exact; the numeric side of the package lives in
+dynamics.py.
 
 One sparse elimination core, _echelon(), serves rank(), nullity() and
 kernel_basis(). It works on a dict-of-rows copy, eliminates columns in
@@ -16,12 +16,27 @@ yields the unique reduced-echelon kernel basis.
 det_bareiss() stays a separate fraction-free elimination without any row
 scaling: the determinant value itself is the result, and gcd rescaling
 would change it.
+
+rank_mod() is a dense blocked elimination over GF(q) in numpy floats whose
+every intermediate is an integer below 2**53, so its arithmetic is exact.
+Its result is only a lower bound on the rational rank (q may divide a
+minor): a caller trusts it only under a certificate that closes the gap
+from above, as cohomology.laplacian_nullities does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+import numpy
+
+# rank_mod() works over GF(_MODULUS), the largest prime below 2**22, one
+# panel of _PANEL columns at a time; these are constants, not tuning knobs
+_MODULUS = 4194301
+_PANEL = 32
+# the largest sum rank_mod() forms: one residue plus _PANEL products of two
+assert (_MODULUS - 1) + _PANEL * (_MODULUS - 1) ** 2 < 2 ** 53
 
 
 class SparseIntMatrix:
@@ -210,6 +225,83 @@ def rank(m: SparseIntMatrix) -> int:
 
 def nullity(m: SparseIntMatrix) -> int:
     return m.ncols - rank(m)
+
+
+def _reduce(x):
+    """x mod _MODULUS as residues of magnitude at most _MODULUS / 2 + 1.
+
+    For integers |x| < 2**53, x * (1 / q) is within 2 / q of x / q, so its
+    rounding k leaves |x - k q| <= q / 2 + 1, and k q and x - k q are
+    integers below 2**53, computed exactly. numpy.fmod gives the same
+    residue class but runs a bitwise long division whose cost grows with
+    x / q, which makes it many times slower on the trailing sums near 2**49.
+    """
+    return x - numpy.rint(x * (1.0 / _MODULUS)) * _MODULUS
+
+
+def rank_mod(m: SparseIntMatrix) -> int:
+    """Rank of an integer matrix over GF(_MODULUS): a lower bound on its
+    rational rank, equal to it unless _MODULUS divides the relevant minors.
+
+    Right-looking LU on a dense float64 array of residues, one panel of
+    _PANEL columns at a time. Inside the panel each pivot row is scaled to a
+    unit pivot and eliminated from the live rows only (the free rows
+    non-zero in its column), leaving the multipliers in place of the cleared
+    entries. The panel's pivot rows then get their trailing part U12 by
+    forward substitution, and the live rows below take one BLAS update
+    A22 -= L21 @ U12.
+    """
+    # Exactness: residues stay below q in magnitude, so every product is
+    # below q**2 and every sum, a residue minus at most _PANEL products, is
+    # an integer below 2**53 (the assert at the top of the module). Each
+    # partial sum is then exact, and the rank does not depend on BLAS
+    # summation order, FMA or threads.
+    q = _MODULUS
+    if not m.rows:
+        return 0
+    a = numpy.zeros((m.nrows, m.ncols))
+    for i, row in m.rows.items():
+        a[i, list(row)] = [v % q for v in row.values()]
+    rest = numpy.arange(m.nrows)        # rows not yet chosen as pivots
+    rank = 0
+    for c0 in range(0, m.ncols, _PANEL):
+        c1 = min(c0 + _PANEL, m.ncols)
+        # the panel, transposed so that each of its columns is contiguous
+        pan = a[rest, c0:c1].T.copy()
+        free = numpy.ones(rest.size, dtype=bool)
+        piv, cols, invs = [], [], []
+        for j in range(c1 - c0):
+            hits = numpy.flatnonzero((pan[j] != 0) & free)
+            if not hits.size:
+                continue
+            h, live = hits[0], hits[1:]
+            inv = pow(int(pan[j, h]) % q, q - 2, q)
+            if live.size and j + 1 < c1 - c0:
+                unit = _reduce(pan[j + 1:, h] * inv)
+                pan[j + 1:, live] = _reduce(
+                    pan[j + 1:, live] - numpy.outer(unit, pan[j, live]))
+            free[h] = False
+            piv.append(h)
+            cols.append(j)
+            invs.append(inv)
+        rank += len(piv)
+        if not piv:
+            continue
+        prows, rest = rest[piv], rest[free]
+        if not rest.size or c1 == m.ncols:
+            break
+        u12 = a[prows, c1:]
+        l11 = pan[numpy.ix_(cols, piv)].T
+        for k, inv in enumerate(invs):
+            if k:
+                u12[k] = _reduce(u12[k] - l11[k, :k] @ u12[:k])
+            u12[k] = _reduce(u12[k] * inv)
+        l21 = pan[numpy.ix_(cols, numpy.flatnonzero(free))].T
+        hit = numpy.flatnonzero(l21.any(axis=1))
+        if hit.size:
+            live = rest[hit]
+            a[live, c1:] = _reduce(a[live, c1:] - l21[hit] @ u12)
+    return rank
 
 
 def det_bareiss(matrix) -> int:

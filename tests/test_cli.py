@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wucalc import cli
+from wucalc.catalog import cylinder
 
 
 def run(capsys, *argv):
@@ -247,12 +248,15 @@ def test_unknown_command_is_a_usage_error(capsys):
     ["deform", "{f}", "-k", "1", "--dt", "nan"],
     ["deform", "{f}", "-k", "1", "--tmax", "-1"],
     ["deform", "{f}", "-k", "1", "--tmax", "1e9"],
+    ["deform", "{cyl}", "-k", "2", "--tmax", "1000"],
     ["spectrum", "{f}", "--tol", "-1"],
 ])
 def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
     neg_edges = tmp_path / "neg.txt"
     neg_edges.write_text("1 2\n-1 2\n")
     paths = {"f": triangle,
+             "cyl": write_json(tmp_path, "cylinder.json",
+                               [f for f in cylinder().cells if len(f) == 3]),
              "neg": write_json(tmp_path, "neg.json", [[0, -1], [1, 2]]),
              "neg_edges": str(neg_edges)}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from wucalc import exact
 from wucalc.catalog import (
-    cycle_complex, figure_eight, generate_complex, path_complex, rabbit,
+    cycle_complex, cylinder, figure_eight, generate_complex, moebius,
+    path_complex, rabbit,
 )
 from wucalc.cohomology import (
     betti_vector, cohomology_data, euler_poincare_check, harmonic_basis,
-    integer_rank, laplacian_nullities, normalize_complexes,
+    incident_ranks, integer_rank, laplacian_nullities, normalize_complexes,
     poincare_polynomial,
 )
 
@@ -75,6 +77,38 @@ def test_hodge_routes_agree():
         assert [len(block) for block in h] == data.betti
 
 
+def count_calls(monkeypatch, name, wrap=lambda out: out):
+    """Replace exact.<name> by a counting wrapper; returns the call list."""
+    real = getattr(exact, name)
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return wrap(real(m))
+
+    monkeypatch.setattr(exact, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("make", [cylinder, moebius])
+def test_laplacian_nullities_certify_every_block(make, monkeypatch):
+    c = make()
+    data = cohomology_data((c, c))
+    exact_calls = count_calls(monkeypatch, "nullity")
+    assert laplacian_nullities(data.dirac) == data.betti
+    assert exact_calls == []
+
+
+@pytest.mark.parametrize("make", [cylinder, moebius])
+def test_a_failed_certificate_takes_the_exact_route(make, monkeypatch):
+    c = make()
+    data = cohomology_data((c, c))
+    count_calls(monkeypatch, "rank_mod", wrap=lambda r: r - 1)
+    exact_calls = count_calls(monkeypatch, "nullity")
+    assert laplacian_nullities(data.dirac) == data.betti
+    assert exact_calls == data.dirac.laplacian_blocks
+
+
 def test_harmonic_vectors_are_integer_kernel_elements():
     c = generate_complex([(1, 2, 3), (3, 4), (4, 5)])
     data = cohomology_data((c, c))
@@ -94,6 +128,10 @@ def test_rank_nullity_accounting():
     padded = [0] + ranks + [0]
     for p, n in enumerate(sizes):
         assert data.betti[p] == n - padded[p] - padded[p + 1]
+    assert incident_ranks(data.derivative) == [
+        padded[p] + padded[p + 1] for p in range(len(sizes))]
+    point = cohomology_data((generate_complex([(1,)]),)).derivative
+    assert (point.blocks, incident_ranks(point)) == ([], [0])
 
 
 def test_cohomology_data_is_cached_per_tuple():

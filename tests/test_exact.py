@@ -1,7 +1,9 @@
 import random
 
 import numpy as np
+import pytest
 
+from wucalc import exact
 from wucalc.catalog import cylinder
 from wucalc.cohomology import cohomology_data
 from wucalc.exact import SparseIntMatrix, charpoly, det_bareiss, kernel_basis, rank
@@ -109,6 +111,58 @@ def test_kernel_of_a_matrix_without_rows_is_the_identity():
     assert kernel_basis(SparseIntMatrix(0, 3)) == [[1, 0, 0], [0, 1, 0],
                                                    [0, 0, 1]]
     assert rank(SparseIntMatrix(0, 3)) == 0
+
+
+def rank_mod_cases(rng):
+    """Seeded integer matrices for the GF(q) rank: empty shapes, sizes around
+    the panel width, negative entries and entries beyond the modulus, and
+    low-rank products."""
+    q, w = exact._MODULUS, exact._PANEL
+    cases = [[], [[]], [[], []], [[0] * 5], [[0], [0], [0]]]
+    for n in (w - 1, w, w + 1, 2 * w + 1):
+        for hi in (3, 5 * q):
+            for density in (0.1, 0.5):
+                cases.append(random_int_matrix(rng, n, n, -hi, hi, density))
+        cases.append(random_int_matrix(rng, n, rng.randint(1, 3 * w), -2, 2))
+    for _ in range(12):
+        nrows, ncols = rng.randint(1, 3 * w), rng.randint(1, 3 * w)
+        r = rng.randint(0, min(nrows, ncols))
+        left = random_int_matrix(rng, nrows, r, -3, 3)
+        right = random_int_matrix(rng, r, ncols, -3, 3)
+        cases.append([[sum(a * b for a, b in zip(row, col))
+                       for col in zip(*right)] if r else [0] * ncols
+                      for row in left])
+    return cases
+
+
+def test_rank_mod_matches_the_oracles():
+    deficient = 0
+    for rows in rank_mod_cases(random.Random(49)):
+        m = to_sparse(rows)
+        entries = {(i, j): v for i, j, v in m.triples()}
+        r = exact.rank_mod(m)
+        assert r == rank_mod(entries, exact._MODULUS) == rank(m), rows
+        deficient += r < min(m.nrows, m.ncols)
+    assert deficient > 10
+
+
+def test_rank_mod_of_empty_shapes_is_zero():
+    for nrows, ncols in ((0, 0), (0, 7), (7, 0)):
+        assert exact.rank_mod(SparseIntMatrix(nrows, ncols)) == 0
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_rank_mod_does_not_depend_on_the_panel_width(width, monkeypatch):
+    cases = rank_mod_cases(random.Random(50))
+    want = [rank(to_sparse(rows)) for rows in cases]
+    monkeypatch.setattr(exact, "_PANEL", width)
+    assert [exact.rank_mod(to_sparse(rows)) for rows in cases] == want
+
+
+def test_rank_mod_is_only_a_lower_bound():
+    m = to_sparse([[1, 0], [0, exact._MODULUS]])
+    assert exact.rank_mod(m) == 1
+    assert rank(m) == 2
 
 
 def test_cylinder_harmonic_forms_match_the_fraction_oracle():
