@@ -27,11 +27,6 @@ from .simplicial import (
 # graphs
 
 
-def complete_graph(n: int) -> Graph:
-    vs = range(1, n + 1)
-    return Graph(vs, [(i, j) for i in vs for j in vs if i < j])
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
@@ -287,13 +282,6 @@ def two_circles() -> tuple:
     return g, h
 
 
-def crossed_paths() -> tuple:
-    """Two paths crossing in one vertex."""
-    g = generate_complex([(1, 2), (2, 3)])
-    h = generate_complex([(2, 4), (2, 5)])
-    return g, h
-
-
 # ---------------------------------------------------------------------------
 # frozen expectations
 
@@ -486,12 +474,6 @@ PAIR_TABLE = [
      disk, disk_boundary_point,
      0, (0, 0, 0), None),
 ]
-
-
-def named_complexes():
-    """Materialize every named complex. The Poincare sphere is included;
-    it is cheap to build, only its cohomology is expensive."""
-    return {name: build() for name, build in NAMED.items()}
 
 
 def pair_fixtures():

@@ -263,13 +263,19 @@ def _parse_automorphism(spec: str, c: Complex) -> dict:
         if len(data) != len(vs):
             raise InputError(
                 f"permutation list needs {len(vs)} images, got {len(data)}")
-        t = {v: int(img) for v, img in zip(vs, data)}
+        t = dict(zip(vs, data))
     elif isinstance(data, dict):
-        t = {int(k): int(v) for k, v in data.items()}
+        try:
+            t = {int(k): v for k, v in data.items()}
+        except ValueError:
+            raise InputError("permutation keys must be integer vertex ids")
         if sorted(t) != vs:
             raise InputError("permutation keys do not match the vertex set")
     else:
         raise InputError("--aut must be 'all' or a JSON permutation")
+    if not all(isinstance(v, int) and not isinstance(v, bool)
+               for v in t.values()):
+        raise InputError("permutation images must be integer vertex ids")
     if sorted(t.values()) != vs:
         raise InputError("permutation images do not match the vertex set")
     for s in c.simplices:
@@ -281,7 +287,10 @@ def _parse_automorphism(spec: str, c: Complex) -> dict:
 def cmd_lefschetz(args):
     c = load_complex(args.file)
     if args.aut == "all":
-        autos = complex_automorphisms(c)
+        try:
+            autos = complex_automorphisms(c)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     else:
         autos = [_parse_automorphism(args.aut, c)]
     results = []

@@ -17,6 +17,10 @@ from .differential import (DiracLaplacian, GradedIntMatrix,
                            dirac_and_laplacian, interaction_derivative)
 from .exact import SparseIntMatrix
 
+# exact.rank_mod holds a block as a dense float64 array; a block with more
+# entries than this (1 GiB) skips it and takes the exact route
+MAX_RANK_MOD_ENTRIES = 2 ** 27
+
 
 def integer_rank(m) -> int:
     """Exact rank over the rationals of an integer matrix (sparse or dense)."""
@@ -61,11 +65,13 @@ def laplacian_nullities(dl: DiracLaplacian):
     DiracLaplacian, gives rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by
     subadditivity alone, no Hodge theorem used. When exact.rank_mod(L_p)
     reaches that bound the rank is proven and the nullity is n_p minus it;
-    otherwise the block takes the exact route, exact.nullity(L_p).
+    otherwise, and for blocks of more than MAX_RANK_MOD_ENTRIES entries, the
+    block takes the exact route, exact.nullity(L_p).
     """
     out = []
     for lp, bound in zip(dl.laplacian_blocks, incident_ranks(dl.derivative)):
-        if exact.rank_mod(lp) == bound:
+        if (lp.nrows * lp.ncols <= MAX_RANK_MOD_ENTRIES
+                and exact.rank_mod(lp) == bound):
             out.append(lp.ncols - bound)
         else:
             out.append(exact.nullity(lp))

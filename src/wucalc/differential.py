@@ -25,13 +25,6 @@ class GradedIntMatrix:
         self.blocks = blocks
         self.grade_sizes = basis.grade_sizes()
 
-    def d_block(self, p) -> SparseIntMatrix:
-        if 0 <= p < len(self.blocks):
-            return self.blocks[p]
-        nrows = self.grade_sizes[p + 1] if 0 <= p + 1 < len(self.grade_sizes) else 0
-        ncols = self.grade_sizes[p] if 0 <= p < len(self.grade_sizes) else 0
-        return SparseIntMatrix(nrows, ncols)
-
     def __repr__(self):
         shapes = [(b.nrows, b.ncols) for b in self.blocks]
         return f"GradedIntMatrix(blocks={shapes})"
@@ -64,6 +57,20 @@ def verify_d_squared(d: GradedIntMatrix) -> bool:
     return True
 
 
+def _gram(vectors):
+    """The sum of v v^T over sparse integer vectors {index: value}, as the
+    rows of a symmetric matrix with its cancelled entries dropped. Every
+    diagonal entry is a sum of squares of the vectors touching it, so no
+    row ends up empty."""
+    rows: dict = {}
+    for v in vectors:
+        for i, a in v.items():
+            row = rows.setdefault(i, {})
+            for j, b in v.items():
+                row[j] = row.get(j, 0) + a * b
+    return {i: {j: w for j, w in row.items() if w} for i, row in rows.items()}
+
+
 class DiracLaplacian:
     """D = d + d^T on the full graded space and the blocks of L = D^2."""
 
@@ -77,21 +84,30 @@ class DiracLaplacian:
             self.offsets.append(off)
             off += n
         self.size = off
-        self.dirac = SparseIntMatrix(off, off)
-        for p, blk in enumerate(derivative.blocks):
+        blocks = derivative.blocks
+        # D holds each d_p and its transpose, in blocks of different grades
+        # that never overlap; columns[p] holds d_p by column, {col: {row: v}}
+        dirac: dict = {}
+        columns = []
+        for p, blk in enumerate(blocks):
             ro, co = self.offsets[p + 1], self.offsets[p]
+            cols: dict = {}
             for i, row in blk.rows.items():
+                drow = dirac.setdefault(ro + i, {})
                 for j, v in row.items():
-                    self.dirac.add(ro + i, co + j, v)
-                    self.dirac.add(co + j, ro + i, v)
+                    drow[co + j] = v
+                    dirac.setdefault(co + j, {})[ro + i] = v
+                    cols.setdefault(j, {})[i] = v
+            columns.append(cols)
+        self.dirac = SparseIntMatrix(off, off, dirac)
+        # L_p = d_p^T d_p + d_(p-1) d_(p-1)^T is the sum of v v^T over the
+        # rows v of d_p and the columns v of d_(p-1)
         self.laplacian_blocks = []
-        for p in range(len(self.grade_sizes)):
-            dp = derivative.d_block(p)
-            lp = dp.transpose().matmul(dp)
+        for p, n in enumerate(self.grade_sizes):
+            vectors = list(blocks[p].rows.values()) if p < len(blocks) else []
             if p > 0:
-                dprev = derivative.d_block(p - 1)
-                lp = lp.add_matrix(dprev.matmul(dprev.transpose()))
-            self.laplacian_blocks.append(lp)
+                vectors.extend(columns[p - 1].values())
+            self.laplacian_blocks.append(SparseIntMatrix(n, n, _gram(vectors)))
 
     def grade_of(self, coordinate) -> int:
         for p in range(len(self.grade_sizes) - 1, -1, -1):

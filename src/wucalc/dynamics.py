@@ -117,18 +117,6 @@ def wave_evolve(dl: DiracLaplacian, u0, v0, t: float):
     return q @ (cos_part + sin_part)
 
 
-def _raising_part(d, grading):
-    grades = numpy.asarray(grading)
-    mask = grades[:, None] == grades[None, :] + 1
-    return numpy.where(mask, d, 0.0)
-
-
-def _diagonal_part(d, grading):
-    grades = numpy.asarray(grading)
-    mask = grades[:, None] == grades[None, :]
-    return numpy.where(mask, d, 0.0)
-
-
 class DeformationState:
     """One snapshot of the Lax flow."""
 
@@ -141,11 +129,13 @@ class DeformationState:
         return f"DeformationState(t={self.time:.4f}, n={self.matrix.shape[0]})"
 
 
-def _bracket_rhs(d, grading, mode):
-    raising = _raising_part(d, grading)
+def _bracket_rhs(d, raising_mask, diagonal_mask):
+    """[B(D), D] for B = d - d^T built from the raising part of D, minus
+    i times its diagonal part when a diagonal mask is given."""
+    raising = numpy.where(raising_mask, d, 0.0)
     b = raising - raising.conj().T
-    if mode == "complex":
-        b = b - 1j * _diagonal_part(d, grading)
+    if diagonal_mask is not None:
+        b = b - 1j * numpy.where(diagonal_mask, d, 0.0)
     return b @ d - d @ b
 
 
@@ -176,9 +166,14 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
                          f"Dirac matrix exceed the work budget of "
                          f"{MAX_LAX_WORK:.0e} steps x n^3")
     grading = dl.grading()
+    grades = numpy.asarray(grading)
+    # entries from grade q to grade q + 1, and within one grade
+    raising_mask = grades[:, None] == grades[None, :] + 1
+    diagonal_mask = None
     d = numpy.array(dl.dirac.to_dense(), dtype=float)
     if mode == "complex":
         d = d.astype(complex)
+        diagonal_mask = grades[:, None] == grades[None, :]
     norm0 = numpy.linalg.norm(d) or 1.0
     spec0 = numpy.linalg.eigvalsh(d)
     tol = 1e-6 * norm0
@@ -189,10 +184,10 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     t = 0.0
     for step in range(steps):
         with numpy.errstate(over="ignore", invalid="ignore"):
-            k1 = _bracket_rhs(d, grading, mode)
-            k2 = _bracket_rhs(d + 0.5 * h * k1, grading, mode)
-            k3 = _bracket_rhs(d + 0.5 * h * k2, grading, mode)
-            k4 = _bracket_rhs(d + h * k3, grading, mode)
+            k1 = _bracket_rhs(d, raising_mask, diagonal_mask)
+            k2 = _bracket_rhs(d + 0.5 * h * k1, raising_mask, diagonal_mask)
+            k3 = _bracket_rhs(d + 0.5 * h * k2, raising_mask, diagonal_mask)
+            k4 = _bracket_rhs(d + h * k3, raising_mask, diagonal_mask)
             d = d + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             d = 0.5 * (d + d.conj().T)
         if not numpy.isfinite(d).all():
@@ -209,7 +204,7 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
         raise ArithmeticError(
             f"spectral drift {drift:.3e} exceeds 10 * {tol:.3e}; "
             "reduce dt")
-    raising = _raising_part(d, grading)
+    raising = numpy.where(raising_mask, d, 0.0)
     d2 = float(numpy.abs(raising @ raising).max(initial=0.0))
     report = {
         "mode": mode,

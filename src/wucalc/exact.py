@@ -60,21 +60,6 @@ class SparseIntMatrix:
                     m.rows.setdefault(i, {})[j] = int(v)
         return m
 
-    def add(self, i, j, v):
-        if v == 0:
-            return
-        row = self.rows.setdefault(i, {})
-        w = row.get(j, 0) + v
-        if w:
-            row[j] = w
-        else:
-            del row[j]
-            if not row:
-                del self.rows[i]
-
-    def get(self, i, j):
-        return self.rows.get(i, {}).get(j, 0)
-
     def triples(self):
         for i in sorted(self.rows):
             row = self.rows[i]
@@ -86,13 +71,6 @@ class SparseIntMatrix:
 
     def is_zero(self):
         return not self.rows
-
-    def transpose(self):
-        t = SparseIntMatrix(self.ncols, self.nrows)
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                t.rows.setdefault(j, {})[i] = v
-        return t
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
@@ -111,23 +89,6 @@ class SparseIntMatrix:
             if acc:
                 out.rows[i] = acc
         return out
-
-    def add_matrix(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        out = SparseIntMatrix(self.nrows, self.ncols,
-                              {i: dict(r) for i, r in self.rows.items()})
-        for i, row in other.rows.items():
-            for j, v in row.items():
-                out.add(i, j, v)
-        return out
-
-    def scale(self, c: int) -> "SparseIntMatrix":
-        if c == 0:
-            return SparseIntMatrix(self.nrows, self.ncols)
-        return SparseIntMatrix(
-            self.nrows, self.ncols,
-            {i: {j: c * v for j, v in r.items()} for i, r in self.rows.items()})
 
     def trace(self):
         return sum(row.get(i, 0) for i, row in self.rows.items())

@@ -10,23 +10,29 @@ the tests exercise.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .basis import InteractionBasis
 from .cohomology import cohomology_data
 from .differential import DiracLaplacian
-from .simplicial import Complex, Graph, simplex_weight
+from .simplicial import Complex, Graph
+
+# the automorphism search is exponential in the worst case, so it refuses
+# graphs with more vertices than this
+MAX_AUTOMORPHISM_VERTICES = 12
 
 
-def automorphism_group(g: Graph, limit: int = 12):
+def automorphism_group(g: Graph):
     """All graph automorphisms by backtracking, as vertex dicts.
 
-    The search is exponential in the worst case, so it refuses graphs with
-    more than `limit` vertices; raise the limit explicitly if you mean it.
+    Raises ValueError on graphs with more than MAX_AUTOMORPHISM_VERTICES
+    vertices.
     """
     vs = sorted(g.vertices)
-    if len(vs) > limit:
+    if len(vs) > MAX_AUTOMORPHISM_VERTICES:
         raise ValueError(
-            f"automorphism search on {len(vs)} vertices exceeds limit={limit}")
+            f"automorphism search on {len(vs)} vertices exceeds the limit of "
+            f"{MAX_AUTOMORPHISM_VERTICES} vertices")
     fp = {}
     for v in vs:
         nbr = tuple(sorted(g.degree(w) for w in g.adj[v]))
@@ -61,9 +67,9 @@ def automorphism_group(g: Graph, limit: int = 12):
     return autos
 
 
-def complex_automorphisms(c: Complex, limit: int = 12):
+def complex_automorphisms(c: Complex):
     """Automorphisms of the vertex skeleton that map simplices to simplices."""
-    autos = automorphism_group(c.skeleton_graph(), limit=limit)
+    autos = automorphism_group(c.skeleton_graph())
     out = []
     for t in autos:
         if all(tuple(sorted(t[v] for v in s)) in c for s in c.simplices):
@@ -73,65 +79,64 @@ def complex_automorphisms(c: Complex, limit: int = 12):
 
 def permutation_sign(t: dict, s) -> int:
     """Parity of the permutation T induces on the simplex s it fixes setwise
-    (more generally, of the map from s sorted to its image sorted)."""
+    (more generally, of the map from s sorted to its image sorted): -1 to
+    the number of inversions of the image sequence."""
     image = [t[v] for v in s]
-    ranks = sorted(range(len(image)), key=lambda i: image[i])
-    sign = 1
-    seen = [False] * len(ranks)
-    for i in range(len(ranks)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = ranks[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(a > b for i, a in enumerate(image) for b in image[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
-def apply_to_tuple(t: dict, x):
-    return tuple(tuple(sorted(t[v] for v in part)) for part in x)
+def _signed_permutation(t: dict, basis: InteractionBasis):
+    """The map T induces on basis tuples, grade by grade, as a pair of lists
+    (image, signs): T sends the tuple x at position i to signs[i] times the
+    tuple at position image[i] of the same grade, where signs[i] is the
+    product of the permutation signs of T on the parts of x."""
+    moved, sign = {}, {}
+    for c in basis.systems:
+        for s in c.cells:
+            moved[s] = tuple(sorted(t[v] for v in s))
+            sign[s] = permutation_sign(t, s)
+    maps = []
+    for grade in basis.grades:
+        image = [basis.index[tuple(moved[part] for part in x)][1]
+                 for x in grade]
+        signs = [prod(sign[part] for part in x) for x in grade]
+        maps.append((image, signs))
+    return maps
 
 
-def tuple_sign(t: dict, x) -> int:
-    sign = 1
-    for part in x:
-        sign *= permutation_sign(t, part)
-    return sign
+def _fixed(basis: InteractionBasis, maps):
+    """The diagonal of the signed permutation: the tuples T fixes setwise in
+    every slot, with index (-1)^p * sign, since the weights w(x_j) of a
+    grade-p tuple multiply to (-1)^p."""
+    out = []
+    for p, (grade, (image, signs)) in enumerate(zip(basis.grades, maps)):
+        w = 1 if p % 2 == 0 else -1
+        out.extend((grade[i], w * signs[i])
+                   for i, j in enumerate(image) if i == j)
+    return out
+
+
+def _trace(harmonic, maps) -> int:
+    """Alternating sum of the traces of the signed permutation on the
+    reduced-echelon harmonic forms (see lefschetz_number)."""
+    total = Fraction(0)
+    for p, (kernel, (image, signs)) in enumerate(zip(harmonic, maps)):
+        tr = Fraction(0)
+        for vec in kernel:
+            f = max(j for j, v in enumerate(vec) if v)
+            i = image.index(f)
+            tr += Fraction(signs[i] * vec[i], vec[f])
+        total += tr if p % 2 == 0 else -tr
+    if total.denominator != 1:
+        raise ArithmeticError(f"non-integer Lefschetz number {total}")
+    return int(total)
 
 
 def fixed_tuples(t: dict, basis: InteractionBasis):
     """Tuples fixed setwise in every slot, with their local indices
     index(x) = prod_j w(x_j) * sign(T restricted to x_j)."""
-    out = []
-    for grade in basis.grades:
-        for x in grade:
-            if all(frozenset(t[v] for v in part) == frozenset(part)
-                   for part in x):
-                weight = 1
-                for part in x:
-                    weight *= simplex_weight(part)
-                out.append((x, weight * tuple_sign(t, x)))
-    return out
-
-
-def induced_block_maps(t: dict, basis: InteractionBasis):
-    """Per grade, the signed permutation matrix of T on basis tuples,
-    as a dict (row, col) -> sign."""
-    blocks = []
-    for p, grade in enumerate(basis.grades):
-        entries = {}
-        for col, x in enumerate(grade):
-            tx = apply_to_tuple(t, x)
-            gp, row = basis.index[tx]
-            if gp != p:
-                raise ValueError("automorphism does not preserve grading")
-            entries[(row, col)] = tuple_sign(t, x)
-        blocks.append(entries)
-    return blocks
+    return _fixed(basis, _signed_permutation(t, basis))
 
 
 def lefschetz_number(t: dict, c: Complex, k: int) -> int:
@@ -141,28 +146,12 @@ def lefschetz_number(t: dict, c: Complex, k: int) -> int:
     (exact.kernel_basis): the last non-zero entry of h_i sits at its own
     free column f_i, where every other h_j is 0. The induced map U is a
     chain map and orthogonal, so it keeps the harmonic space, and
-    U h_i = sum_j a_ji h_j has (U h_i)[f_i] = a_ii h_i[f_i]. Its trace on
-    cohomology is therefore sum_i (U h_i)[f_i] / h_i[f_i].
+    U h_i = sum_j a_ji h_j has (U h_i)[f_i] = a_ii h_i[f_i]. U is a signed
+    permutation, so (U h_i)[f_i] is sign * h_i at the tuple T sends to f_i,
+    and the trace on cohomology is sum_i (U h_i)[f_i] / h_i[f_i].
     """
     data = cohomology_data(tuple([c] * k))
-    blocks = induced_block_maps(t, data.basis)
-    total = Fraction(0)
-    for p, kernel in enumerate(data.harmonic):
-        if not kernel:
-            continue
-        free = {}
-        for vec in kernel:
-            f = max(j for j, v in enumerate(vec) if v)
-            free[f] = vec
-        tr = Fraction(0)
-        for (row, col), sign in blocks[p].items():
-            vec = free.get(row)
-            if vec is not None:
-                tr += Fraction(sign * vec[col], vec[row])
-        total += tr if p % 2 == 0 else -tr
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integer Lefschetz number {total}")
-    return int(total)
+    return _trace(data.harmonic, _signed_permutation(t, data.basis))
 
 
 def lefschetz_via_fixed_points(t: dict, c: Complex, k: int) -> int:
@@ -171,8 +160,10 @@ def lefschetz_via_fixed_points(t: dict, c: Complex, k: int) -> int:
 
 
 def lefschetz_fixed_point_check(t: dict, c: Complex, k: int) -> dict:
-    cohom = lefschetz_number(t, c, k)
-    fixed = fixed_tuples(t, cohomology_data(tuple([c] * k)).basis)
+    data = cohomology_data(tuple([c] * k))
+    maps = _signed_permutation(t, data.basis)
+    cohom = _trace(data.harmonic, maps)
+    fixed = _fixed(data.basis, maps)
     local = sum(index for _, index in fixed)
     return {
         "k": k,
@@ -190,16 +181,16 @@ def heat_trace(t: dict, c: Complex, k: int, time: float) -> float:
 
     data = cohomology_data(tuple([c] * k))
     dl: DiracLaplacian = data.dirac
-    blocks = induced_block_maps(t, data.basis)
+    maps = _signed_permutation(t, data.basis)
     total = 0.0
     for p, lp in enumerate(dl.laplacian_blocks):
         n = lp.nrows
         if n == 0:
             continue
         dense = numpy.array(lp.to_dense(), dtype=float)
+        image, signs = maps[p]
         u = numpy.zeros((n, n))
-        for (row, col), sign in blocks[p].items():
-            u[row, col] = sign
+        u[image, numpy.arange(n)] = signs
         evals, q = numpy.linalg.eigh(dense)
         a = q.T @ u @ q
         term = float(numpy.sum(numpy.exp(-time * evals) * numpy.diag(a)))

@@ -21,10 +21,6 @@ def make_simplex(vertices) -> tuple:
     return s
 
 
-def simplex_dim(s) -> int:
-    return len(s) - 1
-
-
 def simplex_weight(s) -> int:
     """(-1)^dim: +1 for even-dimensional simplices, -1 for odd."""
     return 1 if len(s) % 2 == 1 else -1

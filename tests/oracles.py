@@ -248,6 +248,44 @@ def fraction_det(rows):
     return det.numerator
 
 
+def cycle_sign(t, s):
+    """Sign of the map from s sorted to its image under the vertex map t
+    sorted: the permutation that sorts the image, walked cycle by cycle,
+    -1 per cycle of even length."""
+    image = [t[v] for v in s]
+    ranks = sorted(range(len(image)), key=lambda i: image[i])
+    sign = 1
+    seen = [False] * len(ranks)
+    for i in range(len(ranks)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = ranks[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def fixed_point_indices(t, grades):
+    """The tuples of `grades`, in order, that the vertex map t fixes setwise
+    in every slot, each with its local index prod_j w(x_j) * sign(t on x_j),
+    where w(s) = (-1)^dim s."""
+    out = []
+    for grade in grades:
+        for x in grade:
+            if all(frozenset(t[v] for v in part) == frozenset(part)
+                   for part in x):
+                index = 1
+                for part in x:
+                    index *= (-1) ** (len(part) - 1) * cycle_sign(t, part)
+                out.append((x, index))
+    return out
+
+
 def random_facets(rng, max_vertices=7, max_facets=7, max_size=3):
     """Small random facet list for property tests, deterministic per rng."""
     n = rng.randint(1, max_vertices)

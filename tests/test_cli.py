@@ -250,6 +250,12 @@ def test_unknown_command_is_a_usage_error(capsys):
     ["deform", "{f}", "-k", "1", "--tmax", "1e9"],
     ["deform", "{cyl}", "-k", "2", "--tmax", "1000"],
     ["spectrum", "{f}", "--tol", "-1"],
+    ["lefschetz", "{f}", "--aut", '["a", "b", "c"]'],
+    ["lefschetz", "{f}", "--aut", '{{"x": 1}}'],
+    ["lefschetz", "{f}", "--aut", "[1.5, 2, 3]"],
+    ["lefschetz", "{f}", "--aut", "[true, 2, 3]"],
+    ["lefschetz", "{f}", "--aut", '{{"1": true, "2": 2, "3": 3}}'],
+    ["lefschetz", "{path15}", "-k", "1", "--aut", "all"],
 ])
 def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
     neg_edges = tmp_path / "neg.txt"
@@ -258,6 +264,8 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
              "cyl": write_json(tmp_path, "cylinder.json",
                                [f for f in cylinder().cells if len(f) == 3]),
              "neg": write_json(tmp_path, "neg.json", [[0, -1], [1, 2]]),
+             "path15": write_json(tmp_path, "path15.json",
+                                  [[i, i + 1] for i in range(1, 15)]),
              "neg_edges": str(neg_edges)}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wucalc import exact
+from wucalc import cohomology, exact
 from wucalc.catalog import (
     cycle_complex, cylinder, figure_eight, generate_complex, moebius,
     path_complex, rabbit,
@@ -106,6 +106,18 @@ def test_a_failed_certificate_takes_the_exact_route(make, monkeypatch):
     count_calls(monkeypatch, "rank_mod", wrap=lambda r: r - 1)
     exact_calls = count_calls(monkeypatch, "nullity")
     assert laplacian_nullities(data.dirac) == data.betti
+    assert exact_calls == data.dirac.laplacian_blocks
+
+
+def test_an_oversized_block_skips_the_modular_rank(monkeypatch):
+    c = cylinder()
+    data = cohomology_data((c, c))
+    smallest = min(n for n in data.dirac.grade_sizes if n)
+    monkeypatch.setattr(cohomology, "MAX_RANK_MOD_ENTRIES", smallest ** 2 - 1)
+    mod_calls = count_calls(monkeypatch, "rank_mod")
+    exact_calls = count_calls(monkeypatch, "nullity")
+    assert laplacian_nullities(data.dirac) == data.betti
+    assert mod_calls == []
     assert exact_calls == data.dirac.laplacian_blocks
 
 

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
+
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
-    dirac_and_laplacian, export_dense_csv, export_sparse_text,
+    DiracLaplacian, dirac_and_laplacian, export_dense_csv, export_sparse_text,
     interaction_derivative, laplacian_is_block_diagonal, verify_d_squared,
 )
 from wucalc.simplicial import Complex
@@ -111,6 +113,44 @@ def test_dirac_is_symmetric_and_squares_to_the_laplacian():
         for i in range(block.nrows):
             for j in range(block.ncols):
                 assert square[off + i][off + j] == dense[i][j]
+
+
+def _dense(m):
+    return np.array(m.to_dense(), dtype=np.int64).reshape(m.nrows, m.ncols)
+
+
+def test_laplacian_blocks_and_dirac_match_dense_products():
+    rng = random.Random(8117)
+    cases = [(generate_complex([(1,)]),)]
+    for _ in range(8):
+        c = generate_complex(random_facets(rng))
+        cases += [tuple([c] * k) for k in (1, 2, 3)]
+    cases.append((generate_complex(random_facets(rng)),
+                  generate_complex(random_facets(rng))))
+    for systems in cases:
+        d = interaction_derivative(build_basis(systems))
+        dl = DiracLaplacian(d)
+        off = dl.offsets
+        dirac = np.zeros((dl.size, dl.size), dtype=np.int64)
+        for p, n in enumerate(d.grade_sizes):
+            lp = np.zeros((n, n), dtype=np.int64)
+            if p < len(d.blocks):
+                dp = _dense(d.blocks[p])
+                lp += dp.T @ dp
+                dirac[off[p + 1]:off[p + 1] + dp.shape[0],
+                      off[p]:off[p] + n] = dp
+                dirac[off[p]:off[p] + n,
+                      off[p + 1]:off[p + 1] + dp.shape[0]] = dp.T
+            if p > 0:
+                dq = _dense(d.blocks[p - 1])
+                lp += dq @ dq.T
+            block = dl.laplacian_blocks[p]
+            assert (block.nrows, block.ncols) == (n, n)
+            assert (_dense(block) == lp).all(), (systems, p)
+            assert all(v for row in block.rows.values() for v in row.values())
+        assert (dl.dirac.nrows, dl.dirac.ncols) == (dl.size, dl.size)
+        assert (_dense(dl.dirac) == dirac).all(), systems
+        assert all(v for row in dl.dirac.rows.values() for v in row.values())
 
 
 def test_grade_of_recovers_the_grading():

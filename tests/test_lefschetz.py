@@ -5,13 +5,14 @@ from wucalc.catalog import (
     cycle_complex, cylinder, generate_complex, house, moebius, octahedron,
     rabbit,
 )
-from wucalc.cohomology import euler_poincare_check
+from wucalc.cohomology import cohomology_data, euler_poincare_check
 from wucalc.lefschetz import (
-    automorphism_group, complex_automorphisms, heat_trace,
+    automorphism_group, complex_automorphisms, fixed_tuples, heat_trace,
     lefschetz_fixed_point_check, lefschetz_number, lefschetz_via_fixed_points,
+    permutation_sign,
 )
 
-from oracles import random_facets
+from oracles import cycle_sign, fixed_point_indices, random_facets
 
 
 def test_identity_map_gives_the_wu_characteristic():
@@ -69,6 +70,24 @@ def test_both_lefschetz_routes_agree_on_random_complexes():
             assert lefschetz_number(t, c, k) == \
                 lefschetz_via_fixed_points(t, c, k)
         done += 1
+
+
+def test_fixed_tuples_match_the_definition():
+    rng = random.Random(6007)
+    complexes = [cylinder(), moebius()]
+    complexes += [generate_complex(random_facets(rng)) for _ in range(30)]
+    for c in complexes:
+        autos = complex_automorphisms(c)
+        for t in autos:
+            for s in c.simplices:
+                assert permutation_sign(t, s) == cycle_sign(t, s)
+        for k in (1, 2, 3):
+            basis = cohomology_data(tuple([c] * k)).basis
+            for t in autos:
+                expected = fixed_point_indices(t, basis.grades)
+                assert fixed_tuples(t, basis) == expected, (c, t, k)
+                assert lefschetz_via_fixed_points(t, c, k) == \
+                    sum(index for _, index in expected)
 
 
 def test_automorphism_group_of_the_octahedron_graph():
