@@ -269,6 +269,8 @@ def _parse_automorphism(spec: str, c: Complex) -> dict:
             t = {int(k): v for k, v in data.items()}
         except ValueError:
             raise InputError("permutation keys must be integer vertex ids")
+        if len(t) != len(data):
+            raise InputError("permutation keys name one vertex twice")
         if sorted(t) != vs:
             raise InputError("permutation keys do not match the vertex set")
     else:
@@ -369,8 +371,11 @@ def cmd_fredholm(args):
 def cmd_spectrum(args):
     c = load_complex(args.file)
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
-    spectra = block_spectra(data.dirac, tol=args.tol,
-                            exact_nullities=data.betti)
+    try:
+        spectra = block_spectra(data.dirac, tol=args.tol,
+                                exact_nullities=data.betti)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     gap = supersymmetry_gap(spectra, tol=args.tol)
     payload = {
         "k": args.k,

@@ -2,9 +2,12 @@
 
 All ranks are computed over the rationals with exact integer elimination,
 except that a Laplacian nullity takes the GF(q) rank of exact.rank_mod when
-the derivative ranks certify it. Betti vectors are reported with length
-equal to the number of grades of the basis (trailing zeros kept), which is
-how the reference tables print them.
+the derivative ranks certify it. The derivative ranks are cleared from the
+top grade down (the "twist" of Chen and Kerber, Persistent homology
+computation with a twist, 2011): d_(p+1) d_p = 0 makes every row of d_p at
+a pivot column of d_(p+1) redundant, so d_p is ranked without those rows.
+Betti vectors are reported with length equal to the number of grades of the
+basis (trailing zeros kept), which is how the reference tables print them.
 """
 
 from __future__ import annotations
@@ -17,22 +20,25 @@ from .differential import (DiracLaplacian, GradedIntMatrix,
                            dirac_and_laplacian, interaction_derivative)
 from .exact import SparseIntMatrix
 
-# exact.rank_mod holds a block as a dense float64 array; a block with more
-# entries than this (1 GiB) skips it and takes the exact route
-MAX_RANK_MOD_ENTRIES = 2 ** 27
-
-
-def integer_rank(m) -> int:
-    """Exact rank over the rationals of an integer matrix (sparse or dense)."""
-    if not isinstance(m, SparseIntMatrix):
-        m = SparseIntMatrix.from_dense(m)
-    return exact.rank(m)
-
 
 def incident_ranks(d: GradedIntMatrix):
     """rank(d_(p-1)) + rank(d_p) for each grade p, exact; the derivative
-    into grade 0 and the one out of the top grade are zero."""
-    ranks = [0] + [exact.rank(b) for b in d.blocks] + [0]
+    into grade 0 and the one out of the top grade are zero.
+
+    The blocks are ranked from the top grade down, each without the rows
+    at the pivot columns of the block above. Those columns J of d_(p+1) are
+    independent and span its column space, so d_(p+1) d_p = 0 writes each
+    row of d_p in J as a combination of its rows outside J, and dropping
+    them leaves rank(d_p) unchanged over Q.
+    """
+    ranks = [0] * (len(d.blocks) + 2)
+    cleared = set()
+    for p in range(len(d.blocks) - 1, -1, -1):
+        b = d.blocks[p]
+        rows = {i: r for i, r in b.rows.items() if i not in cleared}
+        cleared = set(exact.pivot_columns(
+            SparseIntMatrix(b.nrows, b.ncols, rows)))
+        ranks[p + 1] = len(cleared)
     return [ranks[p] + ranks[p + 1] for p in range(len(d.grade_sizes))]
 
 
@@ -65,12 +71,12 @@ def laplacian_nullities(dl: DiracLaplacian):
     DiracLaplacian, gives rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by
     subadditivity alone, no Hodge theorem used. When exact.rank_mod(L_p)
     reaches that bound the rank is proven and the nullity is n_p minus it;
-    otherwise, and for blocks of more than MAX_RANK_MOD_ENTRIES entries, the
-    block takes the exact route, exact.nullity(L_p).
+    otherwise, and for blocks of more than exact.MAX_DENSE_ENTRIES entries,
+    the block takes the exact route, exact.nullity(L_p).
     """
     out = []
     for lp, bound in zip(dl.laplacian_blocks, incident_ranks(dl.derivative)):
-        if (lp.nrows * lp.ncols <= MAX_RANK_MOD_ENTRIES
+        if (lp.nrows * lp.ncols <= exact.MAX_DENSE_ENTRIES
                 and exact.rank_mod(lp) == bound):
             out.append(lp.ncols - bound)
         else:

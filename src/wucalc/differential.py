@@ -133,27 +133,6 @@ def dirac_and_laplacian(d: GradedIntMatrix) -> DiracLaplacian:
     return DiracLaplacian(d)
 
 
-def laplacian_is_block_diagonal(dl: DiracLaplacian) -> bool:
-    """Cross-check that D^2 has no entries between different grades and that
-    its diagonal blocks equal the assembled L_p."""
-    sq = dl.dirac.matmul(dl.dirac)
-    grading = dl.grading()
-    for i, row in sq.rows.items():
-        for j in row:
-            if grading[i] != grading[j]:
-                return False
-    for p, lp in enumerate(dl.laplacian_blocks):
-        off = dl.offsets[p]
-        n = dl.grade_sizes[p]
-        for i in range(n):
-            srow = sq.rows.get(off + i, {})
-            expect = {j - off: v for j, v in srow.items()
-                      if off <= j < off + n}
-            if expect != lp.rows.get(i, {}):
-                return False
-    return True
-
-
 def export_sparse_text(d: GradedIntMatrix) -> str:
     """One line per non-zero: 'p row col value' for every derivative block."""
     lines = []

@@ -13,7 +13,7 @@ import math
 import numpy
 
 from .differential import DiracLaplacian
-from .exact import SparseIntMatrix
+from .exact import check_dense, dense_array
 
 log = logging.getLogger(__name__)
 
@@ -31,15 +31,17 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-9,
     """Eigenvalues of each Laplacian block, ascending. Values below
     tol * (1 + max eigenvalue) are snapped to zero; when exact nullities are
     supplied, the snap count is checked against them and a mismatch logs a
-    warning rather than raising, since the caller asked for floats."""
+    warning rather than raising, since the caller asked for floats. A block
+    over the dense budget raises ValueError before the first eigensolve."""
+    for block in dl.laplacian_blocks:
+        check_dense(block)
     out = []
     for p, block in enumerate(dl.laplacian_blocks):
         n = block.nrows
         if n == 0:
             out.append(numpy.zeros(0))
             continue
-        dense = numpy.array(block.to_dense(), dtype=float)
-        evals = numpy.linalg.eigvalsh(dense)
+        evals = numpy.linalg.eigvalsh(dense_array(block))
         cut = tol * (1.0 + float(evals[-1]) if evals.size else 1.0)
         snapped = numpy.where(numpy.abs(evals) < cut, 0.0, evals)
         zero_count = int(numpy.sum(snapped == 0.0))
@@ -52,7 +54,7 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-9,
 
 
 def dirac_spectrum(dl: DiracLaplacian):
-    dense = numpy.array(dl.dirac.to_dense(), dtype=float)
+    dense = dense_array(dl.dirac)
     if dense.size == 0:
         return numpy.zeros(0)
     return numpy.linalg.eigvalsh(dense)
@@ -101,7 +103,7 @@ def supertrace_power(dl: DiracLaplacian, n: int) -> int:
 def wave_evolve(dl: DiracLaplacian, u0, v0, t: float):
     """d'Alembert solution of u'' = -L u with u(0)=u0, u'(0)=v0, computed
     through the Dirac operator: zero modes drift linearly, the rest rotate."""
-    d = numpy.array(dl.dirac.to_dense(), dtype=float)
+    d = dense_array(dl.dirac)
     u0 = numpy.asarray(u0, dtype=float)
     v0 = numpy.asarray(v0, dtype=float)
     if d.shape[0] != u0.shape[0] or d.shape[0] != v0.shape[0]:
@@ -170,7 +172,7 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     # entries from grade q to grade q + 1, and within one grade
     raising_mask = grades[:, None] == grades[None, :] + 1
     diagonal_mask = None
-    d = numpy.array(dl.dirac.to_dense(), dtype=float)
+    d = dense_array(dl.dirac)
     if mode == "complex":
         d = d.astype(complex)
         diagonal_mask = grades[:, None] == grades[None, :]

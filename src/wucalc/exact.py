@@ -1,17 +1,16 @@
 """Exact integer and rational linear algebra.
 
-Everything in this module but rank_mod() runs on arbitrary-precision
-integers or Fractions, so ranks, determinants, kernels and characteristic
-polynomials come out exact; the numeric side of the package lives in
-dynamics.py.
+Everything in this module but rank_mod() and dense_array() runs on
+arbitrary-precision integers, so ranks, determinants and kernels come out
+exact; the numeric side of the package lives in dynamics.py.
 
-One sparse elimination core, _echelon(), serves rank(), nullity() and
-kernel_basis(). It works on a dict-of-rows copy, eliminates columns in
-ascending order, prefers unit pivots (smallest magnitude first) and rescales
-rows by their gcd, which keeps entries tiny on the very sparse derivative and
-Laplacian blocks. Because columns go in ascending order, its pivot columns
-are those of Gauss-Jordan, and back-substitution through its pivot rows
-yields the unique reduced-echelon kernel basis.
+One sparse elimination core, _echelon(), serves pivot_columns(), rank(),
+nullity() and kernel_basis(). It works on a dict-of-rows copy, eliminates
+columns in ascending order, prefers unit pivots (smallest magnitude first)
+and rescales rows by their gcd, which keeps entries tiny on the very sparse
+derivative and Laplacian blocks. Because columns go in ascending order, its
+pivot columns are those of Gauss-Jordan, and back-substitution through its
+pivot rows yields the unique reduced-echelon kernel basis.
 
 det_bareiss() stays a separate fraction-free elimination without any row
 scaling: the determinant value itself is the result, and gcd rescaling
@@ -26,7 +25,6 @@ from above, as cohomology.laplacian_nullities does.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy
@@ -38,6 +36,10 @@ _PANEL = 32
 # the largest sum rank_mod() forms: one residue plus _PANEL products of two
 assert (_MODULUS - 1) + _PANEL * (_MODULUS - 1) ** 2 < 2 ** 53
 
+# the most entries of a dense float64 copy of one block (1 GiB) that
+# dense_array() makes and that a caller may hand to rank_mod()
+MAX_DENSE_ENTRIES = 2 ** 27
+
 
 class SparseIntMatrix:
     """Integer matrix stored as a dict of sparse rows {row: {col: value}}."""
@@ -48,17 +50,6 @@ class SparseIntMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else {}
-
-    @classmethod
-    def from_dense(cls, dense):
-        nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        m = cls(nrows, ncols)
-        for i, row in enumerate(dense):
-            for j, v in enumerate(row):
-                if v:
-                    m.rows.setdefault(i, {})[j] = int(v)
-        return m
 
     def triples(self):
         for i in sorted(self.rows):
@@ -179,13 +170,37 @@ def _echelon(m: SparseIntMatrix):
             return
 
 
+def pivot_columns(m: SparseIntMatrix):
+    """The pivot columns of m's echelon form, ascending: linearly
+    independent columns of m that span its column space."""
+    return [c for c, _ in _echelon(m)]
+
+
 def rank(m: SparseIntMatrix) -> int:
     """Exact rank over the rationals by sparse integer elimination."""
-    return sum(1 for _ in _echelon(m))
+    return len(pivot_columns(m))
 
 
 def nullity(m: SparseIntMatrix) -> int:
     return m.ncols - rank(m)
+
+
+def check_dense(m: SparseIntMatrix):
+    """Raise ValueError when a dense copy of m would have more than
+    MAX_DENSE_ENTRIES entries."""
+    if m.nrows * m.ncols > MAX_DENSE_ENTRIES:
+        raise ValueError(f"a {m.nrows} x {m.ncols} block exceeds the dense "
+                         f"budget of {MAX_DENSE_ENTRIES} entries")
+
+
+def dense_array(m: SparseIntMatrix):
+    """m as a dense float64 numpy array, checked by check_dense() before
+    any allocation."""
+    check_dense(m)
+    a = numpy.zeros((m.nrows, m.ncols))
+    for i, row in m.rows.items():
+        a[i, list(row)] = list(row.values())
+    return a
 
 
 def _reduce(x):
@@ -365,33 +380,3 @@ def kernel_basis(m: SparseIntMatrix):
             vec[j] = v
         basis.append(_primitive(vec))
     return basis
-
-
-def charpoly(dense) -> list:
-    """Characteristic polynomial det(x*I - A) as integer coefficients.
-
-    Returns [1, c1, ..., cn] for x^n + c1*x^(n-1) + ... + cn, computed by
-    the Faddeev-LeVerrier recursion over exact rationals. Raises if the
-    input was integral but the result is not (that would be a bug).
-    """
-    n = len(dense)
-    a = [[Fraction(x) for x in row] for row in dense]
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-          for i in range(n)]
-    am = a
-    for k in range(1, n + 1):
-        if k > 1:
-            am = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-                  for i in range(n)]
-        ck = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k < n:
-            mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
-                  for i in range(n)]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("characteristic polynomial not integral")
-        out.append(int(c))
-    return out

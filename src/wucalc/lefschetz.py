@@ -15,6 +15,7 @@ from math import prod
 from .basis import InteractionBasis
 from .cohomology import cohomology_data
 from .differential import DiracLaplacian
+from .exact import dense_array
 from .simplicial import Complex, Graph
 
 # the automorphism search is exponential in the worst case, so it refuses
@@ -187,7 +188,7 @@ def heat_trace(t: dict, c: Complex, k: int, time: float) -> float:
         n = lp.nrows
         if n == 0:
             continue
-        dense = numpy.array(lp.to_dense(), dtype=float)
+        dense = dense_array(lp)
         image, signs = maps[p]
         u = numpy.zeros((n, n))
         u[image, numpy.arange(n)] = signs

@@ -4,12 +4,16 @@ Everything here is written against the definitions directly, with none of
 the package's bitset or sparse-elimination machinery: tuples come from
 itertools, derivatives are dense sign sums, ranks come from Gaussian
 elimination over GF(p) for two 31-bit primes (which must agree), and the
-small dense helpers work over Fractions. Slow on purpose.
+small dense helpers work over Fractions. Slow on purpose. The last few
+helpers wrap the package's own types for the tests that need them.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from wucalc import exact
+from wucalc.exact import SparseIntMatrix
 
 PRIMES = (2147483647, 1000000007)
 
@@ -294,3 +298,73 @@ def random_facets(rng, max_vertices=7, max_facets=7, max_size=3):
         size = rng.randint(1, min(max_size, n))
         facets.append(tuple(sorted(rng.sample(range(1, n + 1), size))))
     return facets
+
+
+def charpoly(dense) -> list:
+    """Characteristic polynomial det(x*I - A) as integer coefficients.
+
+    Returns [1, c1, ..., cn] for x^n + c1*x^(n-1) + ... + cn, computed by
+    the Faddeev-LeVerrier recursion over exact rationals. Raises if the
+    input was integral but the result is not (that would be a bug).
+    """
+    n = len(dense)
+    a = [[Fraction(x) for x in row] for row in dense]
+    coeffs = [Fraction(1)]
+    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+          for i in range(n)]
+    am = a
+    for k in range(1, n + 1):
+        if k > 1:
+            am = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
+                  for i in range(n)]
+        ck = -sum(am[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        if k < n:
+            mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
+                  for i in range(n)]
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            raise ArithmeticError("characteristic polynomial not integral")
+        out.append(int(c))
+    return out
+
+
+def sparse_from_dense(dense):
+    """A SparseIntMatrix holding the non-zero entries of a dense matrix."""
+    nrows = len(dense)
+    ncols = len(dense[0]) if nrows else 0
+    m = SparseIntMatrix(nrows, ncols)
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            if v:
+                m.rows.setdefault(i, {})[j] = int(v)
+    return m
+
+
+def integer_rank(m) -> int:
+    """Exact rank over the rationals of an integer matrix (sparse or dense)."""
+    if not isinstance(m, SparseIntMatrix):
+        m = sparse_from_dense(m)
+    return exact.rank(m)
+
+
+def laplacian_is_block_diagonal(dl) -> bool:
+    """Cross-check that D^2 has no entries between different grades and that
+    its diagonal blocks equal the assembled L_p."""
+    sq = dl.dirac.matmul(dl.dirac)
+    grading = dl.grading()
+    for i, row in sq.rows.items():
+        for j in row:
+            if grading[i] != grading[j]:
+                return False
+    for p, lp in enumerate(dl.laplacian_blocks):
+        off = dl.offsets[p]
+        n = dl.grade_sizes[p]
+        for i in range(n):
+            srow = sq.rows.get(off + i, {})
+            expect = {j - off: v for j, v in srow.items()
+                      if off <= j < off + n}
+            if expect != lp.rows.get(i, {}):
+                return False
+    return True

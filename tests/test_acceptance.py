@@ -2,8 +2,10 @@
 
 Each test prints a single summary line when it passes, so a verbose run
 reads as a checklist. Everything is exact integer arithmetic unless a
-tolerance is stated inline. The two beyond-desk-scale stretch targets sit
-behind the `large` marker together with the heaviest table row.
+tolerance is stated inline. The two four_sphere stretch targets, the
+order-3 table row and the pair Hodge nullities, sit behind the `large`
+marker; the Poincare sphere pair and the octahedron connection complex run
+by default.
 """
 
 import json
@@ -26,14 +28,14 @@ from wucalc.connection import (
 from wucalc.dynamics import (
     block_spectra, lax_deform, mckean_singer_supertrace, supersymmetry_gap,
 )
-from wucalc.exact import charpoly, det_bareiss, kernel_basis
+from wucalc.exact import det_bareiss, kernel_basis
 from wucalc.lefschetz import complex_automorphisms, lefschetz_fixed_point_check, lefschetz_number
 from wucalc.ring import kuenneth_check, poly_mul, product_cell_complex, ring_euler_polynomial
 from wucalc.simplicial import (
     Complex, barycentric_refinement, f_vector, generate_complex,
 )
 
-from oracles import random_facets
+from oracles import charpoly, random_facets
 
 
 def _small_random(rng, max_cells=20):
@@ -292,7 +294,6 @@ def test_stretch_four_sphere_pair_hodge_nullities():
     assert laplacian_nullities(data.dirac) == data.betti
 
 
-@pytest.mark.large
 def test_stretch_poincare_sphere_pair_cohomology():
     # The order 2 betti vector of the Poincare homology sphere comes out
     # identical to the three_sphere row, as it must: the pair cohomology is
@@ -306,7 +307,6 @@ def test_stretch_poincare_sphere_pair_cohomology():
         catalog.MAIN_TABLE[("three_sphere", 2)]
 
 
-@pytest.mark.large
 def test_stretch_octahedron_connection_betti():
     cc = connection_complex(catalog.octahedron())
     result = euler_poincare_check(cc, 1)

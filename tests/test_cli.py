@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from wucalc import cli
+from wucalc import cli, exact
 from wucalc.catalog import cylinder
+from wucalc.cohomology import cohomology_data
 
 
 def run(capsys, *argv):
@@ -192,6 +193,21 @@ def test_spectrum_command(triangle, capsys):
     assert zeros == payload["betti"]
 
 
+def test_spectrum_over_the_dense_budget_is_bad_input(tmp_path, capsys,
+                                                     monkeypatch):
+    c = cylinder()
+    sizes = cohomology_data((c, c)).dirac.grade_sizes
+    monkeypatch.setattr(exact, "MAX_DENSE_ENTRIES",
+                        min(n for n in sizes if n) ** 2 - 1)
+    cyl = write_json(tmp_path, "cylinder.json",
+                     [f for f in c.cells if len(f) == 3])
+    code, out, err = run(capsys, "spectrum", cyl, "-k", "2")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "dense budget" in err
+
+
 def test_deform_command_both_modes(triangle, capsys):
     for extra in ([], ["--complex"]):
         code, out, _ = run(capsys, "deform", triangle, "-k", "2",
@@ -256,6 +272,7 @@ def test_unknown_command_is_a_usage_error(capsys):
     ["lefschetz", "{f}", "--aut", "[true, 2, 3]"],
     ["lefschetz", "{f}", "--aut", '{{"1": true, "2": 2, "3": 3}}'],
     ["lefschetz", "{path15}", "-k", "1", "--aut", "all"],
+    ["lefschetz", "{f}", "--aut", '{{"1": 2, "01": 1, "2": 2, "3": 3}}'],
 ])
 def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
     neg_edges = tmp_path / "neg.txt"

@@ -2,18 +2,22 @@ import random
 
 import pytest
 
-from wucalc import cohomology, exact
+from wucalc import catalog, exact
+from wucalc.basis import build_basis, multivariate_euler_polynomial
 from wucalc.catalog import (
     cycle_complex, cylinder, figure_eight, generate_complex, moebius,
     path_complex, rabbit,
 )
 from wucalc.cohomology import (
     betti_vector, cohomology_data, euler_poincare_check, harmonic_basis,
-    incident_ranks, integer_rank, laplacian_nullities, normalize_complexes,
+    incident_ranks, laplacian_nullities, normalize_complexes,
     poincare_polynomial,
 )
+from wucalc.differential import interaction_derivative
+from wucalc.exact import SparseIntMatrix
+from wucalc.simplicial import Complex
 
-from oracles import naive_interaction_data, random_facets
+from oracles import integer_rank, naive_interaction_data, random_facets
 
 
 def test_order_one_betti_matches_classical_homology():
@@ -113,7 +117,7 @@ def test_an_oversized_block_skips_the_modular_rank(monkeypatch):
     c = cylinder()
     data = cohomology_data((c, c))
     smallest = min(n for n in data.dirac.grade_sizes if n)
-    monkeypatch.setattr(cohomology, "MAX_RANK_MOD_ENTRIES", smallest ** 2 - 1)
+    monkeypatch.setattr(exact, "MAX_DENSE_ENTRIES", smallest ** 2 - 1)
     mod_calls = count_calls(monkeypatch, "rank_mod")
     exact_calls = count_calls(monkeypatch, "nullity")
     assert laplacian_nullities(data.dirac) == data.betti
@@ -144,6 +148,53 @@ def test_rank_nullity_accounting():
         padded[p] + padded[p + 1] for p in range(len(sizes))]
     point = cohomology_data((generate_complex([(1,)]),)).derivative
     assert (point.blocks, incident_ranks(point)) == ([], [0])
+
+
+def rank_cases(seed):
+    """Seeded complexes at k = 1, 2, 3 and three mixed pairs."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(10):
+        c = generate_complex(random_facets(rng))
+        cases.extend((c,) * k for k in (1, 2, 3))
+    for _ in range(3):
+        cases.append((generate_complex(random_facets(rng, max_vertices=5)),
+                      generate_complex(random_facets(rng, max_vertices=5))))
+    return cases
+
+
+def cheap_table_rows(limit=5000):
+    """The ungated MAIN_TABLE rows on complexes with at most `limit` tuples."""
+    for name, k in sorted(catalog.MAIN_TABLE):
+        c = catalog.NAMED[name]()
+        if ((name, k) not in catalog.GATES["large"] and isinstance(c, Complex)
+                and sum(multivariate_euler_polynomial(c, k).values()) <= limit):
+            yield (c,) * k
+
+
+def test_cleared_ranks_match_the_uncleared_reference():
+    rows = list(cheap_table_rows())
+    assert len(rows) > 60
+    for complexes in rank_cases(2011) + rows:
+        d = interaction_derivative(build_basis(complexes))
+        ranks = [0] + [exact.rank(b) for b in d.blocks] + [0]
+        assert incident_ranks(d) == [
+            ranks[p] + ranks[p + 1] for p in range(len(d.grade_sizes))]
+
+
+def test_rows_at_the_pivot_columns_above_do_not_change_a_rank():
+    dropped = 0
+    for complexes in rank_cases(1121) + [(cylinder(),) * 2]:
+        d = interaction_derivative(build_basis(complexes))
+        for p in range(len(d.blocks) - 1):
+            above = set(exact.pivot_columns(d.blocks[p + 1]))
+            assert len(above) == exact.rank(d.blocks[p + 1])
+            b = d.blocks[p]
+            rest = {i: r for i, r in b.rows.items() if i not in above}
+            dropped += len(b.rows) - len(rest)
+            assert exact.rank(SparseIntMatrix(b.nrows, b.ncols, rest)) == \
+                exact.rank(b)
+    assert dropped > 0
 
 
 def test_cohomology_data_is_cached_per_tuple():

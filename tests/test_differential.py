@@ -6,12 +6,13 @@ from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
     DiracLaplacian, dirac_and_laplacian, export_dense_csv, export_sparse_text,
-    interaction_derivative, laplacian_is_block_diagonal, verify_d_squared,
+    interaction_derivative, verify_d_squared,
 )
 from wucalc.simplicial import Complex
 
 from oracles import (
-    common_tuples, naive_derivative_entries, random_facets, simplex_boundary,
+    common_tuples, laplacian_is_block_diagonal, naive_derivative_entries,
+    random_facets, simplex_boundary,
 )
 
 

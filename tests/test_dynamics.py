@@ -1,9 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
+from wucalc import exact
 from wucalc.catalog import (
-    complete_complex, generate_complex, house, octahedron, path_complex,
+    complete_complex, cylinder, generate_complex, house, octahedron,
+    path_complex,
 )
 from wucalc.cohomology import cohomology_data, normalize_complexes
 from wucalc.dynamics import (
@@ -110,3 +113,14 @@ def test_wave_zero_modes_drift_linearly():
     assert np.allclose(got, 2.5 * harmonic, atol=1e-9)
     still = wave_evolve(data.dirac, harmonic, np.zeros(n), 3.0)
     assert np.allclose(still, harmonic, atol=1e-9)
+
+
+def test_an_oversized_block_is_refused_before_any_eigensolve(monkeypatch):
+    dl = _data(cylinder(), 2).dirac
+    monkeypatch.setattr(exact, "MAX_DENSE_ENTRIES",
+                        max(dl.grade_sizes) ** 2 - 1)
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", solved.append)
+    with pytest.raises(ValueError, match="dense budget"):
+        block_spectra(dl)
+    assert solved == []

@@ -6,9 +6,12 @@ import pytest
 from wucalc import exact
 from wucalc.catalog import cylinder
 from wucalc.cohomology import cohomology_data
-from wucalc.exact import SparseIntMatrix, charpoly, det_bareiss, kernel_basis, rank
+from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 
-from oracles import PRIMES, fraction_det, fraction_kernel, fraction_rank, rank_mod
+from oracles import (
+    PRIMES, charpoly, fraction_det, fraction_kernel, fraction_rank, rank_mod,
+    sparse_from_dense,
+)
 
 
 def random_int_matrix(rng, nrows, ncols, lo=-4, hi=4, density=0.7):
@@ -17,7 +20,7 @@ def random_int_matrix(rng, nrows, ncols, lo=-4, hi=4, density=0.7):
 
 
 def to_sparse(rows):
-    return SparseIntMatrix.from_dense(rows)
+    return sparse_from_dense(rows)
 
 
 def test_integer_rank_matches_fraction_elimination():
