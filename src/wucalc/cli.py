@@ -166,7 +166,7 @@ def load_complex(path: str) -> Complex:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     if not text.strip():
         raise InputError(f"{path} is empty")
@@ -186,6 +186,8 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if hasattr(value, "tolist"):
         return jsonable(value.tolist())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None  # strict JSON has no Infinity or NaN
     return value
 
 
@@ -197,28 +199,26 @@ def emit(payload):
 # commands
 
 
-def cmd_betti(args):
+def _load_k_complexes(args):
+    """One complex, taken k times, or exactly k complexes, one per file."""
     complexes = [load_complex(p) for p in args.files]
     if len(complexes) == 1:
-        complexes = complexes[0]
-    elif len(complexes) != args.k:
+        return complexes[0]
+    if len(complexes) != args.k:
         raise InputError(
             f"got {len(args.files)} files; need 1 or exactly k={args.k}")
-    result = euler_poincare_check(complexes, args.k)
+    return complexes
+
+
+def cmd_betti(args):
+    result = euler_poincare_check(_load_k_complexes(args), args.k)
     emit(result)
     if not result["euler_poincare_ok"]:
         raise CheckFailure("betti vector violates Euler-Poincare")
 
 
 def cmd_wu(args):
-    complexes = [load_complex(p) for p in args.files]
-    if len(complexes) == 1:
-        systems = normalize_complexes(complexes[0], args.k)
-    elif len(complexes) == args.k:
-        systems = normalize_complexes(complexes, args.k)
-    else:
-        raise InputError(
-            f"got {len(args.files)} files; need 1 or exactly k={args.k}")
+    systems = normalize_complexes(_load_k_complexes(args), args.k)
     emit({"k": args.k, "wu": wu_characteristic(systems)})
 
 
@@ -433,14 +433,22 @@ def _pad(vec, n):
     return list(vec) + [0] * (n - len(vec))
 
 
+def _fixture_row(label, wu, betti, wu_expected, betti_expected, suffix=""):
+    """Print one PASS/FAIL line; True when wu and the zero-padded Betti
+    vectors match the table."""
+    n = max(len(betti), len(betti_expected))
+    ok = wu == wu_expected and _pad(betti, n) == _pad(betti_expected, n)
+    print(f"  {'PASS' if ok else 'FAIL'} {label} "
+          f"wu={wu} betti={list(betti)}{suffix}")
+    return ok
+
+
 def cmd_fixtures(args):
     from .ring import ring_betti, ring_wu
 
-    failures = 0
-    ran = 0
+    oks = []
     print("main table (name, k, wu, betti):")
-    for (name, k), (wu_expected, betti_expected) in sorted(
-            catalog.MAIN_TABLE.items()):
+    for (name, k), expected in sorted(catalog.MAIN_TABLE.items()):
         if (name, k) in catalog.GATES["large"] and not args.large:
             print(f"  SKIP {name} k={k} (gated)")
             continue
@@ -451,27 +459,16 @@ def cmd_fixtures(args):
         else:
             wu = ring_wu(c, k)
             betti = ring_betti(c, k)
-        n = max(len(betti), len(betti_expected))
-        ok = (wu == wu_expected
-              and _pad(betti, n) == _pad(betti_expected, n))
-        ran += 1
-        failures += not ok
-        print(f"  {'PASS' if ok else 'FAIL'} {name} k={k} "
-              f"wu={wu} betti={list(betti)}")
+        oks.append(_fixture_row(f"{name} k={k}", wu, betti, *expected))
     print("pair table (name, wu, betti):")
     for name, g, h, wu_expected, betti_expected, note in \
             catalog.pair_fixtures():
         result = euler_poincare_check([g, h], 2)
-        wu, betti = result["wu"], result["betti"]
-        n = max(len(betti), len(betti_expected))
-        ok = (wu == wu_expected
-              and _pad(betti, n) == _pad(betti_expected, n))
-        ran += 1
-        failures += not ok
-        suffix = f"  ({note})" if note else ""
-        print(f"  {'PASS' if ok else 'FAIL'} {name} "
-              f"wu={wu} betti={list(betti)}{suffix}")
-    print(f"{ran} fixtures run, {failures} failed")
+        oks.append(_fixture_row(name, result["wu"], result["betti"],
+                                wu_expected, betti_expected,
+                                f"  ({note})" if note else ""))
+    failures = oks.count(False)
+    print(f"{len(oks)} fixtures run, {failures} failed")
     if failures:
         raise CheckFailure(f"{failures} fixtures failed")
 
@@ -480,102 +477,72 @@ def cmd_fixtures(args):
 # wiring
 
 
-def _add_k(p):
-    p.add_argument("-k", type=positive_int, default=2,
-                   help="interaction order (default 2)")
+def _arg(*names, **options):
+    """One add_argument call, as (names, options)."""
+    return names, options
 
 
-def build_parser() -> Parser:
+FILE = _arg("file", metavar="FILE")
+FILES = _arg("files", nargs="+", metavar="FILE")
+PAIR = _arg("files", nargs=2, metavar="FILE")
+K = _arg("-k", type=positive_int, default=2,
+         help="interaction order (default 2)")
+
+# name -> (handler, help, arguments), in the order `wucalc --help` lists them
+COMMANDS = {
+    "betti": (cmd_betti, "betti vector and Euler-Poincare check",
+              [FILES, K]),
+    "wu": (cmd_wu, "Wu characteristic of order k", [FILES, K]),
+    "fvector": (cmd_fvector, "simplex counts by dimension", [FILE]),
+    "fmatrix": (cmd_fmatrix, "counts of intersecting k-tuples by dimension "
+                             "profile", [FILE, K]),
+    "euler-poly": (cmd_euler_poly, "multivariate Euler polynomial",
+                   [FILE, K]),
+    "refine": (cmd_refine, "barycentric refinement as facets JSON", [FILE]),
+    "lefschetz": (cmd_lefschetz, "Lefschetz numbers of automorphisms", [
+        FILE, K,
+        _arg("--aut", default="all",
+             help="'all' or a JSON permutation (list of images over the "
+                  "sorted vertex set, or a vertex-to-vertex map)")]),
+    "product": (cmd_product, "Cartesian cell product of two inputs", [PAIR]),
+    "kuenneth": (cmd_kuenneth, "product cohomology factorization", [PAIR, K]),
+    "connection": (cmd_connection, "connection graph and its complex",
+                   [FILE]),
+    "fredholm": (cmd_fredholm, "connection determinant identities", [FILE]),
+    "spectrum": (cmd_spectrum, "Laplacian block spectra", [
+        FILE, K,
+        _arg("--tol", type=positive_float, default=1e-8,
+             help="zero mode threshold (default 1e-8)")]),
+    "deform": (cmd_deform, "isospectral Lax flow of the Dirac operator", [
+        FILE, K,
+        _arg("--tmax", type=nonnegative_float, default=1.0),
+        _arg("--dt", type=positive_float, default=0.01),
+        _arg("--complex", action="store_true",
+             help="use the complex flow that mixes in the diagonal")]),
+    "curvature": (cmd_curvature, "per vertex curvature and Gauss-Bonnet sum",
+                  [FILE]),
+    "dimension": (cmd_dimension, "inductive dimension of the vertex "
+                                 "skeleton", [FILE]),
+    "fixtures": (cmd_fixtures, "run the built-in expectation tables", [
+        _arg("--large", action="store_true",
+             help="also run the gated long cases")]),
+}
+
+
+def build_parser(argv=()) -> Parser:
+    """The wucalc parser. When argv[0] names a command, only that
+    subcommand is built: argparse hands everything after the name to it, so
+    parsing is the same as with all of them, at a fraction of the set-up."""
     parser = Parser(prog="wucalc",
                     description="interaction cohomology of finite complexes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("betti", help="betti vector and Euler-Poincare check")
-    p.add_argument("files", nargs="+", metavar="FILE")
-    _add_k(p)
-    p.set_defaults(fn=cmd_betti)
-
-    p = sub.add_parser("wu", help="Wu characteristic of order k")
-    p.add_argument("files", nargs="+", metavar="FILE")
-    _add_k(p)
-    p.set_defaults(fn=cmd_wu)
-
-    p = sub.add_parser("fvector", help="simplex counts by dimension")
-    p.add_argument("file", metavar="FILE")
-    p.set_defaults(fn=cmd_fvector)
-
-    p = sub.add_parser("fmatrix", help="counts of intersecting k-tuples "
-                                       "by dimension profile")
-    p.add_argument("file", metavar="FILE")
-    _add_k(p)
-    p.set_defaults(fn=cmd_fmatrix)
-
-    p = sub.add_parser("euler-poly", help="multivariate Euler polynomial")
-    p.add_argument("file", metavar="FILE")
-    _add_k(p)
-    p.set_defaults(fn=cmd_euler_poly)
-
-    p = sub.add_parser("refine", help="barycentric refinement as facets JSON")
-    p.add_argument("file", metavar="FILE")
-    p.set_defaults(fn=cmd_refine)
-
-    p = sub.add_parser("lefschetz", help="Lefschetz numbers of automorphisms")
-    p.add_argument("file", metavar="FILE")
-    _add_k(p)
-    p.add_argument("--aut", default="all",
-                   help="'all' or a JSON permutation (list of images over "
-                        "the sorted vertex set, or a vertex-to-vertex map)")
-    p.set_defaults(fn=cmd_lefschetz)
-
-    p = sub.add_parser("product", help="Cartesian cell product of two inputs")
-    p.add_argument("files", nargs=2, metavar="FILE")
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser("kuenneth", help="product cohomology factorization")
-    p.add_argument("files", nargs=2, metavar="FILE")
-    _add_k(p)
-    p.set_defaults(fn=cmd_kuenneth)
-
-    p = sub.add_parser("connection", help="connection graph and its complex")
-    p.add_argument("file", metavar="FILE")
-    p.set_defaults(fn=cmd_connection)
-
-    p = sub.add_parser("fredholm", help="connection determinant identities")
-    p.add_argument("file", metavar="FILE")
-    p.set_defaults(fn=cmd_fredholm)
-
-    p = sub.add_parser("spectrum", help="Laplacian block spectra")
-    p.add_argument("file", metavar="FILE")
-    _add_k(p)
-    p.add_argument("--tol", type=positive_float, default=1e-8,
-                   help="zero mode threshold (default 1e-8)")
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = sub.add_parser("deform", help="isospectral Lax flow of the Dirac "
-                                      "operator")
-    p.add_argument("file", metavar="FILE")
-    _add_k(p)
-    p.add_argument("--tmax", type=nonnegative_float, default=1.0)
-    p.add_argument("--dt", type=positive_float, default=0.01)
-    p.add_argument("--complex", action="store_true",
-                   help="use the complex flow that mixes in the diagonal")
-    p.set_defaults(fn=cmd_deform)
-
-    p = sub.add_parser("curvature", help="per vertex curvature and "
-                                         "Gauss-Bonnet sum")
-    p.add_argument("file", metavar="FILE")
-    p.set_defaults(fn=cmd_curvature)
-
-    p = sub.add_parser("dimension", help="inductive dimension of the "
-                                         "vertex skeleton")
-    p.add_argument("file", metavar="FILE")
-    p.set_defaults(fn=cmd_dimension)
-
-    p = sub.add_parser("fixtures", help="run the built-in expectation tables")
-    p.add_argument("--large", action="store_true",
-                   help="also run the gated long cases")
-    p.set_defaults(fn=cmd_fixtures)
-
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (_, help_text, arguments) in COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
     return parser
 
 
@@ -584,10 +551,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "--fixtures":
         argv = ["fixtures"] + list(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
-        args.fn(args)
+        COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"wucalc: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -208,6 +209,20 @@ def test_spectrum_over_the_dense_budget_is_bad_input(tmp_path, capsys,
     assert "dense budget" in err
 
 
+def test_spectrum_output_is_strict_json(tmp_path, capsys):
+    # the even and odd nonzero spectra differ in length, so the gap is
+    # infinite; it must come out as null, not as the non-JSON Infinity
+    seg = write_json(tmp_path, "seg.json", [[1, 3], [4]])
+    code, out, _ = run(capsys, "spectrum", seg, "-k", "2", "--tol", "0.5")
+    assert code == 2
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["supersymmetry"]["max_gap"] is None
+
+
 def test_deform_command_both_modes(triangle, capsys):
     for extra in ([], ["--complex"]):
         code, out, _ = run(capsys, "deform", triangle, "-k", "2",
@@ -254,7 +269,7 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv", [
+BAD_INPUT = [
     ["betti", "{neg}", "-k", "2"],
     ["fvector", "{neg_edges}"],
     ["betti", "{f}", "-k", "0"],
@@ -273,19 +288,72 @@ def test_unknown_command_is_a_usage_error(capsys):
     ["lefschetz", "{f}", "--aut", '{{"1": true, "2": 2, "3": 3}}'],
     ["lefschetz", "{path15}", "-k", "1", "--aut", "all"],
     ["lefschetz", "{f}", "--aut", '{{"1": 2, "01": 1, "2": 2, "3": 3}}'],
-])
+    ["fvector", "{binary}"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT)
 def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
     neg_edges = tmp_path / "neg.txt"
     neg_edges.write_text("1 2\n-1 2\n")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
     paths = {"f": triangle,
              "cyl": write_json(tmp_path, "cylinder.json",
                                [f for f in cylinder().cells if len(f) == 3]),
              "neg": write_json(tmp_path, "neg.json", [[0, -1], [1, 2]]),
              "path15": write_json(tmp_path, "path15.json",
                                   [[i, i + 1] for i in range(1, 15)]),
-             "neg_edges": str(neg_edges)}
+             "neg_edges": str(neg_edges),
+             "binary": str(binary)}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+class _OwnNames(dict):
+    """Format map that fills each {placeholder} with its own name."""
+
+    def __missing__(self, key):
+        return key
+
+
+# every argv the tests above pass, with placeholder file names (parsing opens
+# no file), plus help, no command, an unknown command and a misplaced -k
+PARSE_ARGVS = [
+    ["wu", "f", "-k", "2"], ["betti", "f", "-k", "2"],
+    ["betti", "a", "b", "-k", "2"], ["wu", "a", "b", "-k", "3"],
+    ["fvector", "f"], ["refine", "f"], ["fmatrix", "f", "-k", "2"],
+    ["euler-poly", "f", "-k", "2"], ["lefschetz", "f", "-k", "1"],
+    ["lefschetz", "f", "-k", "1", "--aut", "[1, 4, 3, 2]"],
+    ["lefschetz", "f", "--aut", "[2, 1, 3]"], ["product", "f", "f"],
+    ["kuenneth", "f", "f", "-k", "2"], ["connection", "f"], ["fredholm", "f"],
+    ["spectrum", "f", "-k", "2"], ["spectrum", "f", "-k", "2", "--tol", "0.5"],
+    ["deform", "f", "-k", "2", "--tmax", "0.3", "--dt", "0.01"],
+    ["deform", "f", "-k", "2", "--tmax", "0.3", "--dt", "0.01", "--complex"],
+    ["deform", "f", "-k", "2", "--tmax", "40", "--dt", "0.9"],
+    ["curvature", "f"], ["dimension", "f"],
+    [], ["--help"], ["frobnicate"], ["-k", "2", "betti"],
+] + [[a.format_map(_OwnNames()) for a in argv] for argv in BAD_INPUT] + [
+    [name, "--help"] for name in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS)
+def test_the_one_command_parser_parses_as_the_full_one(argv, capsys):
+    def parse(parser):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    listed = re.findall(r"^    (\S+)", out, re.M)
+    assert listed == list(cli.COMMANDS)
