@@ -7,21 +7,24 @@ pairwise intersection, for k >= 3 it is strictly stronger (three edges of a
 triangle meet pairwise but have empty common intersection). Tuples are
 graded by total dimension.
 
-Enumeration works on integer bitsets. One walk, _walk, chooses the cells of
-the first k-1 slots one part at a time while carrying the running
-intersection of the parts chosen so far, as a bitset of vertices; the
-candidates for the next slot are the cells that meet that running set,
-obtained by OR-ing per-vertex incidence bitsets. The walk hands each prefix
-to its consumer together with the candidate bitset of the last slot, so
-build_basis expands the last slot into tuples while the Wu characteristic
-and the dimension-profile counts never materialize tuples: their innermost
-sum is a popcount.
+Enumeration works on integer bitsets. Every cell has one support, a set
+of atoms: its vertices for a simplex, the vertex tuples of x_1 x ... x x_m
+for a product cell, so that product cells meet exactly when every factor
+meets, since (x_1 x y_1) cap (x_2 x y_2) = (x_1 cap x_2) x (y_1 cap y_2).
+One walk, _walk, chooses the cells of the first k-1 slots one part at a
+time while carrying the running intersection of the parts chosen so far,
+as one bitset of atoms; the candidates for the next slot are the cells
+that meet that running set, obtained by OR-ing per-atom incidence bitsets.
+The walk hands each prefix to its consumer together with the candidate
+bitset of the last slot, so build_basis expands the last slot into tuples
+while the dimension-profile counts, and the Wu characteristic which is
+their signed sum, never materialize tuples: their innermost sum is a
+popcount.
 
 Everything accepts any object implementing the small cell interface of
-simplicial.Complex (cells, cell_dim, cell_boundary, cell_support, flat_key,
-n_factors), which is how ring.ProductComplex reuses this machinery. A
-product cell supports one vertex set per factor position and intersection
-is component-wise, so the running intersection is kept per position.
+simplicial.Complex (cells, cell_dim, cell_boundary, cell_support,
+flat_key), which is how ring.ProductComplex reuses this machinery; the
+complexes of one call are all of one kind.
 """
 
 from __future__ import annotations
@@ -42,98 +45,58 @@ class _IntersectionContext:
     def __init__(self, systems):
         if not systems:
             raise ValueError("need at least one complex")
-        nf = systems[0].n_factors
-        if any(s.n_factors != nf for s in systems):
-            raise ValueError("all complexes must have the same factor shape")
+        if len({type(s) for s in systems}) > 1:
+            raise ValueError("cannot mix simplicial complexes and cell products")
         self.systems = list(systems)
-        self.n_factors = nf
         self.cell_lists = [list(s.cells) for s in systems]
         # identical systems share cached tables
         seen: dict = {}
-        self.syskey = []
-        for i, s in enumerate(systems):
-            self.syskey.append(seen.setdefault(id(s), i))
+        self.syskey = [seen.setdefault(id(s), i) for i, s in enumerate(systems)]
 
-        atom_ids = [dict() for _ in range(nf)]
-        for sys, cells in zip(self.systems, self.cell_lists):
-            for cell in cells:
-                for f, sup in enumerate(sys.cell_support(cell)):
-                    ids = atom_ids[f]
-                    for a in sup:
-                        if a not in ids:
-                            ids[a] = len(ids)
-
+        atom_ids: dict = {}
         self.dims = []       # per system: list of cell dimensions
-        self.sup_bits = []   # per system: per cell, per factor, atom bitset
+        self.sup_bits = []   # per system: per cell, atom bitset of its support
         self.full = []       # per system: all-ones cell bitset
-        self.even = []       # per system: bitset of even-dimensional cells
-        self.odd = []
         self.dim_masks = []  # per system: {dim: cell bitset}
-        self.inc = []        # per system: per factor {atom id: cell bitset}
+        self.inc = []        # per system: {atom id: cell bitset}
         for sys, cells in zip(self.systems, self.cell_lists):
-            dims = []
-            sups = []
-            even = odd = 0
-            dmask: dict = {}
-            incs = [dict() for _ in range(nf)]
+            dims, sups, dmask, inc = [], [], {}, {}
             for ci, cell in enumerate(cells):
                 bit = 1 << ci
-                sup = []
-                for f, s in enumerate(sys.cell_support(cell)):
-                    mask = 0
-                    inc_f = incs[f]
-                    for a in s:
-                        aid = atom_ids[f][a]
-                        mask |= 1 << aid
-                        inc_f[aid] = inc_f.get(aid, 0) | bit
-                    sup.append(mask)
-                sups.append(tuple(sup))
+                mask = 0
+                for a in sys.cell_support(cell):
+                    aid = atom_ids.setdefault(a, len(atom_ids))
+                    mask |= 1 << aid
+                    inc[aid] = inc.get(aid, 0) | bit
+                sups.append(mask)
                 d = sys.cell_dim(cell)
                 dims.append(d)
-                if d % 2 == 0:
-                    even |= bit
-                else:
-                    odd |= bit
                 dmask[d] = dmask.get(d, 0) | bit
             self.dims.append(dims)
             self.sup_bits.append(sups)
             self.full.append((1 << len(cells)) - 1)
-            self.even.append(even)
-            self.odd.append(odd)
             self.dim_masks.append(dmask)
-            self.inc.append(incs)
+            self.inc.append(inc)
         self._ocache: dict = {}
 
-    def meeters(self, t, f, atom_mask):
-        """Bitset of cells of system t whose support at factor position f
-        contains one of the atoms in atom_mask."""
-        key = (self.syskey[t], f, atom_mask)
+    def candidates(self, t, running):
+        """Bitset of cells of system t whose support meets the atom bitset
+        running; every cell when running is None (nothing chosen yet)."""
+        if running is None:
+            return self.full[t]
+        key = (self.syskey[t], running)
         hit = self._ocache.get(key)
         if hit is not None:
             return hit
         u = 0
-        inc_f = self.inc[t][f]
-        m = atom_mask
+        inc = self.inc[t]
+        m = running
         while m:
             lsb = m & -m
-            u |= inc_f.get(lsb.bit_length() - 1, 0)
+            u |= inc.get(lsb.bit_length() - 1, 0)
             m ^= lsb
         self._ocache[key] = u
         return u
-
-    def candidates(self, t, running):
-        """Bitset of cells of system t meeting the running intersection at
-        every factor position."""
-        acc = self.full[t]
-        for f, mask in enumerate(running):
-            acc &= self.meeters(t, f, mask)
-            if not acc:
-                break
-        return acc
-
-    def signed_count(self, t, bitset):
-        """Sum of (-1)^dim over the cells of system t selected by bitset."""
-        return (bitset & self.even[t]).bit_count() - (bitset & self.odd[t]).bit_count()
 
 
 class InteractionBasis:
@@ -180,11 +143,11 @@ def _walk(ctx):
             return
         for idx in _bits(cand):
             sup = sup_bits[j][idx]
-            nxt = tuple(r & s for r, s in zip(running, sup)) if running else sup
-            yield from rec(j + 1, parts + (cell_lists[j][idx],), nxt,
+            yield from rec(j + 1, parts + (cell_lists[j][idx],),
+                           sup if running is None else running & sup,
                            dsum + dims[j][idx])
 
-    return rec(0, (), (), 0)
+    return rec(0, (), None, 0)
 
 
 def build_basis(complexes) -> InteractionBasis:
@@ -215,26 +178,25 @@ def build_basis(complexes) -> InteractionBasis:
 def wu_characteristic(complexes) -> int:
     """Signed count of ordered k-tuples with non-empty common intersection.
 
-    Sum over tuples of the product of the parts' weights (-1)^dim; k=1 is
-    the Euler characteristic. Tuples are never materialized: the last
-    factor is summed by parity popcounts on the candidate bitset.
+    Sum over tuples of the product of the parts' weights (-1)^dim, that is
+    the multivariate Euler polynomial at t_1 = ... = t_k = -1; k=1 is the
+    Euler characteristic.
     """
-    ctx = _IntersectionContext(list(complexes))
-    t = len(ctx.systems) - 1
-    total = 0
-    for _, dsum, last in _walk(ctx):
-        w = ctx.signed_count(t, last)
-        total += -w if dsum % 2 else w
-    return total
+    return sum(-n if sum(profile) % 2 else n
+               for profile, n in _profile_counts(list(complexes)).items())
 
 
-def _profile_counts(c, k) -> dict:
-    """Counts of commonly intersecting k-tuples keyed by dimension profile."""
-    ctx = _IntersectionContext([c] * k)
-    dmasks = ctx.dim_masks[0]
+def _profile_counts(systems) -> dict:
+    """Counts of commonly intersecting tuples keyed by dimension profile.
+
+    Tuples are never materialized: the last slot is counted by popcounts of
+    its candidate bitset against the per-dimension cell bitsets."""
+    ctx = _IntersectionContext(systems)
+    dmasks = ctx.dim_masks[-1]
+    cell_dim = systems[0].cell_dim  # the systems of one call are of one kind
     counts: dict = {}
     for parts, _, last in _walk(ctx):
-        profile = tuple(c.cell_dim(x) for x in parts)
+        profile = tuple(map(cell_dim, parts))
         for d, mask in dmasks.items():
             n = (last & mask).bit_count()
             if n:
@@ -256,9 +218,7 @@ def f_tensor(c: Complex, k: int):
     """
     if k < 1:
         raise ValueError("order k must be at least 1")
-    if k == 1:
-        return list(f_vector(c))
-    counts = _profile_counts(c, k)
+    counts = _profile_counts([c] * k)
     if not counts:
         return []
     top = max(max(p) for p in counts)
@@ -284,7 +244,7 @@ def multivariate_euler_polynomial(c: Complex, k: int) -> dict:
     """
     if k < 1:
         raise ValueError("order k must be at least 1")
-    return _profile_counts(c, k)
+    return _profile_counts([c] * k)
 
 
 def eval_multivariate(poly: dict, values) -> int:

@@ -39,7 +39,6 @@ from .connection import (
     connection_graph,
     fermi_characteristic,
     fredholm_characteristic,
-    inclusion_edges,
     wu_via_connection_trace,
 )
 from .dynamics import block_spectra, lax_deform, supersymmetry_gap
@@ -58,6 +57,7 @@ from .simplicial import (
     euler_curvature,
     f_vector,
     generate_complex,
+    inclusion_edges,
     inductive_dimension,
     whitney_complex,
 )

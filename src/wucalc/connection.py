@@ -74,18 +74,3 @@ def wu_via_connection_trace(c: Complex) -> int:
             if si & sets[j]:
                 total += wi * weights[j]
     return total
-
-
-def inclusion_edges(c: Complex):
-    """Pairs of cell indices (i, j) with one simplex a proper face of the
-    other; these are the edges of the barycentric refinement, and they form
-    a subgraph of the connection graph."""
-    cells = c.cells
-    sets = [frozenset(s) for s in cells]
-    n = len(cells)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sets[i] < sets[j] or sets[j] < sets[i]:
-                out.append((i, j))
-    return out

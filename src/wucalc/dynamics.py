@@ -26,13 +26,14 @@ MAX_LAX_STEPS = 100_000
 MAX_LAX_WORK = 10 ** 11
 
 
-def block_spectra(dl: DiracLaplacian, tol: float = 1e-9,
+def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
                   exact_nullities=None):
-    """Eigenvalues of each Laplacian block, ascending. Values below
-    tol * (1 + max eigenvalue) are snapped to zero; when exact nullities are
-    supplied, the snap count is checked against them and a mismatch logs a
-    warning rather than raising, since the caller asked for floats. A block
-    over the dense budget raises ValueError before the first eigensolve."""
+    """Eigenvalues of each Laplacian block, ascending. Values with
+    |lambda| <= tol are zero modes and snapped to zero, the same rule as in
+    supersymmetry_gap; when exact nullities are supplied, the snap count is
+    checked against them and a mismatch logs a warning rather than raising,
+    since the caller asked for floats. A block over the dense budget raises
+    ValueError before the first eigensolve."""
     for block in dl.laplacian_blocks:
         check_dense(block)
     out = []
@@ -42,8 +43,7 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-9,
             out.append(numpy.zeros(0))
             continue
         evals = numpy.linalg.eigvalsh(dense_array(block))
-        cut = tol * (1.0 + float(evals[-1]) if evals.size else 1.0)
-        snapped = numpy.where(numpy.abs(evals) < cut, 0.0, evals)
+        snapped = numpy.where(numpy.abs(evals) <= tol, 0.0, evals)
         zero_count = int(numpy.sum(snapped == 0.0))
         if exact_nullities is not None and zero_count != exact_nullities[p]:
             log.warning(
@@ -73,10 +73,11 @@ def supersymmetry_gap(spectra, tol: float = 1e-8) -> dict:
     """Nonzero eigenvalues of the even blocks against the odd blocks.
 
     The union of the even nonzero spectra must equal the union of the odd
-    ones as multisets; the report carries the largest pairing gap."""
+    ones as multisets; the report carries the largest pairing gap. Values
+    with |lambda| <= tol are zero modes, as in block_spectra."""
     even, odd = [], []
     for p, evals in enumerate(spectra):
-        vals = [float(x) for x in evals if x > tol]
+        vals = [float(x) for x in evals if abs(x) > tol]
         (even if p % 2 == 0 else odd).extend(vals)
     even.sort()
     odd.sort()

@@ -6,7 +6,8 @@ tuples of simplices with additive dimension and a Leibniz boundary. The
 ProductComplex below implements the same small cell interface as
 simplicial.Complex, so the interaction basis, derivative and cohomology
 machinery run on products unchanged. Two product cells intersect
-component-wise: (x, y) meets (u, v) iff x meets u and y meets v.
+component-wise: (x, y) meets (u, v) iff x meets u and y meets v, which is
+why a product cell's support is the set of its vertex tuples.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class ProductComplex:
         if not all(isinstance(f, Complex) for f in factors):
             raise TypeError("factors must be simplicial complexes")
         self.factors = factors
-        self.n_factors = len(factors)
         cells = list(iter_product(*(f.cells for f in factors)))
         cells.sort(key=lambda c: (self.cell_dim(c), self.flat_key(c)))
         self.cells = cells
@@ -45,7 +45,9 @@ class ProductComplex:
 
     @staticmethod
     def cell_support(cell):
-        return cell
+        """The vertex tuples of x_1 x ... x x_m: two product cells share one
+        exactly when every factor pair shares a vertex."""
+        return iter_product(*cell)
 
     @staticmethod
     def flat_key(cell):

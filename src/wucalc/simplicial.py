@@ -51,8 +51,6 @@ class Complex:
         self._hash = hash(simp)
 
     # the duck-typed cell interface shared with ring.ProductComplex
-    n_factors = 1
-
     @staticmethod
     def cell_dim(cell) -> int:
         return len(cell) - 1
@@ -73,7 +71,8 @@ class Complex:
 
     @staticmethod
     def cell_support(cell):
-        return (cell,)
+        """The atoms two cells must share to meet: here the vertices."""
+        return cell
 
     @staticmethod
     def flat_key(cell):
@@ -102,13 +101,10 @@ class Complex:
         return f"Complex(f_vector={f_vector(self)})"
 
     def facets(self):
-        """Maximal simplices, in the global cell order."""
-        out = []
-        for s in self.cells:
-            sset = set(s)
-            if not any(sset < set(t) for t in self.simplices if len(t) == len(s) + 1):
-                out.append(s)
-        return out
+        """Maximal simplices, in the global cell order: the cells that are
+        no codimension-1 face of another simplex."""
+        faces = {f for s in self.simplices for f in combinations(s, len(s) - 1)}
+        return [s for s in self.cells if s not in faces]
 
     def skeleton_graph(self) -> "Graph":
         edges = [s for s in self.by_dim.get(1, [])]
@@ -218,22 +214,18 @@ def simplex_index_map(c: Complex) -> dict:
     return {s: i for i, s in enumerate(c.cells)}
 
 
+def inclusion_edges(c: Complex):
+    """Pairs of cell indices (i, j), i < j, with simplex i a proper face of
+    simplex j, sorted; these are the edges of the barycentric refinement,
+    and they form a subgraph of the connection graph."""
+    idx = simplex_index_map(c)
+    return sorted((idx[face], idx[s]) for s in c.cells
+                  for r in range(1, len(s)) for face in combinations(s, r))
+
+
 def barycentric_refinement(c: Complex) -> Complex:
     """Complex on the simplices of c; faces are chains ordered by inclusion."""
-    idx = simplex_index_map(c)
-    if not idx:
-        return Complex([])
-    cells = c.cells
-    edges = []
-    for i, s in enumerate(cells):
-        sset = set(s)
-        for j in range(i + 1, len(cells)):
-            t = cells[j]
-            if len(t) == len(s):
-                continue
-            if sset < set(t):
-                edges.append((idx[s], idx[t]))
-    return whitney_complex(Graph(range(len(cells)), edges))
+    return whitney_complex(Graph(range(len(c.cells)), inclusion_edges(c)))
 
 
 def unit_sphere(g: Graph, v) -> Graph:

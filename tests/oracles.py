@@ -43,6 +43,18 @@ def common_tuples(cell_lists):
     return found
 
 
+def common_product_tuples(cell_lists):
+    """Ordered tuples of product cells, one cell per list, whose factor
+    simplices share a vertex at every factor position: the component-wise
+    common point of Cartesian cells."""
+    found = []
+    for t in itertools.product(*cell_lists):
+        if all(frozenset.intersection(*(frozenset(cell[f]) for cell in t))
+               for f in range(len(t[0]))):
+            found.append(t)
+    return found
+
+
 def naive_wu(facet_lists):
     """Signed count of commonly intersecting tuples, one complex per slot."""
     cell_lists = [power_cells(f) for f in facet_lists]

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from wucalc.basis import (
     build_basis, eval_multivariate, euler_polynomial, f_matrix, f_tensor,
     multivariate_euler_polynomial, polynomial_string, wu_characteristic,
@@ -9,9 +11,12 @@ from wucalc.catalog import (
     complete_complex, generate_complex, path_complex, rabbit, star_complex,
 )
 from wucalc.cohomology import normalize_complexes
+from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex, Graph, whitney_complex, zagreb_index
 
-from oracles import common_tuples, naive_wu, random_facets
+from oracles import (
+    common_product_tuples, common_tuples, naive_wu, random_facets,
+)
 
 
 def test_order_one_basis_lists_the_cells_by_dimension():
@@ -49,6 +54,33 @@ def test_basis_tuples_match_brute_force_enumeration():
             ours = sorted(t for g in b.grades for t in g)
             naive = sorted(common_tuples([list(c.cells)] * k))
             assert ours == naive
+
+
+def test_product_basis_matches_component_wise_brute_force():
+    rng = random.Random(1517)
+    for _ in range(15):
+        pc = ProductComplex([
+            generate_complex(random_facets(rng, max_vertices=4, max_facets=3,
+                                           max_size=3))
+            for _ in range(2)])
+        for k in (1, 2, 3):
+            b = build_basis([pc] * k)
+            naive = common_product_tuples([pc.cells] * k)
+            assert sorted(t for g in b.grades for t in g) == sorted(naive)
+            for p, grade in enumerate(b.grades):
+                assert all(sum(pc.cell_dim(x) for x in t) == p for t in grade)
+            assert wu_characteristic([pc] * k) == sum(
+                (-1) ** sum(pc.cell_dim(x) for x in t) for t in naive)
+
+
+def test_mixing_a_complex_with_a_product_is_refused():
+    c = generate_complex([(1, 2)])
+    pc = ProductComplex([c, c])
+    for systems in ([c, pc], [pc, c], [pc, pc, c]):
+        with pytest.raises(ValueError):
+            build_basis(systems)
+        with pytest.raises(ValueError):
+            wu_characteristic(systems)
 
 
 def test_grades_are_indexed_by_total_dimension():

@@ -209,18 +209,29 @@ def test_spectrum_over_the_dense_budget_is_bad_input(tmp_path, capsys,
     assert "dense budget" in err
 
 
-def test_spectrum_output_is_strict_json(tmp_path, capsys):
-    # the even and odd nonzero spectra differ in length, so the gap is
-    # infinite; it must come out as null, not as the non-JSON Infinity
+def test_spectrum_output_is_strict_json(tmp_path, capsys, caplog):
+    # eigenvalue 2.0 sits in grades 0 and 1; with --tol 0.5 it is a nonzero
+    # mode in both, so the zero modes match the Betti numbers and the even
+    # and odd spectra pair up
     seg = write_json(tmp_path, "seg.json", [[1, 3], [4]])
-    code, out, _ = run(capsys, "spectrum", seg, "-k", "2", "--tol", "0.5")
-    assert code == 2
+    code, out, err = run(capsys, "spectrum", seg, "-k", "2", "--tol", "0.5")
+    assert code == 0
+    assert err == ""
+    assert not caplog.records
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
     payload = json.loads(out, parse_constant=reject)
-    assert payload["supersymmetry"]["max_gap"] is None
+    zeros = [sum(1 for x in evals if x == 0.0) for evals in payload["spectra"]]
+    assert zeros == payload["betti"]
+    assert payload["supersymmetry"]["supersymmetric"]
+
+
+def test_jsonable_maps_non_finite_floats_to_null():
+    value = {"gap": float("inf"), "low": -float("inf"), "nan": float("nan")}
+    assert cli.jsonable(value) == {"gap": None, "low": None, "nan": None}
+    assert json.loads(json.dumps(cli.jsonable([1.5, float("inf")]))) == [1.5, None]
 
 
 def test_deform_command_both_modes(triangle, capsys):

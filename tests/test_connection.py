@@ -6,10 +6,9 @@ from wucalc.catalog import (
 )
 from wucalc.connection import (
     connection_complex, connection_graph, connection_matrix,
-    fermi_characteristic, fredholm_characteristic, inclusion_edges,
-    wu_via_connection_trace,
+    fermi_characteristic, fredholm_characteristic, wu_via_connection_trace,
 )
-from wucalc.simplicial import f_vector
+from wucalc.simplicial import f_vector, inclusion_edges
 
 from oracles import fraction_det, random_facets
 

@@ -30,6 +30,19 @@ def test_generate_complex_matches_powerset_enumeration():
         assert list(c.cells) == power_cells(facets)
 
 
+def test_facets_are_the_maximal_generating_sets():
+    rng = random.Random(3113)
+    for _ in range(40):
+        sets = {frozenset(f)
+                for f in random_facets(rng, max_vertices=7, max_facets=6,
+                                       max_size=4)}
+        maximal = sorted((tuple(sorted(f)) for f in sets
+                          if not any(f < g for g in sets)),
+                         key=lambda s: (len(s), s))
+        assert generate_complex(sets).facets() == maximal
+    assert Complex([]).facets() == []
+
+
 def test_make_simplex_sorts_and_dedupes():
     assert make_simplex([3, 1, 2, 1]) == (1, 2, 3)
 
