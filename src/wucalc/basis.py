@@ -106,7 +106,7 @@ class InteractionBasis:
         self.systems = systems
         self.k = len(systems)
         self.grades = grades          # grades[p] = ordered list of tuples
-        self.index = index            # tuple -> (grade, position)
+        self.index = index            # tuple -> position in its grade
 
     @property
     def n_grades(self):
@@ -168,10 +168,10 @@ def build_basis(complexes) -> InteractionBasis:
                 parts + (last_cells[idx],))
     grades = [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
     b = InteractionBasis(systems, grades, {})
-    for p, tuples in enumerate(grades):
+    for tuples in grades:
         tuples.sort(key=b.sort_key)
         for pos, t in enumerate(tuples):
-            b.index[t] = (p, pos)
+            b.index[t] = pos
     return b
 
 
@@ -231,8 +231,9 @@ def f_tensor(c: Complex, k: int):
     return build(())
 
 
-def euler_polynomial(c: Complex):
-    """Coefficient list of sum_p v_p t^p; evaluates to chi at t = -1."""
+def euler_polynomial(c):
+    """Coefficient list of sum_p v_p t^p over the cell counts of a Complex
+    or ring.ProductComplex; evaluates to chi at t = -1."""
     fv = f_vector(c)
     return list(fv) if fv else [0]
 

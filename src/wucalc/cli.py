@@ -43,12 +43,7 @@ from .connection import (
 )
 from .dynamics import block_spectra, lax_deform, supersymmetry_gap
 from .lefschetz import complex_automorphisms, lefschetz_fixed_point_check
-from .ring import (
-    cell_f_vector,
-    kuenneth_check,
-    product_cell_complex,
-    ring_euler_polynomial,
-)
+from .ring import kuenneth_check, product_cell_complex, ring_euler_polynomial
 from .simplicial import (
     Complex,
     Graph,
@@ -174,6 +169,8 @@ def load_complex(path: str) -> Complex:
         data = json.loads(text)
     except json.JSONDecodeError:
         return parse_edge_lines(text)
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     return parse_facets_json(data)
 
 
@@ -256,7 +253,7 @@ def cmd_refine(args):
 def _parse_automorphism(spec: str, c: Complex) -> dict:
     try:
         data = json.loads(spec)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise InputError("--aut must be 'all' or a JSON permutation")
     vs = sorted(c.vertex_set)
     if isinstance(data, list):
@@ -318,7 +315,7 @@ def cmd_product(args):
     pc = product_cell_complex([a, b])
     emit({
         "cells": len(pc.cells),
-        "cell_f_vector": list(cell_f_vector(pc)),
+        "cell_f_vector": list(f_vector(pc)),
         "euler_polynomial": ring_euler_polynomial(pc),
     })
 
@@ -444,22 +441,15 @@ def _fixture_row(label, wu, betti, wu_expected, betti_expected, suffix=""):
 
 
 def cmd_fixtures(args):
-    from .ring import ring_betti, ring_wu
-
     oks = []
     print("main table (name, k, wu, betti):")
     for (name, k), expected in sorted(catalog.MAIN_TABLE.items()):
         if (name, k) in catalog.GATES["large"] and not args.large:
             print(f"  SKIP {name} k={k} (gated)")
             continue
-        c = catalog.NAMED[name]()
-        if isinstance(c, Complex):
-            result = euler_poincare_check(c, k)
-            wu, betti = result["wu"], result["betti"]
-        else:
-            wu = ring_wu(c, k)
-            betti = ring_betti(c, k)
-        oks.append(_fixture_row(f"{name} k={k}", wu, betti, *expected))
+        result = euler_poincare_check(catalog.NAMED[name](), k)
+        oks.append(_fixture_row(f"{name} k={k}", result["wu"],
+                                result["betti"], *expected))
     print("pair table (name, wu, betti):")
     for name, g, h, wu_expected, betti_expected, note in \
             catalog.pair_fixtures():

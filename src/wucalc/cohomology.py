@@ -131,7 +131,14 @@ class CohomologyData:
         return wu_characteristic(self.complexes)
 
 
-@lru_cache(maxsize=64)
+# Sized from measured traffic (perfbench/run.py, every workload): a reused
+# key is looked up again with at most one other key in between (cylinder
+# k=2 around its k=1 Lefschetz sweep in the Hodge pass, 4 keys in all),
+# except in wucalc fixtures, whose 93 lookups hit once: star5 at k=2, again
+# 14 keys later for the star_star pair, which takes about 1 ms to rebuild.
+# Every entry keeps its basis, derivative and Laplacian alive, so a bound
+# of 64 would hold up to 64 of them for that one hit.
+@lru_cache(maxsize=4)
 def cohomology_data(complexes: tuple) -> CohomologyData:
     return CohomologyData(complexes)
 

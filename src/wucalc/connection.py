@@ -13,30 +13,19 @@ from .exact import det_bareiss
 from .simplicial import Complex, Graph, simplex_weight, whitney_complex
 
 
+def connection_matrix(c: Complex):
+    """L[i][j] = 1 when simplices i and j of the global cell order meet."""
+    sets = [frozenset(s) for s in c.cells]
+    return [[1 if si & sj else 0 for sj in sets] for si in sets]
+
+
 def connection_graph(c: Complex) -> Graph:
     """Vertices are simplex indices in the global cell order; two indices
-    are adjacent when the simplices intersect."""
-    cells = c.cells
-    sets = [frozenset(s) for s in cells]
-    n = len(cells)
-    edges = []
-    for i in range(n):
-        si = sets[i]
-        for j in range(i + 1, n):
-            if si & sets[j]:
-                edges.append((i, j))
-    return Graph(range(n), edges)
-
-
-def connection_matrix(c: Complex):
-    cells = c.cells
-    sets = [frozenset(s) for s in cells]
-    n = len(cells)
-    rows = []
-    for i in range(n):
-        si = sets[i]
-        rows.append([1 if si & sets[j] else 0 for j in range(n)])
-    return rows
+    are adjacent when the simplices intersect: the upper triangle of the
+    connection matrix."""
+    rows = connection_matrix(c)
+    return Graph(range(len(rows)), [(i, j) for i, row in enumerate(rows)
+                                    for j in range(i + 1, len(row)) if row[j]])
 
 
 def connection_complex(c: Complex) -> Complex:
@@ -60,17 +49,9 @@ def fredholm_characteristic(c: Complex) -> int:
 
 
 def wu_via_connection_trace(c: Complex) -> int:
-    """Sum of L(x,y) w(x) w(y) over all simplex pairs; equals the order-2
-    Wu characteristic."""
-    cells = c.cells
-    sets = [frozenset(s) for s in cells]
-    weights = [simplex_weight(s) for s in cells]
-    n = len(cells)
-    total = 0
-    for i in range(n):
-        si = sets[i]
-        wi = weights[i]
-        for j in range(n):
-            if si & sets[j]:
-                total += wi * weights[j]
-    return total
+    """The quadratic form w^T L w of the connection matrix against the
+    simplex weights: the sum of w(x) w(y) over all intersecting simplex
+    pairs, which equals the order-2 Wu characteristic."""
+    w = [simplex_weight(s) for s in c.cells]
+    return sum(wi * wj * lij for wi, row in zip(w, connection_matrix(c))
+               for wj, lij in zip(w, row))

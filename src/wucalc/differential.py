@@ -41,9 +41,9 @@ def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
             # each column is written once and needs no accumulation
             entries = {}
             for ft, sign in leibniz_boundary(systems, t):
-                hit = index.get(ft)
-                if hit is not None:
-                    entries[hit[1]] = sign
+                col = index.get(ft)
+                if col is not None:
+                    entries[col] = sign
             if entries:
                 m.rows[row] = entries
         blocks.append(m)
@@ -109,12 +109,6 @@ class DiracLaplacian:
                 vectors.extend(columns[p - 1].values())
             self.laplacian_blocks.append(SparseIntMatrix(n, n, _gram(vectors)))
 
-    def grade_of(self, coordinate) -> int:
-        for p in range(len(self.grade_sizes) - 1, -1, -1):
-            if coordinate >= self.offsets[p]:
-                return p
-        raise IndexError("coordinate out of range")
-
     def grading(self):
         """Grade label per coordinate of the full space."""
         out = []
@@ -131,17 +125,3 @@ def dirac_and_laplacian(d: GradedIntMatrix) -> DiracLaplacian:
     if not verify_d_squared(d):
         raise ArithmeticError("d^2 != 0: derivative blocks are inconsistent")
     return DiracLaplacian(d)
-
-
-def export_sparse_text(d: GradedIntMatrix) -> str:
-    """One line per non-zero: 'p row col value' for every derivative block."""
-    lines = []
-    for p, blk in enumerate(d.blocks):
-        for i, j, v in blk.triples():
-            lines.append(f"{p} {i} {j} {v}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def export_dense_csv(m: SparseIntMatrix) -> str:
-    rows = m.to_dense()
-    return "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"

@@ -99,8 +99,7 @@ def _signed_permutation(t: dict, basis: InteractionBasis):
             sign[s] = permutation_sign(t, s)
     maps = []
     for grade in basis.grades:
-        image = [basis.index[tuple(moved[part] for part in x)][1]
-                 for x in grade]
+        image = [basis.index[tuple(moved[part] for part in x)] for x in grade]
         signs = [prod(sign[part] for part in x) for x in grade]
         maps.append((image, signs))
     return maps

@@ -81,22 +81,6 @@ def product_cell_complex(factors):
     return ProductComplex(factors)
 
 
-def cell_f_vector(c):
-    """Cell counts by dimension for a Complex or ProductComplex."""
-    counts: dict = {}
-    for cell in c.cells:
-        d = c.cell_dim(cell)
-        counts[d] = counts.get(d, 0) + 1
-    if not counts:
-        return ()
-    return tuple(counts.get(p, 0) for p in range(max(counts) + 1))
-
-
-def cell_euler_polynomial(c):
-    fv = cell_f_vector(c)
-    return list(fv) if fv else [0]
-
-
 def disjoint_union(a: Complex, b: Complex) -> Complex:
     """Disjoint union as one complex, with b relabeled above a's vertices."""
     shift = (max(a.vertex_set) + 1 if a.vertex_set else 0)

@@ -27,7 +27,7 @@ def simplex_weight(s) -> int:
 
 
 class Complex:
-    """A downward-closed set of simplices with per-dimension indexing.
+    """A downward-closed set of simplices in one global cell order.
 
     The constructor validates closure; use generate_complex to build a
     complex from an arbitrary facet list.
@@ -42,12 +42,9 @@ class Complex:
                         raise ValueError(
                             f"not closed under subsets: {face} missing from {s}")
         self.simplices = simp
-        self.by_dim: dict = {}
-        for s in sorted(simp, key=lambda t: (len(t), t)):
-            self.by_dim.setdefault(len(s) - 1, []).append(s)
         self.vertex_set = frozenset(v for s in simp for v in s)
         # global deterministic cell order: by dimension, then lexicographic
-        self.cells = [s for p in sorted(self.by_dim) for s in self.by_dim[p]]
+        self.cells = sorted(simp, key=lambda t: (len(t), t))
         self._hash = hash(simp)
 
     # the duck-typed cell interface shared with ring.ProductComplex
@@ -80,7 +77,7 @@ class Complex:
 
     @property
     def dim(self) -> int:
-        return max(self.by_dim) if self.by_dim else -1
+        return len(self.cells[-1]) - 1 if self.cells else -1
 
     def __len__(self):
         return len(self.simplices)
@@ -107,8 +104,7 @@ class Complex:
         return [s for s in self.cells if s not in faces]
 
     def skeleton_graph(self) -> "Graph":
-        edges = [s for s in self.by_dim.get(1, [])]
-        return Graph(self.vertex_set, edges)
+        return Graph(self.vertex_set, [s for s in self.cells if len(s) == 2])
 
 
 def leibniz_boundary(systems, parts):
@@ -193,12 +189,13 @@ def whitney_complex(g: Graph) -> Complex:
     return Complex(cliques)
 
 
-def f_vector(c: Complex):
-    """Simplex counts by dimension; empty complex gives the empty tuple."""
-    if not c.by_dim:
-        return ()
-    top = max(c.by_dim)
-    return tuple(len(c.by_dim.get(p, ())) for p in range(top + 1))
+def f_vector(c):
+    """Cell counts by dimension of a Complex or ring.ProductComplex; a
+    complex with no cells gives the empty tuple."""
+    counts = [0] * (max(map(c.cell_dim, c.cells), default=-1) + 1)
+    for cell in c.cells:
+        counts[c.cell_dim(cell)] += 1
+    return tuple(counts)
 
 
 def euler_characteristic(c: Complex) -> int:

@@ -8,6 +8,7 @@ marker; the Poincare sphere pair and the octahedron connection complex run
 by default.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -48,11 +49,14 @@ def _small_random(rng, max_cells=20):
 def test_criterion_01_printed_betti_and_wu_tables(capsys, tmp_path):
     # The fixtures command runs betti and wu for every stored table row at
     # k = 1, 2, 3 (the gated heavy row excluded) and must report zero
-    # failures; the file-based command path must agree with it.
+    # failures; the file-based command path must agree with it. The report
+    # is pinned byte for byte, so a changed row or layout fails here too.
     code = cli.main(["--fixtures"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "0 failed" in out.splitlines()[-1]
+    assert hashlib.sha1(out.encode()).hexdigest() == \
+        "3a801caad7a34bf052b7b5e6d69b18e7177e66f3"
     ran = int(out.splitlines()[-1].split()[0])
     assert ran == len(catalog.MAIN_TABLE) - 1 + 16
     for name in ("rabbit", "house", "K4"):

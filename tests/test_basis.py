@@ -90,8 +90,8 @@ def test_grades_are_indexed_by_total_dimension():
         for t in grade:
             total = sum(len(x) - 1 for x in t)
             assert total == p
-    for t, (p, i) in b.index.items():
-        assert b.grades[p][i] == t
+    for t, i in b.index.items():
+        assert b.grades[sum(len(x) - 1 for x in t)][i] == t
 
 
 def test_wu_characteristic_equals_signed_tuple_count():

@@ -280,6 +280,8 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert code == 1
 
 
+# JSON nesting this deep exhausts the decoder's recursion limit
+DEEP = 100000
 BAD_INPUT = [
     ["betti", "{neg}", "-k", "2"],
     ["fvector", "{neg_edges}"],
@@ -300,6 +302,8 @@ BAD_INPUT = [
     ["lefschetz", "{path15}", "-k", "1", "--aut", "all"],
     ["lefschetz", "{f}", "--aut", '{{"1": 2, "01": 1, "2": 2, "3": 3}}'],
     ["fvector", "{binary}"],
+    ["betti", "{deep}"],
+    ["lefschetz", "{f}", "--aut", "[" * DEEP + "]" * DEEP],
 ]
 
 
@@ -309,6 +313,8 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
     neg_edges.write_text("1 2\n-1 2\n")
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * DEEP + "]" * DEEP)
     paths = {"f": triangle,
              "cyl": write_json(tmp_path, "cylinder.json",
                                [f for f in cylinder().cells if len(f) == 3]),
@@ -316,7 +322,7 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
              "path15": write_json(tmp_path, "path15.json",
                                   [[i, i + 1] for i in range(1, 15)]),
              "neg_edges": str(neg_edges),
-             "binary": str(binary)}
+             "binary": str(binary), "deep": str(deep)}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 1
     assert out == ""

@@ -5,8 +5,8 @@ import numpy as np
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
-    DiracLaplacian, dirac_and_laplacian, export_dense_csv, export_sparse_text,
-    interaction_derivative, verify_d_squared,
+    DiracLaplacian, dirac_and_laplacian, interaction_derivative,
+    verify_d_squared,
 )
 from wucalc.simplicial import Complex
 
@@ -61,7 +61,7 @@ def test_derivative_row_of_a_full_interior_tuple():
     p3 = path_complex(3)
     b = build_basis((p3, p3))
     d = interaction_derivative(b)
-    r = b.index[((1, 2), (1, 2))][1]
+    r = b.index[((1, 2), (1, 2))]
     row = d.blocks[1].to_dense()[r]
     expected = {
         ((1,), (1, 2)): -1,
@@ -70,7 +70,7 @@ def test_derivative_row_of_a_full_interior_tuple():
         ((1, 2), (2,)): -1,
     }
     for t, coeff in expected.items():
-        assert row[b.index[t][1]] == coeff
+        assert row[b.index[t]] == coeff
     assert sum(abs(v) for v in row) == 4
 
 
@@ -80,7 +80,7 @@ def test_derivative_row_drops_faces_that_leave_the_basis():
     p3 = path_complex(3)
     b = build_basis((p3, p3))
     d = interaction_derivative(b)
-    r = b.index[((1, 2), (2, 3))][1]
+    r = b.index[((1, 2), (2, 3))]
     row = d.blocks[1].to_dense()[r]
     nonzero = {b.grades[1][j]: v for j, v in enumerate(row) if v}
     assert nonzero == {((2,), (2, 3)): 1, ((1, 2), (2,)): 1}
@@ -152,38 +152,3 @@ def test_laplacian_blocks_and_dirac_match_dense_products():
         assert (dl.dirac.nrows, dl.dirac.ncols) == (dl.size, dl.size)
         assert (_dense(dl.dirac) == dirac).all(), systems
         assert all(v for row in dl.dirac.rows.values() for v in row.values())
-
-
-def test_grade_of_recovers_the_grading():
-    c = generate_complex([(1, 2), (2, 3)])
-    dl = dirac_and_laplacian(interaction_derivative(build_basis((c, c))))
-    for i in range(dl.size):
-        p = dl.grade_of(i)
-        assert dl.offsets[p] <= i < dl.offsets[p] + dl.grade_sizes[p]
-
-
-def test_sparse_text_export_lists_every_nonzero():
-    c = path_complex(3)
-    b = build_basis((c, c))
-    d = interaction_derivative(b)
-    text = export_sparse_text(d)
-    seen = set()
-    for line in text.strip().splitlines():
-        p, i, j, v = line.split()
-        assert int(v) != 0
-        seen.add((int(p), int(i), int(j)))
-        assert d.blocks[int(p)].to_dense()[int(i)][int(j)] == int(v)
-    expected = {(p, i, j)
-                for p, m in enumerate(d.blocks)
-                for i, row in enumerate(m.to_dense())
-                for j, v in enumerate(row) if v}
-    assert seen == expected
-
-
-def test_dense_csv_roundtrip():
-    c = path_complex(3)
-    d = interaction_derivative(build_basis((c, c)))
-    text = export_dense_csv(d.blocks[0])
-    rows = [[int(x) for x in line.split(",")]
-            for line in text.strip().splitlines()]
-    assert rows == d.blocks[0].to_dense()

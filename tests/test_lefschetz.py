@@ -50,6 +50,19 @@ def test_orientation_reversal_detected_on_the_circle():
     assert nums == [0] * 6 + [2] * 6
 
 
+def test_a_lefschetz_sweep_builds_each_cohomology_once():
+    # the order of the Hodge pass: the k=2 data is looked up again after a
+    # whole sweep at k=1, so the cache must keep two keys alive
+    c = cycle_complex(5)
+    autos = complex_automorphisms(c)
+    cohomology_data.cache_clear()
+    euler_poincare_check(c, 2)
+    for k in (1, 2):
+        for t in autos:
+            assert lefschetz_fixed_point_check(t, c, k)["fixed_point_ok"]
+    assert cohomology_data.cache_info().misses == 2
+
+
 def test_fixed_point_identity_on_catalog_fixtures():
     for c in (rabbit(), house(), cycle_complex(4), octahedron()):
         for t in complex_automorphisms(c):

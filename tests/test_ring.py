@@ -1,7 +1,7 @@
 import random
 
 from wucalc.basis import (
-    multivariate_euler_polynomial, wu_characteristic,
+    euler_polynomial, multivariate_euler_polynomial, wu_characteristic,
 )
 from wucalc.catalog import (
     complete_complex, cycle_complex, generate_complex, path_complex,
@@ -9,10 +9,10 @@ from wucalc.catalog import (
 )
 from wucalc.cohomology import normalize_complexes
 from wucalc.ring import (
-    RingElement, cell_euler_polynomial, cell_f_vector, disjoint_union,
-    kuenneth_check, poly_mul, product_cell_complex, ring_betti,
-    ring_euler_polynomial, ring_wu,
+    ProductComplex, RingElement, disjoint_union, kuenneth_check, poly_mul,
+    product_cell_complex, ring_betti, ring_euler_polynomial, ring_wu,
 )
+from wucalc.simplicial import Complex, f_vector
 
 from oracles import random_facets
 
@@ -107,12 +107,16 @@ def test_product_cells_pair_dimensions_additively():
     g = complete_complex(2)
     h = cycle_complex(4)
     pc = product_cell_complex([g, h])
-    fv = list(cell_f_vector(pc))
+    fv = list(f_vector(pc))
     assert sum(fv) == len(g) * len(h)
     for cell in pc.cells:
         a, b = cell
         assert len(a) - 1 + len(b) - 1 == pc.cell_dim(cell)
-    assert cell_euler_polynomial(pc) == ring_euler_polynomial(pc)
+    assert euler_polynomial(pc) == ring_euler_polynomial(pc)
+    # counted from the cells: a product with an empty factor has none
+    empty = ProductComplex((g, Complex([])))
+    assert f_vector(empty) == ()
+    assert euler_polynomial(empty) == [0]
 
 
 def test_product_cell_boundary_follows_the_leibniz_rule():
