@@ -49,9 +49,6 @@ class _IntersectionContext:
             raise ValueError("cannot mix simplicial complexes and cell products")
         self.systems = list(systems)
         self.cell_lists = [list(s.cells) for s in systems]
-        # identical systems share cached tables
-        seen: dict = {}
-        self.syskey = [seen.setdefault(id(s), i) for i, s in enumerate(systems)]
 
         atom_ids: dict = {}
         self.dims = []       # per system: list of cell dimensions
@@ -77,25 +74,16 @@ class _IntersectionContext:
             self.full.append((1 << len(cells)) - 1)
             self.dim_masks.append(dmask)
             self.inc.append(inc)
-        self._ocache: dict = {}
 
     def candidates(self, t, running):
         """Bitset of cells of system t whose support meets the atom bitset
         running; every cell when running is None (nothing chosen yet)."""
         if running is None:
             return self.full[t]
-        key = (self.syskey[t], running)
-        hit = self._ocache.get(key)
-        if hit is not None:
-            return hit
         u = 0
         inc = self.inc[t]
-        m = running
-        while m:
-            lsb = m & -m
-            u |= inc.get(lsb.bit_length() - 1, 0)
-            m ^= lsb
-        self._ocache[key] = u
+        for a in _bits(running):
+            u |= inc.get(a, 0)
         return u
 
 
@@ -104,28 +92,15 @@ class InteractionBasis:
 
     def __init__(self, systems, grades, index):
         self.systems = systems
-        self.k = len(systems)
         self.grades = grades          # grades[p] = ordered list of tuples
         self.index = index            # tuple -> position in its grade
-
-    @property
-    def n_grades(self):
-        return len(self.grades)
 
     def grade_sizes(self):
         return [len(g) for g in self.grades]
 
-    def total(self):
-        return sum(len(g) for g in self.grades)
-
-    def sort_key(self, t):
-        flat = tuple(x for sys, part in zip(self.systems, t)
-                     for x in sys.flat_key(part))
-        return (flat, tuple(sys.flat_key(part)
-                            for sys, part in zip(self.systems, t)))
-
     def __repr__(self):
-        return f"InteractionBasis(k={self.k}, grade_sizes={self.grade_sizes()})"
+        return (f"InteractionBasis(k={len(self.systems)}, "
+                f"grade_sizes={self.grade_sizes()})")
 
 
 def _walk(ctx):
@@ -167,12 +142,18 @@ def build_basis(complexes) -> InteractionBasis:
             by_grade.setdefault(dsum + last_dims[idx], []).append(
                 parts + (last_cells[idx],))
     grades = [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
-    b = InteractionBasis(systems, grades, {})
+    flat_key = systems[0].flat_key  # the systems of one call are of one kind
+
+    def sort_key(t):
+        keys = tuple(map(flat_key, t))
+        return (sum(keys, ()), keys)
+
+    index = {}
     for tuples in grades:
-        tuples.sort(key=b.sort_key)
+        tuples.sort(key=sort_key)
         for pos, t in enumerate(tuples):
-            b.index[t] = pos
-    return b
+            index[t] = pos
+    return InteractionBasis(systems, grades, index)
 
 
 def wu_characteristic(complexes) -> int:
@@ -258,15 +239,14 @@ def eval_multivariate(poly: dict, values) -> int:
     return total
 
 
-def polynomial_string(poly: dict, varnames=None) -> str:
+def polynomial_string(poly: dict) -> str:
     """Human-readable form of a multivariate polynomial dictionary."""
     if not poly:
         return "0"
     k = len(next(iter(poly)))
-    if varnames is None:
-        varnames = (["t", "s"] if k == 2
-                    else ["t"] if k == 1
-                    else [f"t{i + 1}" for i in range(k)])
+    varnames = (["t", "s"] if k == 2
+                else ["t"] if k == 1
+                else [f"t{i + 1}" for i in range(k)])
     terms = []
     for expo in sorted(poly, key=lambda e: (sum(e), e)):
         coeff = poly[expo]

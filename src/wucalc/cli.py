@@ -11,7 +11,8 @@ formats are sniffed automatically:
     of the graph, with every clique filled in.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a requested
-mathematical check fails.
+mathematical check fails. A complex of more than simplicial.MAX_SIMPLICES
+simplices, read or built, is an input error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 
 from . import catalog
 from .basis import (
+    euler_polynomial,
     f_tensor,
     multivariate_euler_polynomial,
     polynomial_string,
@@ -35,7 +37,6 @@ from .cohomology import (
     normalize_complexes,
 )
 from .connection import (
-    connection_complex,
     connection_graph,
     fermi_characteristic,
     fredholm_characteristic,
@@ -43,7 +44,7 @@ from .connection import (
 )
 from .dynamics import block_spectra, lax_deform, supersymmetry_gap
 from .lefschetz import complex_automorphisms, lefschetz_fixed_point_check
-from .ring import kuenneth_check, product_cell_complex, ring_euler_polynomial
+from .ring import kuenneth_check, product_cell_complex
 from .simplicial import (
     Complex,
     Graph,
@@ -110,6 +111,15 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
+def _bounded(fn, *args):
+    """fn(*args), with the ValueError it raises on input over a budget (the
+    simplex, dense or automorphism vertex budget) as an input error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def parse_facets_json(data):
     if isinstance(data, dict):
         if "facets" not in data:
@@ -128,7 +138,7 @@ def parse_facets_json(data):
             raise InputError(f"facet {i} has a negative vertex; vertex ids "
                              "must be non-negative integers")
         facets.append(tuple(facet))
-    return generate_complex(facets)
+    return _bounded(generate_complex, facets)
 
 
 def parse_edge_lines(text: str):
@@ -154,7 +164,7 @@ def parse_edge_lines(text: str):
         edges.append((u, v))
     if not edges:
         raise InputError("no edges found in input")
-    return whitney_complex(Graph(vertices, edges))
+    return _bounded(whitney_complex, Graph(vertices, edges))
 
 
 def load_complex(path: str) -> Complex:
@@ -246,7 +256,7 @@ def cmd_euler_poly(args):
 
 def cmd_refine(args):
     c = load_complex(args.file)
-    refined = barycentric_refinement(c)
+    refined = _bounded(barycentric_refinement, c)
     emit({"facets": [list(s) for s in refined.facets()]})
 
 
@@ -286,10 +296,7 @@ def _parse_automorphism(spec: str, c: Complex) -> dict:
 def cmd_lefschetz(args):
     c = load_complex(args.file)
     if args.aut == "all":
-        try:
-            autos = complex_automorphisms(c)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        autos = _bounded(complex_automorphisms, c)
     else:
         autos = [_parse_automorphism(args.aut, c)]
     results = []
@@ -316,7 +323,7 @@ def cmd_product(args):
     emit({
         "cells": len(pc.cells),
         "cell_f_vector": list(f_vector(pc)),
-        "euler_polynomial": ring_euler_polynomial(pc),
+        "euler_polynomial": euler_polynomial(pc),
     })
 
 
@@ -332,7 +339,7 @@ def cmd_kuenneth(args):
 def cmd_connection(args):
     c = load_complex(args.file)
     cg = connection_graph(c)
-    conn = connection_complex(c)
+    conn = _bounded(whitney_complex, cg)
     conn_edges = {frozenset(e) for e in cg.edges}
     included = all(frozenset(e) in conn_edges for e in inclusion_edges(c))
     payload = {
@@ -368,11 +375,7 @@ def cmd_fredholm(args):
 def cmd_spectrum(args):
     c = load_complex(args.file)
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
-    try:
-        spectra = block_spectra(data.dirac, tol=args.tol,
-                                exact_nullities=data.betti)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    spectra = _bounded(block_spectra, data.dirac, args.tol)
     gap = supersymmetry_gap(spectra, tol=args.tol)
     payload = {
         "k": args.k,
@@ -381,6 +384,10 @@ def cmd_spectrum(args):
         "supersymmetry": gap,
     }
     emit(payload)
+    zero_modes = [evals.count(0.0) for evals in payload["spectra"]]
+    if zero_modes != payload["betti"]:
+        raise CheckFailure(f"numerical zero modes {zero_modes} differ from "
+                           f"the Betti numbers {payload['betti']}")
     if not gap["supersymmetric"]:
         raise CheckFailure("even and odd nonzero spectra differ")
 
@@ -390,8 +397,8 @@ def cmd_deform(args):
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
     mode = "complex" if args.complex else "real"
     try:
-        states, report = lax_deform(data.dirac, mode=mode,
-                                    t_max=args.tmax, dt=args.dt)
+        _, report = lax_deform(data.dirac, mode=mode,
+                               t_max=args.tmax, dt=args.dt)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     except ArithmeticError as exc:
@@ -406,9 +413,10 @@ def cmd_deform(args):
 def cmd_curvature(args):
     c = load_complex(args.file)
     g = c.skeleton_graph()
+    # a unit sphere's cliques are cliques of g, so this bounds them too
+    chi = euler_characteristic(_bounded(whitney_complex, g))
     curvatures = {v: euler_curvature(g, v) for v in sorted(g.vertices)}
     total = sum(curvatures.values(), Fraction(0))
-    chi = euler_characteristic(whitney_complex(g))
     payload = {
         "curvature": {str(v): k for v, k in curvatures.items()},
         "total": total,

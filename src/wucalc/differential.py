@@ -20,10 +20,9 @@ from .simplicial import leibniz_boundary
 class GradedIntMatrix:
     """The family {d_p} of derivative blocks for one interaction basis."""
 
-    def __init__(self, basis: InteractionBasis, blocks):
-        self.basis = basis
+    def __init__(self, grade_sizes, blocks):
+        self.grade_sizes = grade_sizes
         self.blocks = blocks
-        self.grade_sizes = basis.grade_sizes()
 
     def __repr__(self):
         shapes = [(b.nrows, b.ncols) for b in self.blocks]
@@ -34,7 +33,7 @@ def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
     systems = b.systems
     index = b.index
     blocks = []
-    for p in range(b.n_grades - 1):
+    for p in range(len(b.grades) - 1):
         m = SparseIntMatrix(len(b.grades[p + 1]), len(b.grades[p]))
         for row, t in enumerate(b.grades[p + 1]):
             # distinct (slot, vertex) removals give distinct face tuples, so
@@ -47,7 +46,7 @@ def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
             if entries:
                 m.rows[row] = entries
         blocks.append(m)
-    return GradedIntMatrix(b, blocks)
+    return GradedIntMatrix(b.grade_sizes(), blocks)
 
 
 def verify_d_squared(d: GradedIntMatrix) -> bool:
@@ -76,7 +75,6 @@ class DiracLaplacian:
 
     def __init__(self, derivative: GradedIntMatrix):
         self.derivative = derivative
-        self.basis = derivative.basis
         self.grade_sizes = derivative.grade_sizes
         self.offsets = []
         off = 0

@@ -120,18 +120,6 @@ def wave_evolve(dl: DiracLaplacian, u0, v0, t: float):
     return q @ (cos_part + sin_part)
 
 
-class DeformationState:
-    """One snapshot of the Lax flow."""
-
-    def __init__(self, time, matrix, grading):
-        self.time = time
-        self.matrix = matrix
-        self.grading = list(grading)
-
-    def __repr__(self):
-        return f"DeformationState(t={self.time:.4f}, n={self.matrix.shape[0]})"
-
-
 def _bracket_rhs(d, raising_mask, diagonal_mask):
     """[B(D), D] for B = d - d^T built from the raising part of D, minus
     i times its diagonal part when a diagonal mask is given."""
@@ -143,7 +131,7 @@ def _bracket_rhs(d, raising_mask, diagonal_mask):
 
 
 def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
-               dt: float = 0.01, keep: int = 0):
+               dt: float = 0.01):
     """Integrate D' = [B(D), D] with fourth order Runge-Kutta.
 
     In real mode B = d - d^T built from the current raising part; the flow
@@ -153,8 +141,8 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     times n**3 exceeds MAX_LAX_WORK, and ArithmeticError on spectral drift
     beyond ten times the allowed tolerance.
 
-    Returns (states, report): states has the initial and final snapshot plus
-    up to `keep` intermediate ones, report carries the drift diagnostics.
+    Returns (d, report): d is the deformed Dirac matrix at t_max, report
+    carries the drift diagnostics.
     """
     if mode not in ("real", "complex"):
         raise ValueError(f"unknown deformation mode {mode!r}")
@@ -168,8 +156,7 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
         raise ValueError(f"{steps} RK4 steps on a {dl.size} x {dl.size} "
                          f"Dirac matrix exceed the work budget of "
                          f"{MAX_LAX_WORK:.0e} steps x n^3")
-    grading = dl.grading()
-    grades = numpy.asarray(grading)
+    grades = numpy.asarray(dl.grading())
     # entries from grade q to grade q + 1, and within one grade
     raising_mask = grades[:, None] == grades[None, :] + 1
     diagonal_mask = None
@@ -181,11 +168,9 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     spec0 = numpy.linalg.eigvalsh(d)
     tol = 1e-6 * norm0
 
-    states = [DeformationState(0.0, d.copy(), grading)]
     h = t_max / steps
-    snap_every = max(1, steps // keep) if keep else steps + 1
     t = 0.0
-    for step in range(steps):
+    for _ in range(steps):
         with numpy.errstate(over="ignore", invalid="ignore"):
             k1 = _bracket_rhs(d, raising_mask, diagonal_mask)
             k2 = _bracket_rhs(d + 0.5 * h * k1, raising_mask, diagonal_mask)
@@ -197,9 +182,6 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
             raise ArithmeticError(
                 f"flow diverged at t={t + h:.4g}; reduce dt")
         t += h
-        if (step + 1) % snap_every == 0 and step + 1 < steps:
-            states.append(DeformationState(t, d.copy(), grading))
-    states.append(DeformationState(t_max, d.copy(), grading))
 
     spec1 = numpy.linalg.eigvalsh(d)
     drift = float(numpy.abs(spec0 - spec1).max(initial=0.0))
@@ -218,5 +200,5 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
         "d_squared": d2,
         "nilpotent": d2 < 1e-8,
     }
-    return states, report
+    return d, report
 

@@ -154,11 +154,6 @@ def lefschetz_number(t: dict, c: Complex, k: int) -> int:
     return _trace(data.harmonic, _signed_permutation(t, data.basis))
 
 
-def lefschetz_via_fixed_points(t: dict, c: Complex, k: int) -> int:
-    basis = cohomology_data(tuple([c] * k)).basis
-    return sum(index for _, index in fixed_tuples(t, basis))
-
-
 def lefschetz_fixed_point_check(t: dict, c: Complex, k: int) -> dict:
     data = cohomology_data(tuple([c] * k))
     maps = _signed_permutation(t, data.basis)

@@ -32,7 +32,6 @@ class ProductComplex:
         cells = list(iter_product(*(f.cells for f in factors)))
         cells.sort(key=lambda c: (self.cell_dim(c), self.flat_key(c)))
         self.cells = cells
-        self._hash = hash(factors)
 
     @staticmethod
     def cell_dim(cell) -> int:
@@ -53,10 +52,6 @@ class ProductComplex:
     def flat_key(cell):
         return tuple(v for part in cell for v in part)
 
-    @property
-    def dim(self) -> int:
-        return sum(f.dim for f in self.factors)
-
     def __len__(self):
         return len(self.cells)
 
@@ -64,7 +59,7 @@ class ProductComplex:
         return isinstance(other, ProductComplex) and self.factors == other.factors
 
     def __hash__(self):
-        return self._hash
+        return hash(self.factors)
 
     def __repr__(self):
         sizes = "x".join(str(len(f)) for f in self.factors)
@@ -128,27 +123,37 @@ def _terms(e):
     return e.terms
 
 
+def _term_sum(e, value):
+    """sum_i coeff_i * value(T_i) over the product terms T_i of e, where
+    value maps a cell complex to a coefficient list; lists of different
+    lengths are added zero-padded. Every ring map here is linear this way."""
+    total: list = []
+    for coeff, factors in _terms(e):
+        v = value(product_cell_complex(factors))
+        total.extend([0] * (len(v) - len(total)))
+        for i, x in enumerate(v):
+            total[i] += coeff * x
+    return total
+
+
 def ring_wu(e, k: int) -> int:
-    """Wu characteristic of a ring element: linear over terms, computed on
-    each product term by direct enumeration of intersecting cell tuples."""
-    return sum(coeff * wu_characteristic([product_cell_complex(factors)] * k)
-               for coeff, factors in _terms(e))
+    """Wu characteristic of a ring element, computed on each product term by
+    direct enumeration of intersecting cell tuples."""
+    return sum(_term_sum(e, lambda c: [wu_characteristic([c] * k)]))
 
 
 def ring_betti(e, k: int):
     """Betti vector of a non-negative ring element, computed directly on the
     product-cell interaction basis. Negative coefficients are rejected."""
-    out: list = []
-    for coeff, factors in _terms(e):
-        if coeff < 0:
-            raise ValueError("cohomology of a negative combination is undefined")
-        c = product_cell_complex(factors)
-        betti = cohomology_data(tuple([c] * k)).betti
-        if len(betti) > len(out):
-            out.extend([0] * (len(betti) - len(out)))
-        for p, b in enumerate(betti):
-            out[p] += coeff * b
-    return out
+    if any(coeff < 0 for coeff, _ in _terms(e)):
+        raise ValueError("cohomology of a negative combination is undefined")
+    return _term_sum(e, lambda c: cohomology_data(tuple([c] * k)).betti)
+
+
+def ring_euler_polynomial(e) -> list:
+    """Euler polynomial of a ring element: the cell counts of each product
+    term, so a term with an empty factor contributes [0]."""
+    return _term_sum(e, euler_polynomial)
 
 
 def poly_mul(a, b):
@@ -183,18 +188,3 @@ def kuenneth_check(g: Complex, h: Complex, k: int) -> dict:
         "poincare_expected": list(expected),
         "kuenneth_ok": ok,
     }
-
-
-def ring_euler_polynomial(e) -> list:
-    """Euler polynomial of a ring element: additive over terms, multiplicative
-    over factors (cell counts of a product multiply as polynomials)."""
-    total: list = []
-    for coeff, factors in _terms(e):
-        poly = euler_polynomial(factors[0])
-        for f in factors[1:]:
-            poly = poly_mul(poly, euler_polynomial(f))
-        if len(poly) > len(total):
-            total.extend([0] * (len(poly) - len(total)))
-        for i, c in enumerate(poly):
-            total[i] += coeff * c
-    return total

@@ -11,6 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+# generate_complex and whitney_complex refuse complexes with more simplices
+# than this, before enumerating them: a facet of 28 vertices alone has 2**28
+# faces, and the clique complex of a dense graph grows as fast. Enumerating
+# 2**18 cliques takes about 0.4 s on a 2-vCPU host.
+MAX_SIMPLICES = 2 ** 18
+OVER_BUDGET = f"the complex has more than {MAX_SIMPLICES} simplices"
+
 
 def make_simplex(vertices) -> tuple:
     s = tuple(sorted(set(int(v) for v in vertices)))
@@ -45,7 +52,6 @@ class Complex:
         self.vertex_set = frozenset(v for s in simp for v in s)
         # global deterministic cell order: by dimension, then lexicographic
         self.cells = sorted(simp, key=lambda t: (len(t), t))
-        self._hash = hash(simp)
 
     # the duck-typed cell interface shared with ring.ProductComplex
     @staticmethod
@@ -75,10 +81,6 @@ class Complex:
     def flat_key(cell):
         return cell
 
-    @property
-    def dim(self) -> int:
-        return len(self.cells[-1]) - 1 if self.cells else -1
-
     def __len__(self):
         return len(self.simplices)
 
@@ -92,7 +94,7 @@ class Complex:
         return isinstance(other, Complex) and self.simplices == other.simplices
 
     def __hash__(self):
-        return self._hash
+        return hash(self.simplices)
 
     def __repr__(self):
         return f"Complex(f_vector={f_vector(self)})"
@@ -165,21 +167,33 @@ class Graph:
 
 
 def generate_complex(facets) -> Complex:
-    """Downward closure of a facet list: the smallest complex containing them."""
+    """Downward closure of a facet list: the smallest complex containing them.
+
+    Raises ValueError when it would have more than MAX_SIMPLICES simplices."""
     simplices = set()
     for facet in facets:
         f = make_simplex(facet)
+        if 2 ** len(f) - 1 > MAX_SIMPLICES:
+            raise ValueError(OVER_BUDGET)
         for r in range(1, len(f) + 1):
             simplices.update(combinations(f, r))
+        if len(simplices) > MAX_SIMPLICES:
+            raise ValueError(OVER_BUDGET)
     return Complex(simplices)
 
 
 def whitney_complex(g: Graph) -> Complex:
-    """The complex of all complete subgraphs (cliques) of g."""
+    """The complex of all complete subgraphs (cliques) of g.
+
+    Raises ValueError once it finds more than MAX_SIMPLICES cliques, or a
+    clique with more than MAX_SIMPLICES faces, which also bounds the depth
+    of the search."""
     cliques = []
 
     def extend(clique, candidates):
         cliques.append(tuple(clique))
+        if len(cliques) > MAX_SIMPLICES or 2 ** len(clique) - 1 > MAX_SIMPLICES:
+            raise ValueError(OVER_BUDGET)
         for v in sorted(candidates):
             extend(clique + [v],
                    frozenset(w for w in candidates if w > v and w in g.adj[v]))

@@ -228,6 +228,21 @@ def test_spectrum_output_is_strict_json(tmp_path, capsys, caplog):
     assert payload["supersymmetry"]["supersymmetric"]
 
 
+def test_spectrum_fails_when_the_zero_modes_miss_the_betti_numbers(
+        tmp_path, capsys):
+    # --tol 1e300 snaps every eigenvalue to zero, so the supersymmetry check
+    # holds trivially while the zero modes [4, 4, 1] miss betti [1, 0, 0]
+    a = write_json(tmp_path, "a.json", [[1, 2, 3], [3, 4]])
+    code, out, err = run(capsys, "spectrum", a, "-k", "1", "--tol", "1e300")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["betti"] == [1, 0, 0]
+    assert payload["supersymmetry"]["supersymmetric"]
+    assert err.strip().splitlines() == [
+        "wucalc: check failed: numerical zero modes [4, 4, 1] differ from "
+        "the Betti numbers [1, 0, 0]"]
+
+
 def test_jsonable_maps_non_finite_floats_to_null():
     value = {"gap": float("inf"), "low": -float("inf"), "nan": float("nan")}
     assert cli.jsonable(value) == {"gap": None, "low": None, "nan": None}
@@ -304,6 +319,11 @@ BAD_INPUT = [
     ["fvector", "{binary}"],
     ["betti", "{deep}"],
     ["lefschetz", "{f}", "--aut", "[" * DEEP + "]" * DEEP],
+    # over simplicial.MAX_SIMPLICES: a facet with 2**28 - 1 faces, the
+    # clique complex of K26, and the connection complex of a 4-simplex
+    ["fvector", "{big}"],
+    ["fvector", "{k26}"],
+    ["connection", "{k5}"],
 ]
 
 
@@ -315,6 +335,8 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe\x00")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * DEEP + "]" * DEEP)
+    k26 = tmp_path / "k26.txt"
+    k26.write_text("".join(f"{u} {v}\n" for v in range(26) for u in range(v)))
     paths = {"f": triangle,
              "cyl": write_json(tmp_path, "cylinder.json",
                                [f for f in cylinder().cells if len(f) == 3]),
@@ -322,7 +344,10 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
              "path15": write_json(tmp_path, "path15.json",
                                   [[i, i + 1] for i in range(1, 15)]),
              "neg_edges": str(neg_edges),
-             "binary": str(binary), "deep": str(deep)}
+             "binary": str(binary), "deep": str(deep),
+             "big": write_json(tmp_path, "big.json", [list(range(28))]),
+             "k26": str(k26),
+             "k5": write_json(tmp_path, "k5.json", [[1, 2, 3, 4, 5]])}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 1
     assert out == ""

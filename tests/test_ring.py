@@ -116,7 +116,10 @@ def test_product_cells_pair_dimensions_additively():
     # counted from the cells: a product with an empty factor has none
     empty = ProductComplex((g, Complex([])))
     assert f_vector(empty) == ()
-    assert euler_polynomial(empty) == [0]
+    assert euler_polynomial(empty) == ring_euler_polynomial(empty) == [0]
+    # so it adds nothing to a sum, not even trailing zeros
+    e = RingElement.from_complex(g) + RingElement([(1, empty.factors)])
+    assert ring_euler_polynomial(e) == [2, 1]
 
 
 def test_product_cell_boundary_follows_the_leibniz_rule():

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+
+import pytest
 
 from wucalc.simplicial import (
-    Complex, Graph, barycentric_refinement, euler_characteristic,
+    MAX_SIMPLICES, Complex, Graph, barycentric_refinement, euler_characteristic,
     euler_curvature, f_vector, generate_complex, inductive_dimension,
     make_simplex, poincare_hopf_index, simplex_index_map, unit_sphere,
     whitney_complex, zagreb_index,
@@ -65,6 +68,18 @@ def test_whitney_of_complete_graph_is_full_simplex():
     g = Graph.from_edges([(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
     c = whitney_complex(g)
     assert f_vector(c) == (4, 6, 4, 1)
+
+
+def test_complexes_over_the_simplex_budget_are_refused():
+    # three disjoint 16-simplices: each fits, the third passes the budget
+    facets = [range(17 * i, 17 * (i + 1)) for i in range(3)]
+    assert 2 * (2 ** 17 - 1) <= MAX_SIMPLICES < 3 * (2 ** 17 - 1)
+    with pytest.raises(ValueError, match="more than"):
+        generate_complex(facets)
+    # a 1000-clique has 2**1000 - 1 faces; the search stops at 19 vertices
+    # instead of recursing 1000 deep
+    with pytest.raises(ValueError, match="more than"):
+        whitney_complex(Graph(range(1000), combinations(range(1000), 2)))
 
 
 def test_barycentric_refinement_counts():
