@@ -15,11 +15,14 @@ One walk, _walk, chooses the cells of the first k-1 slots one part at a
 time while carrying the running intersection of the parts chosen so far,
 as one bitset of atoms; the candidates for the next slot are the cells
 that meet that running set, obtained by OR-ing per-atom incidence bitsets.
-The walk hands each prefix to its consumer together with the candidate
-bitset of the last slot, so build_basis expands the last slot into tuples
-while the dimension-profile counts, and the Wu characteristic which is
-their signed sum, never materialize tuples: their innermost sum is a
-popcount.
+The walk works on cell ids and hands each prefix to its consumer together
+with the candidate bitset of the last slot. build_basis expands the last
+slot into integer codes: a tuple is stored as the mixed-radix number whose
+digit j is the position of x_j in systems[j].cells, so the derivative can
+find a face tuple by swapping one digit (see differential), and the tuples
+of cells are decoded only for the callers that ask for them. The
+dimension-profile counts, and the Wu characteristic which is their signed
+sum, never materialize tuples: their innermost sum is a popcount.
 
 Everything accepts any object implementing the small cell interface of
 simplicial.Complex (cells, cell_dim, cell_boundary, cell_support,
@@ -28,6 +31,9 @@ complexes of one call are all of one kind.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from operator import getitem, mul
 
 from .simplicial import Complex, f_vector
 
@@ -88,15 +94,42 @@ class _IntersectionContext:
 
 
 class InteractionBasis:
-    """Commonly intersecting k-tuples of cells, graded by total dimension."""
+    """Commonly intersecting k-tuples of cells, graded by total dimension.
 
-    def __init__(self, systems, grades, index):
+    A tuple (x_1, ..., x_k) is stored as one mixed-radix integer code, the
+    sum of c_j * radices[j] where c_j is the position of x_j in
+    systems[j].cells. codes[p] lists the codes of grade p in basis order and
+    position maps every code to its place in its grade. The tuples of cells
+    themselves, grades[p] and the index from tuple to position, are decoded
+    on first access, for the callers that name cells."""
+
+    def __init__(self, systems, radices, codes, position):
         self.systems = systems
-        self.grades = grades          # grades[p] = ordered list of tuples
-        self.index = index            # tuple -> position in its grade
+        self.radices = radices        # radices[j] = product of later sizes
+        self.codes = codes            # codes[p] = ordered list of codes
+        self.position = position      # code -> position in its grade
 
     def grade_sizes(self):
-        return [len(g) for g in self.grades]
+        return [len(g) for g in self.codes]
+
+    @cached_property
+    def grades(self):
+        """grades[p] = the ordered list of tuples of cells of grade p."""
+        cells = [s.cells for s in self.systems]
+
+        def decode(code):
+            parts = []
+            for cl, r in zip(cells, self.radices):
+                c, code = divmod(code, r)
+                parts.append(cl[c])
+            return tuple(parts)
+
+        return [list(map(decode, g)) for g in self.codes]
+
+    @cached_property
+    def index(self):
+        """Tuple of cells -> position in its grade."""
+        return {t: pos for g in self.grades for pos, t in enumerate(g)}
 
     def __repr__(self):
         return (f"InteractionBasis(k={len(self.systems)}, "
@@ -104,21 +137,21 @@ class InteractionBasis:
 
 
 def _walk(ctx):
-    """Yield (parts, dsum, last) for every tuple parts of cells for the
-    first k-1 slots with a non-empty common intersection: dsum is their
-    total dimension and last the candidate bitset of the final system.
-    Prefixes come in depth-first order over ascending cell ids."""
+    """Yield (ids, dsum, last) for every tuple ids of cell ids for the first
+    k-1 slots whose cells have a non-empty common intersection: dsum is
+    their total dimension and last the candidate bitset of the final
+    system. Prefixes come in depth-first order over ascending cell ids."""
     k = len(ctx.systems)
-    cell_lists, dims, sup_bits = ctx.cell_lists, ctx.dims, ctx.sup_bits
+    dims, sup_bits = ctx.dims, ctx.sup_bits
 
-    def rec(j, parts, running, dsum):
+    def rec(j, ids, running, dsum):
         cand = ctx.candidates(j, running)
         if j == k - 1:
-            yield parts, dsum, cand
+            yield ids, dsum, cand
             return
         for idx in _bits(cand):
             sup = sup_bits[j][idx]
-            yield from rec(j + 1, parts + (cell_lists[j][idx],),
+            yield from rec(j + 1, ids + (idx,),
                            sup if running is None else running & sup,
                            dsum + dims[j][idx])
 
@@ -135,25 +168,40 @@ def build_basis(complexes) -> InteractionBasis:
     """
     systems = list(complexes)
     ctx = _IntersectionContext(systems)
-    last_cells, last_dims = ctx.cell_lists[-1], ctx.dims[-1]
-    by_grade: dict = {}
-    for parts, dsum, last in _walk(ctx):
-        for idx in _bits(last):
-            by_grade.setdefault(dsum + last_dims[idx], []).append(
-                parts + (last_cells[idx],))
-    grades = [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
+    radices = [1] * len(systems)
+    for j in range(len(systems) - 1, 0, -1):
+        radices[j - 1] = radices[j] * len(ctx.cell_lists[j])
     flat_key = systems[0].flat_key  # the systems of one call are of one kind
+    keys = [list(map(flat_key, cells)) for cells in ctx.cell_lists]
+    last_keys, last_dims = keys[-1], ctx.dims[-1]
+    n_last = len(last_keys)
+    # the sort key of a tuple is the flat concatenation of its parts' keys,
+    # then the parts' keys; the first k-1 parts' share is kept per prefix,
+    # under the code of the prefix, code // n_last
+    prefix_keys = {}
+    by_grade: dict = {}
+    for ids, dsum, last in _walk(ctx):
+        if not last:
+            continue
+        base = sum(map(mul, ids, radices))
+        parts = tuple(map(getitem, keys, ids))
+        prefix_keys[base // n_last] = (sum(parts, ()), parts)
+        for idx in _bits(last):
+            by_grade.setdefault(dsum + last_dims[idx], []).append(base + idx)
+    codes = [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
 
-    def sort_key(t):
-        keys = tuple(map(flat_key, t))
-        return (sum(keys, ()), keys)
+    def sort_key(code):
+        prefix, c = divmod(code, n_last)
+        flat, parts = prefix_keys[prefix]
+        key = last_keys[c]
+        return (flat + key, parts + (key,))
 
-    index = {}
-    for tuples in grades:
-        tuples.sort(key=sort_key)
-        for pos, t in enumerate(tuples):
-            index[t] = pos
-    return InteractionBasis(systems, grades, index)
+    position = {}
+    for g in codes:
+        g.sort(key=sort_key)
+        for pos, code in enumerate(g):
+            position[code] = pos
+    return InteractionBasis(systems, radices, codes, position)
 
 
 def wu_characteristic(complexes) -> int:
@@ -174,10 +222,10 @@ def _profile_counts(systems) -> dict:
     its candidate bitset against the per-dimension cell bitsets."""
     ctx = _IntersectionContext(systems)
     dmasks = ctx.dim_masks[-1]
-    cell_dim = systems[0].cell_dim  # the systems of one call are of one kind
+    dims = ctx.dims
     counts: dict = {}
-    for parts, _, last in _walk(ctx):
-        profile = tuple(map(cell_dim, parts))
+    for ids, _, last in _walk(ctx):
+        profile = tuple(d[c] for d, c in zip(dims, ids))
         for d, mask in dmasks.items():
             n = (last & mask).bit_count()
             if n:

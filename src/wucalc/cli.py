@@ -37,6 +37,7 @@ from .cohomology import (
     normalize_complexes,
 )
 from .connection import (
+    check_connection_budget,
     connection_graph,
     fermi_characteristic,
     fredholm_characteristic,
@@ -338,6 +339,7 @@ def cmd_kuenneth(args):
 
 def cmd_connection(args):
     c = load_complex(args.file)
+    _bounded(check_connection_budget, c)
     cg = connection_graph(c)
     conn = _bounded(whitney_complex, cg)
     conn_edges = {frozenset(e) for e in cg.edges}
@@ -431,6 +433,10 @@ def cmd_curvature(args):
 def cmd_dimension(args):
     c = load_complex(args.file)
     g = c.skeleton_graph()
+    # inductive_dimension memoizes one value per vertex set it meets: the
+    # whole vertex set or the common neighbourhood of a clique of g, so the
+    # clique budget bounds its work too
+    _bounded(whitney_complex, g)
     emit({"inductive_dimension": inductive_dimension(g)})
 
 

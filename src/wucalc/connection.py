@@ -9,8 +9,10 @@ vector recovers the order-2 Wu characteristic.
 
 from __future__ import annotations
 
+from .basis import multivariate_euler_polynomial
 from .exact import det_bareiss
-from .simplicial import Complex, Graph, simplex_weight, whitney_complex
+from .simplicial import (MAX_SIMPLICES, OVER_BUDGET, Complex, Graph,
+                         simplex_weight, whitney_complex)
 
 
 def connection_matrix(c: Complex):
@@ -28,8 +30,22 @@ def connection_graph(c: Complex) -> Graph:
                                     for j in range(i + 1, len(row)) if row[j]])
 
 
+def check_connection_budget(c: Complex):
+    """Raise ValueError when the connection complex of c has more than
+    MAX_SIMPLICES simplices for certain, before the n x n connection matrix
+    is built. That complex holds a vertex per simplex and an edge per
+    unordered pair of distinct intersecting simplices; the k=2 profile
+    counts give the ordered intersecting pairs, the n pairs (x, x) among
+    them, without materializing any pair."""
+    n = len(c)
+    ordered = sum(multivariate_euler_polynomial(c, 2).values())
+    if n + (ordered - n) // 2 > MAX_SIMPLICES:
+        raise ValueError(OVER_BUDGET)
+
+
 def connection_complex(c: Complex) -> Complex:
     """Whitney complex of the connection graph."""
+    check_connection_budget(c)
     return whitney_complex(connection_graph(c))
 
 

@@ -62,8 +62,9 @@ class Complex:
     def cell_boundary(cell):
         """Signed codimension-1 faces, sign (-1)^m for the m-th vertex removed.
 
-        This is the package's one simplex face-sign rule; product cells and
-        interaction tuples combine it through leibniz_boundary."""
+        This is the package's one simplex face-sign rule; product cells
+        combine it through leibniz_boundary, and the interaction derivative
+        reads it through the face table of each complex."""
         if len(cell) == 1:
             return []
         out = []

@@ -101,23 +101,47 @@ def rank_mod(entries, p):
     return rank
 
 
-def naive_derivative_entries(tuples):
+def simplex_dim(x):
+    return len(x) - 1
+
+
+def product_boundary(cell):
+    """Signed faces of a Cartesian cell (a tuple of simplices), as
+    (sign, face) pairs: a face of factor i carries its simplex sign times
+    -1 to the dimensions of the factors before i."""
+    out = []
+    pre = 0
+    for i, x in enumerate(cell):
+        for s, face in simplex_boundary(x):
+            out.append(((-1) ** pre * s, cell[:i] + (face,) + cell[i + 1:]))
+        pre += len(x) - 1
+    return out
+
+
+def product_dim(cell):
+    return sum(len(x) - 1 for x in cell)
+
+
+def naive_derivative_entries(tuples, boundary=simplex_boundary,
+                             dim=simplex_dim):
     """Non-zero entries of the interaction derivative on a basis of tuples,
     as {(tuple, face tuple): value}: the sum over slots j and faces of part
     j of (-1)^(dims of the parts before j) times the face sign, keeping the
-    face tuples that are in the basis."""
+    face tuples that are in the basis. boundary and dim give the signed
+    faces and the dimension of one part: simplices by default, or
+    product_boundary and product_dim for Cartesian cells."""
     basis = set(tuples)
     entries = {}
     for t in tuples:
         pre = 0
         for j in range(len(t)):
             sj = 1 if pre % 2 == 0 else -1
-            for s, face in simplex_boundary(t[j]):
+            for s, face in boundary(t[j]):
                 ft = t[:j] + (face,) + t[j + 1:]
                 if ft in basis:
                     key = (t, ft)
                     entries[key] = entries.get(key, 0) + sj * s
-            pre += len(t[j]) - 1
+            pre += dim(t[j])
     return {key: v for key, v in entries.items() if v}
 
 

@@ -320,10 +320,15 @@ BAD_INPUT = [
     ["betti", "{deep}"],
     ["lefschetz", "{f}", "--aut", "[" * DEEP + "]" * DEEP],
     # over simplicial.MAX_SIMPLICES: a facet with 2**28 - 1 faces, the
-    # clique complex of K26, and the connection complex of a 4-simplex
+    # clique complex of K26, the connection complex of a 4-simplex, the
+    # connection complex of a 10-simplex (refused before its 2,047 x 2,047
+    # connection matrix is built) and the clique complex that bounds the
+    # inductive dimension of K26 given as JSON edge facets
     ["fvector", "{big}"],
     ["fvector", "{k26}"],
     ["connection", "{k5}"],
+    ["connection", "{facet11}"],
+    ["dimension", "{k26_facets}"],
 ]
 
 
@@ -347,7 +352,12 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
              "binary": str(binary), "deep": str(deep),
              "big": write_json(tmp_path, "big.json", [list(range(28))]),
              "k26": str(k26),
-             "k5": write_json(tmp_path, "k5.json", [[1, 2, 3, 4, 5]])}
+             "k5": write_json(tmp_path, "k5.json", [[1, 2, 3, 4, 5]]),
+             "facet11": write_json(tmp_path, "facet11.json",
+                                   [list(range(11))]),
+             "k26_facets": write_json(tmp_path, "k26.json",
+                                      [[u, v] for v in range(26)
+                                       for u in range(v)])}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 1
     assert out == ""

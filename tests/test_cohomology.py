@@ -204,6 +204,17 @@ def test_cohomology_data_is_cached_per_tuple():
     assert a is b
 
 
+def test_betti_leaves_the_basis_tuples_undecoded():
+    # the derivative and the ranks read only the integer codes; the tuples
+    # of cells are decoded for the callers that name cells
+    c = generate_complex([(1, 2, 3), (3, 4), (4, 5, 6)])
+    data = cohomology_data((c, c, c))
+    assert data.betti
+    assert "grades" not in vars(data.basis)
+    assert "index" not in vars(data.basis)
+    assert data.basis.grade_sizes() == [len(g) for g in data.basis.grades]
+
+
 def test_normalize_complexes_shapes_and_errors():
     p3 = path_complex(3)
     assert normalize_complexes(p3, 3) == (p3, p3, p3)

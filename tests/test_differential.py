@@ -13,8 +13,9 @@ from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
 from oracles import (
-    common_tuples, laplacian_is_block_diagonal, naive_derivative_entries,
-    random_facets, simplex_boundary,
+    common_product_tuples, common_tuples, laplacian_is_block_diagonal,
+    naive_derivative_entries, product_boundary, product_dim, random_facets,
+    simplex_boundary,
 )
 
 
@@ -43,6 +44,21 @@ def test_every_derivative_entry_matches_the_naive_sign_sum():
         b = build_basis((c, h))
         naive = naive_derivative_entries(common_tuples([c.cells, h.cells]))
         assert _derivative_entries(b) == naive
+
+
+def test_product_derivative_entries_match_the_naive_sign_sum():
+    rng = random.Random(2711)
+    for _ in range(10):
+        pc = ProductComplex([
+            generate_complex(random_facets(rng, max_vertices=4, max_facets=3,
+                                           max_size=3))
+            for _ in range(2)])
+        for k in (1, 2):
+            b = build_basis((pc,) * k)
+            naive = naive_derivative_entries(
+                common_product_tuples([pc.cells] * k),
+                product_boundary, product_dim)
+            assert _derivative_entries(b) == naive
 
 
 def test_derivative_blocks_have_consecutive_grade_shapes():
