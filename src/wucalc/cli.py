@@ -114,7 +114,8 @@ def nonnegative_float(text: str) -> float:
 
 def _bounded(fn, *args):
     """fn(*args), with the ValueError it raises on input over a budget (the
-    simplex, dense or automorphism vertex budget) as an input error."""
+    simplex, dense, automorphism vertex or Fredholm budget) as an input
+    error."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -357,7 +358,7 @@ def cmd_connection(args):
 
 def cmd_fredholm(args):
     c = load_complex(args.file)
-    fredholm = fredholm_characteristic(c)
+    fredholm = _bounded(fredholm_characteristic, c)
     fermi = fermi_characteristic(c)
     trace = wu_via_connection_trace(c)
     wu2 = wu_characteristic(normalize_complexes(c, 2))

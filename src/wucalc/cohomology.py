@@ -6,46 +6,72 @@ the derivative ranks certify it. The derivative ranks are cleared from the
 top grade down (the "twist" of Chen and Kerber, Persistent homology
 computation with a twist, 2011): d_(p+1) d_p = 0 makes every row of d_p at
 a pivot column of d_(p+1) redundant, so d_p is ranked without those rows.
+The Betti vector streams: each d_p is assembled from the basis without
+those rows, ranked and dropped, and only its pivot columns pass down to
+the next grade, so CohomologyData.betti never builds the whole derivative.
+The same clearing loop ranks the stored blocks of a derivative that is
+already built, for the Laplacian nullities and for a Betti vector asked for
+after the Laplacian.
 Betti vectors are reported with length equal to the number of grades of the
 basis (trailing zeros kept), which is how the reference tables print them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import exact
 from .basis import InteractionBasis, build_basis, wu_characteristic
 from .differential import (DiracLaplacian, GradedIntMatrix,
-                           dirac_and_laplacian, interaction_derivative)
+                           derivative_block, dirac_and_laplacian,
+                           interaction_derivative)
 from .exact import SparseIntMatrix
 
 
-def incident_ranks(d: GradedIntMatrix):
+def _block_source(source: InteractionBasis | GradedIntMatrix):
+    """(grade sizes, block) for a source of derivative blocks, where
+    block(p, skip) is d_p without the rows in skip. An InteractionBasis is
+    assembled one block at a time by derivative_block, which never builds
+    the skipped rows; a built GradedIntMatrix lends its stored blocks."""
+    if isinstance(source, InteractionBasis):
+        return source.grade_sizes(), partial(derivative_block, source)
+
+    def stored(p, skip):
+        b = source.blocks[p]
+        return SparseIntMatrix(b.nrows, b.ncols, {
+            i: r for i, r in b.rows.items() if i not in skip})
+
+    return source.grade_sizes, stored
+
+
+def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     """rank(d_(p-1)) + rank(d_p) for each grade p, exact; the derivative
-    into grade 0 and the one out of the top grade are zero.
+    into grade 0 and the one out of the top grade are zero. The source is
+    an InteractionBasis or a built GradedIntMatrix (see _block_source).
 
     The blocks are ranked from the top grade down, each without the rows
     at the pivot columns of the block above. Those columns J of d_(p+1) are
     independent and span its column space, so d_(p+1) d_p = 0 writes each
     row of d_p in J as a combination of its rows outside J, and dropping
-    them leaves rank(d_p) unchanged over Q.
+    them leaves rank(d_p) unchanged over Q. Only J passes from one grade to
+    the next: a block is dropped once ranked, so a basis source holds one
+    block and its elimination at a time, never the whole derivative.
     """
-    ranks = [0] * (len(d.blocks) + 2)
+    sizes, block = _block_source(source)
+    ranks = [0] * (len(sizes) + 1)
     cleared = set()
-    for p in range(len(d.blocks) - 1, -1, -1):
-        b = d.blocks[p]
-        rows = {i: r for i, r in b.rows.items() if i not in cleared}
-        cleared = set(exact.pivot_columns(
-            SparseIntMatrix(b.nrows, b.ncols, rows)))
+    for p in range(len(sizes) - 2, -1, -1):
+        cleared = set(exact.pivot_columns(block(p, cleared)))
         ranks[p + 1] = len(cleared)
-    return [ranks[p] + ranks[p + 1] for p in range(len(d.grade_sizes))]
+    return [ranks[p] + ranks[p + 1] for p in range(len(sizes))]
 
 
-def betti_vector(d: GradedIntMatrix):
-    """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade."""
+def betti_vector(source: InteractionBasis | GradedIntMatrix):
+    """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade, from an
+    InteractionBasis or a built GradedIntMatrix."""
     betti = []
-    for p, (n, r) in enumerate(zip(d.grade_sizes, incident_ranks(d))):
+    sizes, _ = _block_source(source)
+    for p, (n, r) in enumerate(zip(sizes, incident_ranks(source))):
         b = n - r
         if b < 0:
             raise ArithmeticError(
@@ -120,7 +146,10 @@ class CohomologyData:
 
     @cached_property
     def betti(self):
-        return betti_vector(self.derivative)
+        # a derivative that the Hodge, spectrum or Lefschetz route has built
+        # is ranked in place; otherwise the blocks stream from the basis, so
+        # this never fills self.derivative
+        return betti_vector(vars(self).get("derivative", self.basis))
 
     @cached_property
     def harmonic(self):
@@ -136,8 +165,10 @@ class CohomologyData:
 # k=2 around its k=1 Lefschetz sweep in the Hodge pass, 4 keys in all),
 # except in wucalc fixtures, whose 93 lookups hit once: star5 at k=2, again
 # 14 keys later for the star_star pair, which takes about 1 ms to rebuild.
-# Every entry keeps its basis, derivative and Laplacian alive, so a bound
-# of 64 would hold up to 64 of them for that one hit.
+# An entry of the Betti route keeps only its basis alive (its derivative is
+# streamed and dropped); one of the Hodge, spectrum or Lefschetz routes also
+# keeps its derivative and Laplacian, so a bound of 64 would hold up to 64
+# of them for that one hit.
 @lru_cache(maxsize=4)
 def cohomology_data(complexes: tuple) -> CohomologyData:
     return CohomologyData(complexes)

@@ -323,12 +323,15 @@ BAD_INPUT = [
     # clique complex of K26, the connection complex of a 4-simplex, the
     # connection complex of a 10-simplex (refused before its 2,047 x 2,047
     # connection matrix is built) and the clique complex that bounds the
-    # inductive dimension of K26 given as JSON edge facets
+    # inductive dimension of K26 given as JSON edge facets; over
+    # connection.MAX_FREDHOLM_SIMPLICES: the determinant of that 2,047 x
+    # 2,047 matrix, refused before it is built
     ["fvector", "{big}"],
     ["fvector", "{k26}"],
     ["connection", "{k5}"],
     ["connection", "{facet11}"],
     ["dimension", "{k26_facets}"],
+    ["fredholm", "{facet11}"],
 ]
 
 

@@ -9,12 +9,13 @@ from wucalc.catalog import (
     path_complex, rabbit,
 )
 from wucalc.cohomology import (
-    betti_vector, cohomology_data, euler_poincare_check, harmonic_basis,
-    incident_ranks, laplacian_nullities, normalize_complexes,
+    CohomologyData, betti_vector, cohomology_data, euler_poincare_check,
+    harmonic_basis, incident_ranks, laplacian_nullities, normalize_complexes,
     poincare_polynomial,
 )
 from wucalc.differential import interaction_derivative
 from wucalc.exact import SparseIntMatrix
+from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
 from oracles import integer_rank, naive_interaction_data, random_facets
@@ -195,6 +196,27 @@ def test_rows_at_the_pivot_columns_above_do_not_change_a_rank():
             assert exact.rank(SparseIntMatrix(b.nrows, b.ncols, rest)) == \
                 exact.rank(b)
     assert dropped > 0
+
+
+def test_streamed_betti_matches_the_built_derivative():
+    rng = random.Random(1201)
+    cases = rank_cases(1201) + [(cylinder(),) * 2]
+    for _ in range(4):
+        cases += [(ProductComplex([
+            generate_complex(random_facets(rng, max_vertices=4, max_facets=3,
+                                           max_size=3))
+            for _ in range(2)]),) * k for k in (1, 2, 3)]
+    for complexes in cases:
+        data = CohomologyData(complexes)
+        assert data.betti == betti_vector(data.derivative), complexes
+
+
+def test_betti_never_builds_the_whole_derivative():
+    # the Betti route assembles, ranks and drops one block at a time
+    c = generate_complex([(1, 2, 3), (3, 4), (4, 5, 6)])
+    data = CohomologyData((c, c, c))
+    assert data.betti == betti_vector(interaction_derivative(data.basis))
+    assert "derivative" not in vars(data)
 
 
 def test_cohomology_data_is_cached_per_tuple():

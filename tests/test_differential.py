@@ -6,9 +6,10 @@ import numpy as np
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
-    DiracLaplacian, dirac_and_laplacian, interaction_derivative,
-    verify_d_squared,
+    DiracLaplacian, derivative_block, dirac_and_laplacian,
+    interaction_derivative, verify_d_squared,
 )
+from wucalc.exact import SparseIntMatrix
 from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
@@ -17,6 +18,26 @@ from oracles import (
     naive_derivative_entries, product_boundary, product_dim, random_facets,
     simplex_boundary,
 )
+
+
+def test_a_derivative_block_leaves_out_exactly_its_skipped_rows():
+    rng = random.Random(1212)
+    cases = []
+    for _ in range(6):
+        c = generate_complex(random_facets(rng))
+        cases += [(c,) * k for k in (1, 2, 3)]
+        pc = ProductComplex([
+            generate_complex(random_facets(rng, max_vertices=4, max_facets=3,
+                                           max_size=3))
+            for _ in range(2)])
+        cases += [(pc,) * k for k in (1, 2, 3)]
+    for systems in cases:
+        b = build_basis(systems)
+        for p, full in enumerate(interaction_derivative(b).blocks):
+            skip = {i for i in range(full.nrows) if rng.random() < 0.5}
+            rest = {i: r for i, r in full.rows.items() if i not in skip}
+            assert derivative_block(b, p, skip) == SparseIntMatrix(
+                full.nrows, full.ncols, rest), (systems, p)
 
 
 def test_boundary_chain_signs_alternate():
