@@ -6,6 +6,10 @@ the derivative ranks certify it. The derivative ranks are cleared from the
 top grade down (the "twist" of Chen and Kerber, Persistent homology
 computation with a twist, 2011): d_(p+1) d_p = 0 makes every row of d_p at
 a pivot column of d_(p+1) redundant, so d_p is ranked without those rows.
+Each block is ranked by the standard left-looking reduction that goes with
+the twist (Bauer, Kerber, Reininghaus and Wagner, PHAT, 2017), in
+exact.pivot_columns, which stores the rows it need not reduce by reference
+and copies only those it reduces.
 The Betti vector streams: each d_p is assembled from the basis without
 those rows, ranked and dropped, and only its pivot columns pass down to
 the next grade, so CohomologyData.betti never builds the whole derivative.
@@ -18,23 +22,23 @@ basis (trailing zeros kept), which is how the reference tables print them.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from . import exact
 from .basis import InteractionBasis, build_basis, wu_characteristic
-from .differential import (DiracLaplacian, GradedIntMatrix,
-                           derivative_block, dirac_and_laplacian,
-                           interaction_derivative)
+from .differential import (DiracLaplacian, GradedIntMatrix, block_assembler,
+                           dirac_and_laplacian, interaction_derivative)
 from .exact import SparseIntMatrix
 
 
 def _block_source(source: InteractionBasis | GradedIntMatrix):
     """(grade sizes, block) for a source of derivative blocks, where
     block(p, skip) is d_p without the rows in skip. An InteractionBasis is
-    assembled one block at a time by derivative_block, which never builds
-    the skipped rows; a built GradedIntMatrix lends its stored blocks."""
+    assembled one block at a time by differential.block_assembler, which
+    never builds the skipped rows and shares its face tables among the
+    blocks; a built GradedIntMatrix lends its stored blocks."""
     if isinstance(source, InteractionBasis):
-        return source.grade_sizes(), partial(derivative_block, source)
+        return source.grade_sizes(), block_assembler(source)
 
     def stored(p, skip):
         b = source.blocks[p]
@@ -57,7 +61,11 @@ def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     the next: a block is dropped once ranked, so a basis source holds one
     block and its elimination at a time, never the whole derivative.
     """
-    sizes, block = _block_source(source)
+    return _incident_ranks(*_block_source(source))
+
+
+def _incident_ranks(sizes, block):
+    """incident_ranks on the grade sizes and block function of a source."""
     ranks = [0] * (len(sizes) + 1)
     cleared = set()
     for p in range(len(sizes) - 2, -1, -1):
@@ -70,8 +78,8 @@ def betti_vector(source: InteractionBasis | GradedIntMatrix):
     """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade, from an
     InteractionBasis or a built GradedIntMatrix."""
     betti = []
-    sizes, _ = _block_source(source)
-    for p, (n, r) in enumerate(zip(sizes, incident_ranks(source))):
+    sizes, block = _block_source(source)
+    for p, (n, r) in enumerate(zip(sizes, _incident_ranks(sizes, block))):
         b = n - r
         if b < 0:
             raise ArithmeticError(

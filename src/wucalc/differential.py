@@ -9,11 +9,12 @@ tuples that drop out of the basis (the parts lose their common point) are
 omitted; a tuple between two basis tuples is itself in the basis, which is
 why the restricted d still squares to zero.
 
-derivative_block is that one assembly loop, for one block d_p without a
-given set of rows: interaction_derivative lists its blocks with nothing
-skipped, and the streamed Betti route (cohomology.incident_ranks) asks for
-one block at a time without the rows that clearing drops, so those rows are
-never built and no more than one block is alive.
+block_assembler holds that one assembly loop, for one block d_p without a
+given set of rows, and builds the face tables once for all the blocks of
+one basis: interaction_derivative lists its blocks with nothing skipped,
+and the streamed Betti route (cohomology.incident_ranks) asks for one block
+at a time without the rows that clearing drops, so those rows are never
+built and no more than one block is alive.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
@@ -46,41 +47,47 @@ def _face_table(system):
     return faces, [system.cell_dim(cell) & 1 for cell in system.cells]
 
 
-def derivative_block(b: InteractionBasis, p: int, skip=()) -> SparseIntMatrix:
-    """d_p, from grade p to grade p+1, without the rows in skip: the one
-    assembly loop, which interaction_derivative runs with nothing skipped
-    and the streamed Betti route with the rows that clearing drops."""
+def block_assembler(b: InteractionBasis):
+    """The function block(p, skip=()) that assembles d_p, from grade p to
+    grade p+1, without the rows in skip: the one assembly loop. The face
+    table of each distinct complex is built once here, so a caller that
+    assembles several blocks of one basis shares it."""
     tables: dict = {}  # one face table per distinct complex
     for s in b.systems:
         if s not in tables:
             tables[s] = _face_table(s)
     slots = [(r, tables[s]) for r, s in zip(b.radices, b.systems)]
     get = b.position.get
-    m = SparseIntMatrix(len(b.codes[p + 1]), len(b.codes[p]))
-    for row, code in enumerate(b.codes[p + 1]):
-        if row in skip:
-            continue
-        # a face of part j swaps digit j for the face id and carries
-        # (-1)^(dims of the parts before j); distinct (slot, face) swaps
-        # give distinct codes, so each column is written once
-        entries = {}
-        rest, odd = code, 0
-        for r, (faces, parity) in slots:
-            c, rest = divmod(rest, r)
-            base = code - c * r
-            for f, sign in faces[c]:
-                col = get(base + f * r)
-                if col is not None:
-                    entries[col] = -sign if odd else sign
-            odd ^= parity[c]
-        if entries:
-            m.rows[row] = entries
-    return m
+
+    def block(p: int, skip=()) -> SparseIntMatrix:
+        m = SparseIntMatrix(len(b.codes[p + 1]), len(b.codes[p]))
+        for row, code in enumerate(b.codes[p + 1]):
+            if row in skip:
+                continue
+            # a face of part j swaps digit j for the face id and carries
+            # (-1)^(dims of the parts before j); distinct (slot, face) swaps
+            # give distinct codes, so each column is written once
+            entries = {}
+            rest, odd = code, 0
+            for r, (faces, parity) in slots:
+                c, rest = divmod(rest, r)
+                base = code - c * r
+                for f, sign in faces[c]:
+                    col = get(base + f * r)
+                    if col is not None:
+                        entries[col] = -sign if odd else sign
+                odd ^= parity[c]
+            if entries:
+                m.rows[row] = entries
+        return m
+
+    return block
 
 
 def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
+    block = block_assembler(b)
     return GradedIntMatrix(b.grade_sizes(), [
-        derivative_block(b, p) for p in range(len(b.codes) - 1)])
+        block(p) for p in range(len(b.codes) - 1)])
 
 
 def verify_d_squared(d: GradedIntMatrix) -> bool:

@@ -4,13 +4,25 @@ Everything in this module but rank_mod() and dense_array() runs on
 arbitrary-precision integers, so ranks, determinants and kernels come out
 exact; the numeric side of the package lives in dynamics.py.
 
-One sparse elimination core, _echelon(), serves pivot_columns(), rank(),
-nullity() and kernel_basis(). It works on a dict-of-rows copy, eliminates
-columns in ascending order, prefers unit pivots (smallest magnitude first)
-and rescales rows by their gcd, which keeps entries tiny on the very sparse
-derivative and Laplacian blocks. Because columns go in ascending order, its
-pivot columns are those of Gauss-Jordan, and back-substitution through its
-pivot rows yields the unique reduced-echelon kernel basis.
+Two sparse fraction-free eliminations share one step (_scale_for: scale
+a row by the least integer that clears an entry, then divide the row by its
+content) and give the same pivot columns, those of Gauss-Jordan; each
+serves the traffic it is fastest on.
+
+pivot_columns() and rank() serve the derivative blocks, which have +-1
+entries and, after clearing (see cohomology), almost only apparent pivots.
+They run the left-looking "standard reduction" of Bauer, Kerber,
+Reininghaus and Wagner (PHAT, JSC 2017) on rows: each row is reduced by the
+pivot rows stored so far, and a row that needs no reduction is stored by
+reference, so the block is neither copied nor indexed by column.
+
+_echelon() serves nullity() and kernel_basis(), which the Laplacian blocks
+reach. It works on a dict-of-rows copy with a column index, eliminates
+columns in ascending order and prefers unit pivots (smallest magnitude
+first). The Laplacian blocks fill in, and there choosing each pivot among
+all rows of its column runs faster than the left-looking loop (2.5x on the
+cylinder and Moebius k=2 blocks). Back-substitution through its pivot rows
+yields the unique reduced-echelon kernel basis.
 
 det_bareiss() stays a separate fraction-free elimination without any row
 scaling: the determinant value itself is the result, and gcd rescaling
@@ -111,6 +123,20 @@ def _row_gcd_normalize(row):
             row[j] //= g
 
 
+def _scale_for(row, p, v):
+    """The fraction-free step that clears an entry v of row by a pivot p:
+    scale row, in place, by the least integer that makes the multiple of
+    the pivot row integral, and return that multiple, beta; adding beta
+    times the pivot row then clears the entry."""
+    if v % p == 0:
+        return -(v // p)
+    g = gcd(p, v)
+    alpha = p // g
+    for j in row:
+        row[j] *= alpha
+    return -(v // g)
+
+
 def _echelon(m: SparseIntMatrix):
     """Sparse fraction-free row echelon form of m, one pivot at a time.
 
@@ -143,15 +169,7 @@ def _echelon(m: SparseIntMatrix):
             if r not in rows or c not in rows[r]:
                 continue
             row = rows[r]
-            v = row[c]
-            if v % p == 0:
-                alpha, beta = 1, -(v // p)
-            else:
-                g = gcd(p, v)
-                alpha, beta = p // g, -(v // g)
-            if alpha != 1:
-                for j in row:
-                    row[j] *= alpha
+            beta = _scale_for(row, p, row[c])
             for j, w in prow.items():
                 nv = row.get(j, 0) + beta * w
                 if nv:
@@ -170,10 +188,51 @@ def _echelon(m: SparseIntMatrix):
             return
 
 
+def _eliminate(row, prow, c):
+    """Clear column c of row, in place, by a multiple of prow, whose leading
+    entry sits at c, then divide row by its content."""
+    beta = _scale_for(row, prow[c], row[c])
+    for j, w in prow.items():
+        nv = row.get(j, 0) + beta * w
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    if row:
+        _row_gcd_normalize(row)
+
+
 def pivot_columns(m: SparseIntMatrix):
     """The pivot columns of m's echelon form, ascending: linearly
-    independent columns of m that span its column space."""
-    return [c for c, _ in _echelon(m)]
+    independent columns of m that span its column space.
+
+    Left-looking reduction, one row at a time in m.rows order: a row whose
+    leading column holds no stored pivot row becomes the pivot there, by
+    reference; any other row is copied once and reduced by the stored
+    pivots until it vanishes or leads at a free column. When the incoming
+    row has the smaller (|leading entry|, length) it takes the stored row's
+    place, and a copy of the stored row is reduced instead, so no row of m
+    is ever changed. The stored rows have distinct leading columns and span
+    the row space of m, and the leading columns of any echelon basis of a
+    row space are its Gauss-Jordan pivot columns.
+    """
+    pivots: dict = {}
+    for row in m.rows.values():
+        owned = False
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            if (abs(row[c]), len(row)) < (abs(prow[c]), len(prow)):
+                pivots[c], row, prow = row, prow, row
+                owned = False
+            if not owned:
+                row = dict(row)
+                owned = True
+            _eliminate(row, prow, c)
+    return sorted(pivots)
 
 
 def rank(m: SparseIntMatrix) -> int:
@@ -182,7 +241,7 @@ def rank(m: SparseIntMatrix) -> int:
 
 
 def nullity(m: SparseIntMatrix) -> int:
-    return m.ncols - rank(m)
+    return m.ncols - sum(1 for _ in _echelon(m))
 
 
 def check_dense(m: SparseIntMatrix):

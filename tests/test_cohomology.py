@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wucalc import catalog, exact
+from wucalc import catalog, differential, exact
 from wucalc.basis import build_basis, multivariate_euler_polynomial
 from wucalc.catalog import (
     cycle_complex, cylinder, figure_eight, generate_complex, moebius,
@@ -217,6 +217,22 @@ def test_betti_never_builds_the_whole_derivative():
     data = CohomologyData((c, c, c))
     assert data.betti == betti_vector(interaction_derivative(data.basis))
     assert "derivative" not in vars(data)
+
+
+def test_a_pass_builds_each_face_table_once(monkeypatch):
+    # one face table per distinct complex, per streamed Betti pass and per
+    # built derivative, not one per block
+    builds = []
+    face_table = differential._face_table
+    monkeypatch.setattr(differential, "_face_table",
+                        lambda s: builds.append(s) or face_table(s))
+    c, e = generate_complex([(1, 2, 3), (3, 4)]), path_complex(3)
+    for systems in ((c, c, c), (c, e, c)):
+        b = build_basis(systems)
+        for run in (incident_ranks, betti_vector, interaction_derivative):
+            builds.clear()
+            run(b)
+            assert sorted(map(id, builds)) == sorted(map(id, set(systems)))
 
 
 def test_cohomology_data_is_cached_per_tuple():

@@ -6,7 +6,7 @@ import numpy as np
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
-    DiracLaplacian, derivative_block, dirac_and_laplacian,
+    DiracLaplacian, block_assembler, dirac_and_laplacian,
     interaction_derivative, verify_d_squared,
 )
 from wucalc.exact import SparseIntMatrix
@@ -33,10 +33,11 @@ def test_a_derivative_block_leaves_out_exactly_its_skipped_rows():
         cases += [(pc,) * k for k in (1, 2, 3)]
     for systems in cases:
         b = build_basis(systems)
+        block = block_assembler(b)
         for p, full in enumerate(interaction_derivative(b).blocks):
             skip = {i for i in range(full.nrows) if rng.random() < 0.5}
             rest = {i: r for i, r in full.rows.items() if i not in skip}
-            assert derivative_block(b, p, skip) == SparseIntMatrix(
+            assert block(p, skip) == SparseIntMatrix(
                 full.nrows, full.ncols, rest), (systems, p)
 
 

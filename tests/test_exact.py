@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from wucalc import exact
-from wucalc.catalog import cylinder
-from wucalc.cohomology import cohomology_data
+from wucalc.basis import build_basis
+from wucalc.catalog import cylinder, generate_complex
+from wucalc.cohomology import cohomology_data, incident_ranks
+from wucalc.differential import block_assembler, interaction_derivative
 from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 
 from oracles import (
     PRIMES, charpoly, fraction_det, fraction_kernel, fraction_rank, rank_mod,
-    sparse_from_dense,
+    random_facets, sparse_from_dense,
 )
 
 
@@ -114,6 +116,64 @@ def test_kernel_of_a_matrix_without_rows_is_the_identity():
     assert kernel_basis(SparseIntMatrix(0, 3)) == [[1, 0, 0], [0, 1, 0],
                                                    [0, 0, 1]]
     assert rank(SparseIntMatrix(0, 3)) == 0
+
+
+def pivot_cases(rng):
+    """Seeded integer matrices for pivot_columns: entries in -3..3, so that
+    non-unit leading entries force pivot swaps, with zero rows (left out of
+    the sparse rows) and duplicate rows, in a shuffled row order."""
+    cases = []
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        rows = random_int_matrix(rng, nrows, ncols, -3, 3,
+                                 density=rng.choice([0.3, 0.6, 1.0]))
+        for _ in range(rng.randint(0, 2)):
+            rows[rng.randrange(nrows)] = [0] * ncols
+        for _ in range(rng.randint(0, 2)):
+            rows.append(list(rng.choice(rows)))
+        m = to_sparse(rows)
+        order = list(m.rows)
+        rng.shuffle(order)
+        cases.append(SparseIntMatrix(m.nrows, m.ncols,
+                                     {i: m.rows[i] for i in order}))
+    return cases
+
+
+def derivative_cases(rng):
+    """Seeded derivative blocks at k = 1, 2, 3, each without a random set of
+    its rows."""
+    for _ in range(8):
+        c = generate_complex(random_facets(rng))
+        for k in (1, 2, 3):
+            b = build_basis((c,) * k)
+            block = block_assembler(b)
+            for p, n in enumerate(b.grade_sizes()[1:]):
+                skip = {i for i in range(n) if rng.random() < 0.3}
+                yield block(p, skip)
+
+
+def test_pivot_columns_are_the_echelon_pivots():
+    cases = pivot_cases(random.Random(1313))
+    cases += derivative_cases(random.Random(1314))
+    for m in cases:
+        pivots = exact.pivot_columns(m)
+        assert pivots == [c for c, _ in exact._echelon(m)], m.rows
+        entries = {(i, j): v for i, j, v in m.triples()}
+        assert all(len(pivots) == rank_mod(entries, q) for q in PRIMES)
+
+
+def test_pivot_columns_never_changes_its_input():
+    c = cylinder()
+    d = interaction_derivative(build_basis((c, c)))
+    cases = pivot_cases(random.Random(1315)) + d.blocks
+    for m in cases:
+        before = list(m.triples())
+        exact.pivot_columns(m)
+        assert list(m.triples()) == before
+    # incident_ranks lends each stored block's rows to pivot_columns
+    before = [list(b.triples()) for b in d.blocks]
+    incident_ranks(d)
+    assert [list(b.triples()) for b in d.blocks] == before
 
 
 def rank_mod_cases(rng):
