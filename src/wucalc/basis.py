@@ -37,6 +37,14 @@ from operator import getitem, mul
 
 from .simplicial import Complex, f_vector
 
+# A walk over more intersecting k-tuples than this is refused before it
+# starts, since its time grows with the count and a basis stores every
+# tuple: on a 2-vCPU host the Wu characteristic of two triangles sharing an
+# edge walks at least 6**9 (about 10**7) tuples at k = 9 in 8.6 s. The count
+# is bounded from below by the stars of the atoms (see _IntersectionContext),
+# which puts every row of catalog.MAIN_TABLE far under this budget.
+MAX_TUPLES = 2 ** 24
+
 
 def _bits(m):
     while m:
@@ -46,7 +54,10 @@ def _bits(m):
 
 
 class _IntersectionContext:
-    """Bitset tables for common-intersection queries across k complexes."""
+    """Bitset tables for common-intersection queries across k complexes.
+
+    Raises ValueError when the walk would yield more than MAX_TUPLES
+    tuples, judged before any tuple is enumerated."""
 
     def __init__(self, systems):
         if not systems:
@@ -80,6 +91,20 @@ class _IntersectionContext:
             self.full.append((1 << len(cells)) - 1)
             self.dim_masks.append(dmask)
             self.inc.append(inc)
+
+        # the cells of each system that contain one atom all meet there, so
+        # there are at least prod_j |star of the atom in system j| tuples
+        least = 0
+        for a, cells in self.inc[0].items():
+            n = cells.bit_count()
+            for inc in self.inc[1:]:
+                n *= inc.get(a, 0).bit_count()
+            if n > least:
+                least = n
+        if least > MAX_TUPLES:
+            raise ValueError(
+                f"at least {least} intersecting {len(systems)}-tuples, more "
+                f"than the tuple budget of {MAX_TUPLES}")
 
     def candidates(self, t, running):
         """Bitset of cells of system t whose support meets the atom bitset

@@ -12,7 +12,8 @@ formats are sniffed automatically:
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a requested
 mathematical check fails. A complex of more than simplicial.MAX_SIMPLICES
-simplices, read or built, is an input error.
+simplices, read or built, is an input error, and so is a tuple walk over
+more than basis.MAX_TUPLES intersecting k-tuples.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def nonnegative_float(text: str) -> float:
 
 def _bounded(fn, *args):
     """fn(*args), with the ValueError it raises on input over a budget (the
-    simplex, dense, automorphism vertex or Fredholm budget) as an input
-    error."""
+    simplex, tuple, dense, automorphism vertex or Fredholm budget) as an
+    input error."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -220,7 +221,7 @@ def _load_k_complexes(args):
 
 
 def cmd_betti(args):
-    result = euler_poincare_check(_load_k_complexes(args), args.k)
+    result = _bounded(euler_poincare_check, _load_k_complexes(args), args.k)
     emit(result)
     if not result["euler_poincare_ok"]:
         raise CheckFailure("betti vector violates Euler-Poincare")
@@ -228,7 +229,7 @@ def cmd_betti(args):
 
 def cmd_wu(args):
     systems = normalize_complexes(_load_k_complexes(args), args.k)
-    emit({"k": args.k, "wu": wu_characteristic(systems)})
+    emit({"k": args.k, "wu": _bounded(wu_characteristic, systems)})
 
 
 def cmd_fvector(args):
@@ -241,12 +242,12 @@ def cmd_fvector(args):
 
 def cmd_fmatrix(args):
     c = load_complex(args.file)
-    emit({"k": args.k, "f_matrix": f_tensor(c, args.k)})
+    emit({"k": args.k, "f_matrix": _bounded(f_tensor, c, args.k)})
 
 
 def cmd_euler_poly(args):
     c = load_complex(args.file)
-    poly = multivariate_euler_polynomial(c, args.k)
+    poly = _bounded(multivariate_euler_polynomial, c, args.k)
     terms = {",".join(str(e) for e in exp): coeff
              for exp, coeff in sorted(poly.items())}
     emit({
@@ -303,7 +304,7 @@ def cmd_lefschetz(args):
         autos = [_parse_automorphism(args.aut, c)]
     results = []
     for t in autos:
-        res = lefschetz_fixed_point_check(t, c, args.k)
+        res = _bounded(lefschetz_fixed_point_check, t, c, args.k)
         res["map"] = {str(v): t[v] for v in sorted(t)}
         results.append(res)
     total = sum(r["lefschetz"] for r in results)
@@ -332,7 +333,7 @@ def cmd_product(args):
 def cmd_kuenneth(args):
     a = load_complex(args.files[0])
     b = load_complex(args.files[1])
-    result = kuenneth_check(a, b, args.k)
+    result = _bounded(kuenneth_check, a, b, args.k)
     emit(result)
     if not result["kuenneth_ok"]:
         raise CheckFailure("product cohomology does not factor")
@@ -378,7 +379,7 @@ def cmd_fredholm(args):
 def cmd_spectrum(args):
     c = load_complex(args.file)
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
-    spectra = _bounded(block_spectra, data.dirac, args.tol)
+    spectra = _bounded(lambda: block_spectra(data.dirac, args.tol))
     gap = supersymmetry_gap(spectra, tol=args.tol)
     payload = {
         "k": args.k,

@@ -2,15 +2,16 @@
 isospectral Lax deformation of the Dirac operator.
 
 Everything here is floating point by design; exact integer invariants live
-in the other modules and the tests reconcile the two views.
+in the other modules and the tests reconcile the two views. Each function
+that uses numpy imports it in its own body, so importing this module, as
+the package and the command line front end do, does not load numpy: only
+the commands that ask for floats pay for it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-
-import numpy
 
 from .differential import DiracLaplacian
 from .exact import check_dense, dense_array
@@ -34,6 +35,8 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
     checked against them and a mismatch logs a warning rather than raising,
     since the caller asked for floats. A block over the dense budget raises
     ValueError before the first eigensolve."""
+    import numpy
+
     for block in dl.laplacian_blocks:
         check_dense(block)
     out = []
@@ -54,6 +57,8 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
 
 
 def dirac_spectrum(dl: DiracLaplacian):
+    import numpy
+
     dense = dense_array(dl.dirac)
     if dense.size == 0:
         return numpy.zeros(0)
@@ -62,6 +67,8 @@ def dirac_spectrum(dl: DiracLaplacian):
 
 def mckean_singer_supertrace(spectra, t: float) -> float:
     """Supertrace of the heat kernel at time t from per-grade spectra."""
+    import numpy
+
     total = 0.0
     for p, evals in enumerate(spectra):
         term = float(numpy.sum(numpy.exp(-t * evals)))
@@ -104,6 +111,8 @@ def supertrace_power(dl: DiracLaplacian, n: int) -> int:
 def wave_evolve(dl: DiracLaplacian, u0, v0, t: float):
     """d'Alembert solution of u'' = -L u with u(0)=u0, u'(0)=v0, computed
     through the Dirac operator: zero modes drift linearly, the rest rotate."""
+    import numpy
+
     d = dense_array(dl.dirac)
     u0 = numpy.asarray(u0, dtype=float)
     v0 = numpy.asarray(v0, dtype=float)
@@ -123,6 +132,8 @@ def wave_evolve(dl: DiracLaplacian, u0, v0, t: float):
 def _bracket_rhs(d, raising_mask, diagonal_mask):
     """[B(D), D] for B = d - d^T built from the raising part of D, minus
     i times its diagonal part when a diagonal mask is given."""
+    import numpy
+
     raising = numpy.where(raising_mask, d, 0.0)
     b = raising - raising.conj().T
     if diagonal_mask is not None:
@@ -156,6 +167,8 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
         raise ValueError(f"{steps} RK4 steps on a {dl.size} x {dl.size} "
                          f"Dirac matrix exceed the work budget of "
                          f"{MAX_LAX_WORK:.0e} steps x n^3")
+    import numpy
+
     grades = numpy.asarray(dl.grading())
     # entries from grade q to grade q + 1, and within one grade
     raising_mask = grades[:, None] == grades[None, :] + 1

@@ -2,7 +2,11 @@
 
 Everything in this module but rank_mod() and dense_array() runs on
 arbitrary-precision integers, so ranks, determinants and kernels come out
-exact; the numeric side of the package lives in dynamics.py.
+exact; the numeric side of the package lives in dynamics.py. Those two
+functions import numpy in their own bodies, and nothing else in the package
+imports it at module level: Betti vectors, Wu characteristics, Lefschetz
+numbers and Kuenneth checks never touch a float, and loading numpy takes a
+one-shot command longer than all of its mathematics.
 
 Two sparse fraction-free eliminations share one step (_scale_for: scale
 a row by the least integer that clears an entry, then divide the row by its
@@ -38,8 +42,6 @@ from above, as cohomology.laplacian_nullities does.
 from __future__ import annotations
 
 from math import gcd
-
-import numpy
 
 # rank_mod() works over GF(_MODULUS), the largest prime below 2**22, one
 # panel of _PANEL columns at a time; these are constants, not tuning knobs
@@ -255,6 +257,8 @@ def check_dense(m: SparseIntMatrix):
 def dense_array(m: SparseIntMatrix):
     """m as a dense float64 numpy array, checked by check_dense() before
     any allocation."""
+    import numpy
+
     check_dense(m)
     a = numpy.zeros((m.nrows, m.ncols))
     for i, row in m.rows.items():
@@ -262,8 +266,9 @@ def dense_array(m: SparseIntMatrix):
     return a
 
 
-def _reduce(x):
-    """x mod _MODULUS as residues of magnitude at most _MODULUS / 2 + 1.
+def _reduce(x, rint):
+    """x mod _MODULUS as residues of magnitude at most _MODULUS / 2 + 1;
+    rint is numpy.rint, which rank_mod() hands over.
 
     For integers |x| < 2**53, x * (1 / q) is within 2 / q of x / q, so its
     rounding k leaves |x - k q| <= q / 2 + 1, and k q and x - k q are
@@ -271,7 +276,7 @@ def _reduce(x):
     residue class but runs a bitwise long division whose cost grows with
     x / q, which makes it many times slower on the trailing sums near 2**49.
     """
-    return x - numpy.rint(x * (1.0 / _MODULUS)) * _MODULUS
+    return x - rint(x * (1.0 / _MODULUS)) * _MODULUS
 
 
 def rank_mod(m: SparseIntMatrix) -> int:
@@ -294,6 +299,9 @@ def rank_mod(m: SparseIntMatrix) -> int:
     q = _MODULUS
     if not m.rows:
         return 0
+    import numpy
+
+    rint = numpy.rint
     a = numpy.zeros((m.nrows, m.ncols))
     for i, row in m.rows.items():
         a[i, list(row)] = [v % q for v in row.values()]
@@ -312,9 +320,9 @@ def rank_mod(m: SparseIntMatrix) -> int:
             h, live = hits[0], hits[1:]
             inv = pow(int(pan[j, h]) % q, q - 2, q)
             if live.size and j + 1 < c1 - c0:
-                unit = _reduce(pan[j + 1:, h] * inv)
+                unit = _reduce(pan[j + 1:, h] * inv, rint)
                 pan[j + 1:, live] = _reduce(
-                    pan[j + 1:, live] - numpy.outer(unit, pan[j, live]))
+                    pan[j + 1:, live] - numpy.outer(unit, pan[j, live]), rint)
             free[h] = False
             piv.append(h)
             cols.append(j)
@@ -329,13 +337,13 @@ def rank_mod(m: SparseIntMatrix) -> int:
         l11 = pan[numpy.ix_(cols, piv)].T
         for k, inv in enumerate(invs):
             if k:
-                u12[k] = _reduce(u12[k] - l11[k, :k] @ u12[:k])
-            u12[k] = _reduce(u12[k] * inv)
+                u12[k] = _reduce(u12[k] - l11[k, :k] @ u12[:k], rint)
+            u12[k] = _reduce(u12[k] * inv, rint)
         l21 = pan[numpy.ix_(cols, numpy.flatnonzero(free))].T
         hit = numpy.flatnonzero(l21.any(axis=1))
         if hit.size:
             live = rest[hit]
-            a[live, c1:] = _reduce(a[live, c1:] - l21[hit] @ u12)
+            a[live, c1:] = _reduce(a[live, c1:] - l21[hit] @ u12, rint)
     return rank
 
 

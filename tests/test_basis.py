@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from wucalc import basis, catalog
 from wucalc.basis import (
     build_basis, eval_multivariate, euler_polynomial, f_matrix, f_tensor,
     multivariate_euler_polynomial, polynomial_string, wu_characteristic,
@@ -81,6 +82,41 @@ def test_mixing_a_complex_with_a_product_is_refused():
             build_basis(systems)
         with pytest.raises(ValueError):
             wu_characteristic(systems)
+
+
+def test_the_tuple_budget_is_a_lower_bound_on_the_walk(monkeypatch):
+    # with the budget set to the true tuple count, nothing is refused
+    rng = random.Random(3301)
+    cases = []
+    for _ in range(15):
+        c = generate_complex(random_facets(rng))
+        d = generate_complex(random_facets(rng))
+        cases += [[c] * k for k in (1, 2, 3)] + [[c, d], [c, d, c]]
+        pc = ProductComplex([c, d])
+        cases += [[pc], [pc, pc]]
+    for systems in cases:
+        count = sum(basis._profile_counts(systems).values())
+        monkeypatch.setattr(basis, "MAX_TUPLES", count)
+        basis._IntersectionContext(systems)
+        monkeypatch.undo()
+
+
+def test_walks_over_the_tuple_budget_are_refused_before_they_start():
+    # a vertex of two triangles sharing an edge lies in 6 simplices, so at
+    # least 6**k k-tuples meet there: 6**9 < 2**24 < 6**10
+    two = generate_complex([(0, 1, 2), (1, 2, 3)])
+    basis._IntersectionContext([two] * 9)
+    for k in (10, 40):
+        for walk in (build_basis, wu_characteristic):
+            with pytest.raises(ValueError, match="tuple budget"):
+                walk([two] * k)
+
+
+def test_every_catalog_row_is_under_the_tuple_budget():
+    for name, k in catalog.MAIN_TABLE:
+        basis._IntersectionContext([catalog.NAMED[name]()] * k)
+    for _, g, h, *_ in catalog.pair_fixtures():
+        basis._IntersectionContext([g, h])
 
 
 def test_grades_are_indexed_by_total_dimension():

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +336,17 @@ BAD_INPUT = [
     ["connection", "{facet11}"],
     ["dimension", "{k26_facets}"],
     ["fredholm", "{facet11}"],
+    # over basis.MAX_TUPLES: two triangles sharing an edge have a vertex in
+    # 6 simplices, so at least 6**k k-tuples meet there (6**10 is about
+    # 6e7); the walks behind these commands are refused before they start
+    ["wu", "{two}", "-k", "12"],
+    ["betti", "{two}", "-k", "40"],
+    ["fmatrix", "{two}", "-k", "10"],
+    ["euler-poly", "{two}", "-k", "10"],
+    ["lefschetz", "{two}", "-k", "10"],
+    ["kuenneth", "{two}", "{two}", "-k", "5"],
+    ["spectrum", "{two}", "-k", "10"],
+    ["deform", "{two}", "-k", "10"],
 ]
 
 
@@ -360,7 +375,8 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
                                    [list(range(11))]),
              "k26_facets": write_json(tmp_path, "k26.json",
                                       [[u, v] for v in range(26)
-                                       for u in range(v)])}
+                                       for u in range(v)]),
+             "two": write_json(tmp_path, "two.json", [[0, 1, 2], [1, 2, 3]])}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 1
     assert out == ""
@@ -412,3 +428,65 @@ def test_help_lists_every_command(capsys):
     assert code == 0
     listed = re.findall(r"^    (\S+)", out, re.M)
     assert listed == list(cli.COMMANDS)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fresh(*args):
+    """sys.executable with args in a fresh interpreter that imports wucalc
+    from this checkout; pytest has numpy loaded already, a fresh one not."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Imports wucalc, then runs each command of argv lists given as JSON, and
+# prints, as its last line, whether numpy was loaded after each step and the
+# exit code of each command.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import wucalc
+seen = [("import wucalc", "numpy" in sys.modules, 0)]
+from wucalc import cli
+seen.append(("import wucalc.cli", "numpy" in sys.modules, 0))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append((argv[0], "numpy" in sys.modules, code))
+print(json.dumps(seen))
+"""
+
+
+def test_only_spectrum_and_deform_load_numpy(triangle, interval, tmp_path):
+    argvs = [["betti", triangle, "-k", "2"], ["wu", triangle, "-k", "2"],
+             ["fvector", triangle], ["fmatrix", triangle, "-k", "2"],
+             ["euler-poly", triangle, "-k", "2"], ["refine", triangle],
+             ["lefschetz", triangle, "-k", "1"],
+             ["product", interval, interval],
+             ["kuenneth", interval, interval, "-k", "2"],
+             ["connection", triangle], ["fredholm", triangle],
+             ["curvature", triangle], ["dimension", triangle],
+             ["fixtures"]]
+    assert {a[0] for a in argvs} == set(cli.COMMANDS) - {"spectrum", "deform"}
+    # the last command shows that the probe sees numpy once it is loaded
+    argvs.append(["spectrum", triangle, "-k", "1"])
+    proc = run_fresh("-c", IMPORT_PROBE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == ([["import wucalc", False, 0],
+                     ["import wucalc.cli", False, 0]]
+                    + [[a[0], False, 0] for a in argvs[:-1]]
+                    + [["spectrum", True, 0]])
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "-k", "2"],
+                                  ["deform", "-k", "1"]])
+def test_numeric_commands_run_cold(argv, triangle, capsys):
+    """spectrum and deform import numpy on first use; in a fresh interpreter
+    they give the output of an in-process run."""
+    cmd = [argv[0], triangle, *argv[1:]]
+    proc = run_fresh("-m", "wucalc.cli", *cmd)
+    code, out, _ = run(capsys, *cmd)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert code == 0
