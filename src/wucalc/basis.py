@@ -37,13 +37,19 @@ from operator import getitem, mul
 
 from .simplicial import Complex, f_vector
 
-# A walk over more intersecting k-tuples than this is refused before it
-# starts, since its time grows with the count and a basis stores every
-# tuple: on a 2-vCPU host the Wu characteristic of two triangles sharing an
-# edge walks at least 6**9 (about 10**7) tuples at k = 9 in 8.6 s. The count
-# is bounded from below by the stars of the atoms (see _IntersectionContext),
-# which puts every row of catalog.MAIN_TABLE far under this budget.
+# A walk over more intersecting k-tuples than this is refused, since its
+# time grows with the count and a basis stores every tuple: on a 2-vCPU host
+# the Wu characteristic of two triangles sharing an edge walks at least 6**9
+# (about 10**7) tuples at k = 9 in 8.6 s. The star bound of
+# _IntersectionContext refuses most such walks before they start, and _walk
+# the rest once its count passes the budget.
 MAX_TUPLES = 2 ** 24
+
+
+def _check_budget(count, k):
+    if count > MAX_TUPLES:
+        raise ValueError(f"at least {count} intersecting {k}-tuples, more "
+                         f"than the tuple budget of {MAX_TUPLES}")
 
 
 def _bits(m):
@@ -56,8 +62,8 @@ def _bits(m):
 class _IntersectionContext:
     """Bitset tables for common-intersection queries across k complexes.
 
-    Raises ValueError when the walk would yield more than MAX_TUPLES
-    tuples, judged before any tuple is enumerated."""
+    Raises ValueError when the star bound shows that the walk would yield
+    more than MAX_TUPLES tuples, before any tuple is enumerated."""
 
     def __init__(self, systems):
         if not systems:
@@ -101,10 +107,7 @@ class _IntersectionContext:
                 n *= inc.get(a, 0).bit_count()
             if n > least:
                 least = n
-        if least > MAX_TUPLES:
-            raise ValueError(
-                f"at least {least} intersecting {len(systems)}-tuples, more "
-                f"than the tuple budget of {MAX_TUPLES}")
+        _check_budget(least, len(systems))
 
     def candidates(self, t, running):
         """Bitset of cells of system t whose support meets the atom bitset
@@ -165,13 +168,18 @@ def _walk(ctx):
     """Yield (ids, dsum, last) for every tuple ids of cell ids for the first
     k-1 slots whose cells have a non-empty common intersection: dsum is
     their total dimension and last the candidate bitset of the final
-    system. Prefixes come in depth-first order over ascending cell ids."""
+    system. Prefixes come in depth-first order over ascending cell ids.
+    Raises ValueError once the tuples yielded so far pass MAX_TUPLES."""
     k = len(ctx.systems)
     dims, sup_bits = ctx.dims, ctx.sup_bits
+    count = 0
 
     def rec(j, ids, running, dsum):
+        nonlocal count
         cand = ctx.candidates(j, running)
         if j == k - 1:
+            count += cand.bit_count()
+            _check_budget(count, k)
             yield ids, dsum, cand
             return
         for idx in _bits(cand):

@@ -44,7 +44,8 @@ from .connection import (
     fredholm_characteristic,
     wu_via_connection_trace,
 )
-from .dynamics import block_spectra, lax_deform, supersymmetry_gap
+from .dynamics import block_spectra, lax_deform, lax_steps, supersymmetry_gap
+from .exact import check_dense
 from .lefschetz import complex_automorphisms, lefschetz_fixed_point_check
 from .ring import kuenneth_check, product_cell_complex
 from .simplicial import (
@@ -379,6 +380,8 @@ def cmd_fredholm(args):
 def cmd_spectrum(args):
     c = load_complex(args.file)
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
+    n = _bounded(lambda: max(data.basis.grade_sizes(), default=0))
+    _bounded(check_dense, n, n)  # the largest L_p, before any is built
     spectra = _bounded(lambda: block_spectra(data.dirac, args.tol))
     gap = supersymmetry_gap(spectra, tol=args.tol)
     payload = {
@@ -400,11 +403,12 @@ def cmd_deform(args):
     c = load_complex(args.file)
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
     mode = "complex" if args.complex else "real"
+    # D is as large as the basis: its budget is checked before D is built
+    _bounded(lambda: lax_steps(sum(data.basis.grade_sizes()),
+                               args.tmax, args.dt))
     try:
         _, report = lax_deform(data.dirac, mode=mode,
                                t_max=args.tmax, dt=args.dt)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
     except ArithmeticError as exc:
         emit({"error": str(exc)})
         raise CheckFailure(str(exc))

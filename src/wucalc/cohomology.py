@@ -27,7 +27,8 @@ from functools import cached_property, lru_cache
 from . import exact
 from .basis import InteractionBasis, build_basis, wu_characteristic
 from .differential import (DiracLaplacian, GradedIntMatrix, block_assembler,
-                           dirac_and_laplacian, interaction_derivative)
+                           dirac_and_laplacian, dirac_columns,
+                           interaction_derivative)
 from .exact import SparseIntMatrix
 
 
@@ -91,10 +92,17 @@ def betti_vector(source: InteractionBasis | GradedIntMatrix):
 def harmonic_basis(dl: DiracLaplacian):
     """Exact rational kernel bases of the Laplacian blocks, one list per grade.
 
+    ker L_p is taken as ker M_p, the rows of d_p and the columns of d_(p-1)
+    stacked (differential.dirac_columns): L_p = M_p^T M_p, so x^T L_p x =
+    |M_p x|^2 and the two share their kernel over Q, hence their row space
+    and their reduced-echelon kernel basis; M_p has +-1 entries and none of
+    the Gram fill-in. Taking the DiracLaplacian keeps the d^2 = 0 check of
+    dirac_and_laplacian in front of every caller.
+
     Vectors are primitive integer vectors; their count per grade equals the
     Betti number (Hodge-Weyl), which the tests cross-check.
     """
-    return [exact.kernel_basis(b) for b in dl.laplacian_blocks]
+    return [exact.kernel_basis(m) for m in dirac_columns(dl.derivative)]
 
 
 def laplacian_nullities(dl: DiracLaplacian):

@@ -22,6 +22,8 @@ shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .basis import InteractionBasis
 from .exact import SparseIntMatrix
 
@@ -111,42 +113,44 @@ def _gram(vectors):
     return {i: {j: w for j, w in row.items() if w} for i, row in rows.items()}
 
 
+def dirac_columns(d: GradedIntMatrix):
+    """The columns of D = d + d^T on each grade p, as a matrix M_p with n_p
+    columns whose rows are the rows of d_p (shared, not copied) and the
+    columns of d_(p-1), keyed by their coordinate in the full graded space.
+    So D is the sum of the M_p placed at their column offsets, and
+    L_p = M_p^T M_p."""
+    offsets = list(accumulate(d.grade_sizes, initial=0))
+    out = []
+    for p, n in enumerate(d.grade_sizes):
+        rows: dict = {}
+        if p < len(d.blocks):
+            rows = {offsets[p + 1] + i: r for i, r in d.blocks[p].rows.items()}
+        if p > 0:
+            for i, row in d.blocks[p - 1].rows.items():
+                for j, v in row.items():
+                    rows.setdefault(offsets[p - 1] + j, {})[i] = v
+        out.append(SparseIntMatrix(offsets[-1], n, rows))
+    return out
+
+
 class DiracLaplacian:
     """D = d + d^T on the full graded space and the blocks of L = D^2."""
 
     def __init__(self, derivative: GradedIntMatrix):
         self.derivative = derivative
         self.grade_sizes = derivative.grade_sizes
-        self.offsets = []
-        off = 0
-        for n in self.grade_sizes:
-            self.offsets.append(off)
-            off += n
-        self.size = off
-        blocks = derivative.blocks
-        # D holds each d_p and its transpose, in blocks of different grades
-        # that never overlap; columns[p] holds d_p by column, {col: {row: v}}
+        *self.offsets, self.size = accumulate(self.grade_sizes, initial=0)
+        columns = dirac_columns(derivative)
         dirac: dict = {}
-        columns = []
-        for p, blk in enumerate(blocks):
-            ro, co = self.offsets[p + 1], self.offsets[p]
-            cols: dict = {}
-            for i, row in blk.rows.items():
-                drow = dirac.setdefault(ro + i, {})
-                for j, v in row.items():
-                    drow[co + j] = v
-                    dirac.setdefault(co + j, {})[ro + i] = v
-                    cols.setdefault(j, {})[i] = v
-            columns.append(cols)
-        self.dirac = SparseIntMatrix(off, off, dirac)
+        for m, co in zip(columns, self.offsets):
+            for i, row in m.rows.items():
+                dirac.setdefault(i, {}).update(
+                    (co + j, v) for j, v in row.items())
+        self.dirac = SparseIntMatrix(self.size, self.size, dirac)
         # L_p = d_p^T d_p + d_(p-1) d_(p-1)^T is the sum of v v^T over the
-        # rows v of d_p and the columns v of d_(p-1)
-        self.laplacian_blocks = []
-        for p, n in enumerate(self.grade_sizes):
-            vectors = list(blocks[p].rows.values()) if p < len(blocks) else []
-            if p > 0:
-                vectors.extend(columns[p - 1].values())
-            self.laplacian_blocks.append(SparseIntMatrix(n, n, _gram(vectors)))
+        # rows v of M_p
+        self.laplacian_blocks = [SparseIntMatrix(n, n, _gram(m.rows.values()))
+                                 for m, n in zip(columns, self.grade_sizes)]
 
     def grading(self):
         """Grade label per coordinate of the full space."""

@@ -37,8 +37,8 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
     ValueError before the first eigensolve."""
     import numpy
 
-    for block in dl.laplacian_blocks:
-        check_dense(block)
+    for n in dl.grade_sizes:
+        check_dense(n, n)
     out = []
     for p, block in enumerate(dl.laplacian_blocks):
         n = block.nrows
@@ -141,6 +141,23 @@ def _bracket_rhs(d, raising_mask, diagonal_mask):
     return b @ d - d @ b
 
 
+def lax_steps(size: int, t_max: float, dt: float) -> int:
+    """The RK4 steps of lax_deform on a size x size Dirac matrix, where size
+    is the basis size; ValueError when t_max / dt exceeds MAX_LAX_STEPS or
+    steps times size**3 exceeds MAX_LAX_WORK."""
+    if dt <= 0 or t_max < 0:
+        raise ValueError("need dt > 0 and t_max >= 0")
+    if not t_max / dt <= MAX_LAX_STEPS:
+        raise ValueError(f"t_max / dt = {t_max / dt:.3g} asks for more than "
+                         f"{MAX_LAX_STEPS} RK4 steps")
+    steps = max(1, int(round(t_max / dt)))
+    if steps * size ** 3 > MAX_LAX_WORK:
+        raise ValueError(f"{steps} RK4 steps on a {size} x {size} "
+                         f"Dirac matrix exceed the work budget of "
+                         f"{MAX_LAX_WORK:.0e} steps x n^3")
+    return steps
+
+
 def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
                dt: float = 0.01):
     """Integrate D' = [B(D), D] with fourth order Runge-Kutta.
@@ -148,25 +165,16 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     In real mode B = d - d^T built from the current raising part; the flow
     is isospectral and pushes D toward block diagonal form. Complex mode
     adds -i b and makes the operator genuinely complex. Raises ValueError
-    before the dense copy when t_max / dt exceeds MAX_LAX_STEPS or steps
-    times n**3 exceeds MAX_LAX_WORK, and ArithmeticError on spectral drift
-    beyond ten times the allowed tolerance.
+    before the dense copy when lax_steps refuses the flow, and
+    ArithmeticError on spectral drift beyond ten times the allowed
+    tolerance.
 
     Returns (d, report): d is the deformed Dirac matrix at t_max, report
     carries the drift diagnostics.
     """
     if mode not in ("real", "complex"):
         raise ValueError(f"unknown deformation mode {mode!r}")
-    if dt <= 0 or t_max < 0:
-        raise ValueError("need dt > 0 and t_max >= 0")
-    if not t_max / dt <= MAX_LAX_STEPS:
-        raise ValueError(f"t_max / dt = {t_max / dt:.3g} asks for more than "
-                         f"{MAX_LAX_STEPS} RK4 steps")
-    steps = max(1, int(round(t_max / dt)))
-    if steps * dl.size ** 3 > MAX_LAX_WORK:
-        raise ValueError(f"{steps} RK4 steps on a {dl.size} x {dl.size} "
-                         f"Dirac matrix exceed the work budget of "
-                         f"{MAX_LAX_WORK:.0e} steps x n^3")
+    steps = lax_steps(dl.size, t_max, dt)
     import numpy
 
     grades = numpy.asarray(dl.grading())

@@ -8,35 +8,28 @@ imports it at module level: Betti vectors, Wu characteristics, Lefschetz
 numbers and Kuenneth checks never touch a float, and loading numpy takes a
 one-shot command longer than all of its mathematics.
 
-Two sparse fraction-free eliminations share one step (_scale_for: scale
-a row by the least integer that clears an entry, then divide the row by its
-content) and give the same pivot columns, those of Gauss-Jordan; each
-serves the traffic it is fastest on.
-
-pivot_columns() and rank() serve the derivative blocks, which have +-1
-entries and, after clearing (see cohomology), almost only apparent pivots.
-They run the left-looking "standard reduction" of Bauer, Kerber,
-Reininghaus and Wagner (PHAT, JSC 2017) on rows: each row is reduced by the
-pivot rows stored so far, and a row that needs no reduction is stored by
-reference, so the block is neither copied nor indexed by column.
-
-_echelon() serves nullity() and kernel_basis(), which the Laplacian blocks
-reach. It works on a dict-of-rows copy with a column index, eliminates
-columns in ascending order and prefers unit pivots (smallest magnitude
-first). The Laplacian blocks fill in, and there choosing each pivot among
-all rows of its column runs faster than the left-looking loop (2.5x on the
-cylinder and Moebius k=2 blocks). Back-substitution through its pivot rows
-yields the unique reduced-echelon kernel basis.
+One sparse elimination, the left-looking "standard reduction" of Bauer,
+Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves rank(),
+pivot_columns(), nullity() and kernel_basis(). It reduces each row by the
+pivot rows stored so far and stores a row that needs no reduction by
+reference, so a matrix is neither copied nor indexed by column. Its
+traffic has +-1 entries: the derivative blocks, after clearing (see
+cohomology) almost only apparent pivots, and the stacked derivative whose
+kernel is the harmonic forms (see cohomology.harmonic_basis). The stored
+rows are an echelon basis of the row space, so their leading columns are
+the Gauss-Jordan pivot columns and back-substitution through them yields
+the unique reduced-echelon kernel basis.
 
 det_bareiss() stays a separate fraction-free elimination without any row
 scaling: the determinant value itself is the result, and gcd rescaling
 would change it.
 
-rank_mod() is a dense blocked elimination over GF(q) in numpy floats whose
-every intermediate is an integer below 2**53, so its arithmetic is exact.
-Its result is only a lower bound on the rational rank (q may divide a
-minor): a caller trusts it only under a certificate that closes the gap
-from above, as cohomology.laplacian_nullities does.
+rank_mod() stays separate because it gives only a lower bound on the
+rational rank (q may divide a minor), fast: a dense blocked elimination
+over GF(q) in numpy floats, suited to the filled-in Laplacian blocks, whose
+every intermediate is an integer below 2**53, so its arithmetic is exact. A
+caller trusts it only under a certificate that closes the gap from above,
+as cohomology.laplacian_nullities does.
 """
 
 from __future__ import annotations
@@ -114,7 +107,24 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def _row_gcd_normalize(row):
+def _eliminate(row, prow, c):
+    """Clear column c of row, in place, by a multiple of prow, whose leading
+    entry sits at c, first scaling row by the least integer that makes that
+    multiple integral; then divide row by its content."""
+    p, v = prow[c], row[c]
+    if v % p == 0:
+        beta = -(v // p)
+    else:
+        g = gcd(p, v)
+        for j in row:
+            row[j] *= p // g
+        beta = -(v // g)
+    for j, w in prow.items():
+        nv = row.get(j, 0) + beta * w
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
     g = 0
     for v in row.values():
         g = gcd(g, v)
@@ -125,88 +135,9 @@ def _row_gcd_normalize(row):
             row[j] //= g
 
 
-def _scale_for(row, p, v):
-    """The fraction-free step that clears an entry v of row by a pivot p:
-    scale row, in place, by the least integer that makes the multiple of
-    the pivot row integral, and return that multiple, beta; adding beta
-    times the pivot row then clears the entry."""
-    if v % p == 0:
-        return -(v // p)
-    g = gcd(p, v)
-    alpha = p // g
-    for j in row:
-        row[j] *= alpha
-    return -(v // g)
-
-
-def _echelon(m: SparseIntMatrix):
-    """Sparse fraction-free row echelon form of m, one pivot at a time.
-
-    Yields (pivot column, pivot row) in ascending column order; a pivot row
-    is a {col: value} dict whose entries all sit at or right of its pivot
-    column. The pivot in a column is the entry of smallest magnitude (unit
-    entries first), ties broken by row sparsity and then row index, which
-    keeps the elimination deterministic. Each pivot row leaves the working
-    set when it is yielded, so a caller that drops it holds no memory.
-    """
-    rows = {i: dict(r) for i, r in m.rows.items()}
-    colrows: dict = {}
-    for i, r in rows.items():
-        for j in r:
-            colrows.setdefault(j, set()).add(i)
-
-    # fill-in only lands in columns some pivot row already touches, so the
-    # columns present at the start are all the columns that can ever pivot
-    for c in sorted(colrows):
-        cand = colrows.get(c)
-        if not cand:
-            continue
-        piv = min(cand, key=lambda i: (abs(rows[i][c]) != 1,
-                                       abs(rows[i][c]), len(rows[i]), i))
-        prow = rows.pop(piv)
-        for j in prow:
-            colrows[j].discard(piv)
-        p = prow[c]
-        for r in sorted(cand):
-            if r not in rows or c not in rows[r]:
-                continue
-            row = rows[r]
-            beta = _scale_for(row, p, row[c])
-            for j, w in prow.items():
-                nv = row.get(j, 0) + beta * w
-                if nv:
-                    if j not in row:
-                        colrows.setdefault(j, set()).add(r)
-                    row[j] = nv
-                elif j in row:
-                    del row[j]
-                    colrows[j].discard(r)
-            if row:
-                _row_gcd_normalize(row)
-            else:
-                del rows[r]
-        yield c, prow
-        if not rows:
-            return
-
-
-def _eliminate(row, prow, c):
-    """Clear column c of row, in place, by a multiple of prow, whose leading
-    entry sits at c, then divide row by its content."""
-    beta = _scale_for(row, prow[c], row[c])
-    for j, w in prow.items():
-        nv = row.get(j, 0) + beta * w
-        if nv:
-            row[j] = nv
-        else:
-            del row[j]
-    if row:
-        _row_gcd_normalize(row)
-
-
-def pivot_columns(m: SparseIntMatrix):
-    """The pivot columns of m's echelon form, ascending: linearly
-    independent columns of m that span its column space.
+def pivot_rows(m: SparseIntMatrix) -> dict:
+    """An echelon basis of the row space of m, as {leading column: row};
+    every entry of a row sits at or right of its leading column.
 
     Left-looking reduction, one row at a time in m.rows order: a row whose
     leading column holds no stored pivot row becomes the pivot there, by
@@ -214,9 +145,7 @@ def pivot_columns(m: SparseIntMatrix):
     pivots until it vanishes or leads at a free column. When the incoming
     row has the smaller (|leading entry|, length) it takes the stored row's
     place, and a copy of the stored row is reduced instead, so no row of m
-    is ever changed. The stored rows have distinct leading columns and span
-    the row space of m, and the leading columns of any echelon basis of a
-    row space are its Gauss-Jordan pivot columns.
+    is ever changed; nor may a caller change the rows returned.
     """
     pivots: dict = {}
     for row in m.rows.values():
@@ -234,23 +163,30 @@ def pivot_columns(m: SparseIntMatrix):
                 row = dict(row)
                 owned = True
             _eliminate(row, prow, c)
-    return sorted(pivots)
+    return pivots
+
+
+def pivot_columns(m: SparseIntMatrix):
+    """The pivot columns of m's echelon form, ascending: linearly
+    independent columns of m that span its column space."""
+    return sorted(pivot_rows(m))
 
 
 def rank(m: SparseIntMatrix) -> int:
     """Exact rank over the rationals by sparse integer elimination."""
-    return len(pivot_columns(m))
+    return len(pivot_rows(m))
 
 
 def nullity(m: SparseIntMatrix) -> int:
-    return m.ncols - sum(1 for _ in _echelon(m))
+    return m.ncols - rank(m)
 
 
-def check_dense(m: SparseIntMatrix):
-    """Raise ValueError when a dense copy of m would have more than
-    MAX_DENSE_ENTRIES entries."""
-    if m.nrows * m.ncols > MAX_DENSE_ENTRIES:
-        raise ValueError(f"a {m.nrows} x {m.ncols} block exceeds the dense "
+def check_dense(nrows: int, ncols: int):
+    """Raise ValueError when a dense nrows x ncols copy would have more than
+    MAX_DENSE_ENTRIES entries; a shape is enough, so a caller can refuse
+    before it builds the block."""
+    if nrows * ncols > MAX_DENSE_ENTRIES:
+        raise ValueError(f"a {nrows} x {ncols} block exceeds the dense "
                          f"budget of {MAX_DENSE_ENTRIES} entries")
 
 
@@ -259,7 +195,7 @@ def dense_array(m: SparseIntMatrix):
     any allocation."""
     import numpy
 
-    check_dense(m)
+    check_dense(m.nrows, m.ncols)
     a = numpy.zeros((m.nrows, m.ncols))
     for i, row in m.rows.items():
         a[i, list(row)] = list(row.values())
@@ -394,37 +330,23 @@ def det_bareiss(matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _primitive(vec):
-    """Divide an integer vector by its content and make its first non-zero
-    entry positive."""
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    if g > 1:
-        vec = [v // g for v in vec]
-    for v in vec:
-        if v:
-            if v < 0:
-                vec = [-w for w in vec]
-            break
-    return vec
-
-
 def kernel_basis(m: SparseIntMatrix):
-    """Exact kernel of an integer matrix, as primitive integer vectors.
+    """Exact kernel of an integer matrix, as primitive integer vectors whose
+    first non-zero entry is positive.
 
     One basis vector per free (non-pivot) column f, ordered by ascending f:
     the kernel vector that is 1 at f and 0 at every other free column, which
     is the reduced-echelon basis Gauss-Jordan gives, so the result is
-    deterministic. Its last non-zero entry sits at f, because a pivot row
-    only reaches columns right of its pivot. Each vector is found by integer
-    back-substitution through the echelon pivot rows.
+    deterministic and depends only on the row space of m. Its last non-zero
+    entry sits at f, because a pivot row only reaches columns right of its
+    pivot. Each vector is found by integer back-substitution through the
+    rows of pivot_rows().
     """
-    pivots = list(_echelon(m))
-    pivot_cols = {c for c, _ in pivots}
+    rows = pivot_rows(m)
+    pivots = sorted(rows.items())
     basis = []
     for f in range(m.ncols):
-        if f in pivot_cols:
+        if f in rows:
             continue
         # x is the kernel vector scaled to integers; pivots right of f
         # only see zeros of x, so their entries stay 0
@@ -442,8 +364,14 @@ def kernel_basis(m: SparseIntMatrix):
                     x[j] *= scale
                 s *= scale
             x[c] = -s // p
+        # every entry of x is non-zero; divide it by its signed content
+        g = 0
+        for v in x.values():
+            g = gcd(g, v)
+        if x[min(x)] < 0:
+            g = -g
         vec = [0] * m.ncols
         for j, v in x.items():
-            vec[j] = v
-        basis.append(_primitive(vec))
+            vec[j] = v // g
+        basis.append(vec)
     return basis

@@ -112,6 +112,21 @@ def test_walks_over_the_tuple_budget_are_refused_before_they_start():
                 walk([two] * k)
 
 
+def test_walks_past_the_tuple_budget_are_refused_as_they_count(monkeypatch):
+    # three disjoint edges: a vertex lies in 2 simplices, so the star bound
+    # is 2**4 = 16 at k = 4, but each edge carries 2 * 2**4 - 1 = 31 tuples
+    three = generate_complex([(1, 2), (3, 4), (5, 6)])
+    systems = [three] * 4
+    assert sum(basis._profile_counts(systems).values()) == 93
+    monkeypatch.setattr(basis, "MAX_TUPLES", 93)
+    assert sum(build_basis(systems).grade_sizes()) == 93
+    monkeypatch.setattr(basis, "MAX_TUPLES", 50)
+    basis._IntersectionContext(systems)
+    for walk in (build_basis, wu_characteristic):
+        with pytest.raises(ValueError, match="tuple budget"):
+            walk(systems)
+
+
 def test_every_catalog_row_is_under_the_tuple_budget():
     for name, k in catalog.MAIN_TABLE:
         basis._IntersectionContext([catalog.NAMED[name]()] * k)

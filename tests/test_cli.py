@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from wucalc import cli, exact
-from wucalc.catalog import cylinder
+from wucalc import cli, dynamics, exact
+from wucalc.catalog import cylinder, generate_complex
 from wucalc.cohomology import cohomology_data
 
 
@@ -211,6 +211,25 @@ def test_spectrum_over_the_dense_budget_is_bad_input(tmp_path, capsys,
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "dense budget" in err
+
+
+@pytest.mark.parametrize("command, module, budget", [
+    ("spectrum", exact, "MAX_DENSE_ENTRIES"),
+    ("deform", dynamics, "MAX_LAX_WORK"),
+])
+def test_spectrum_and_deform_refuse_before_the_derivative_is_built(
+        command, module, budget, tmp_path, capsys, monkeypatch):
+    facets = [[1, 2, 3], [3, 4]]
+    f = write_json(tmp_path, "f.json", facets)
+    monkeypatch.setattr(module, budget, 1)
+    cohomology_data.cache_clear()
+    code, out, err = run(capsys, command, f, "-k", "2")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "budget" in err
+    c = generate_complex(facets)
+    assert "derivative" not in vars(cohomology_data((c, c)))
 
 
 def test_spectrum_output_is_strict_json(tmp_path, capsys, caplog):

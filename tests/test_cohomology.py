@@ -18,7 +18,8 @@ from wucalc.exact import SparseIntMatrix
 from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
-from oracles import integer_rank, naive_interaction_data, random_facets
+from oracles import (fraction_kernel, integer_rank, naive_interaction_data,
+                     random_facets)
 
 
 def test_order_one_betti_matches_classical_homology():
@@ -135,6 +136,17 @@ def test_harmonic_vectors_are_integer_kernel_elements():
             assert all(isinstance(v, int) for v in vec)
             image = [sum(a * b for a, b in zip(row, vec)) for row in dense]
             assert all(v == 0 for v in image)
+    # harmonic_basis takes the kernel of the stacked derivative, not of
+    # L_p itself: on seeded random complexes it is the Fraction kernel of L_p
+    rng = random.Random(77)
+    for _ in range(8):
+        c = generate_complex(random_facets(rng))
+        for k in (1, 2):
+            dl = cohomology_data((c,) * k).dirac
+            h = harmonic_basis(dl)
+            for p, block in enumerate(dl.laplacian_blocks):
+                want = fraction_kernel(block.to_dense()) if block.nrows else []
+                assert h[p] == want, (c, k, p)
 
 
 def test_rank_nullity_accounting():

@@ -11,8 +11,8 @@ from wucalc.differential import block_assembler, interaction_derivative
 from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 
 from oracles import (
-    PRIMES, charpoly, fraction_det, fraction_kernel, fraction_rank, rank_mod,
-    random_facets, sparse_from_dense,
+    PRIMES, charpoly, fraction_det, fraction_kernel, fraction_rank,
+    fraction_rref, rank_mod, random_facets, sparse_from_dense,
 )
 
 
@@ -157,7 +157,7 @@ def test_pivot_columns_are_the_echelon_pivots():
     cases += derivative_cases(random.Random(1314))
     for m in cases:
         pivots = exact.pivot_columns(m)
-        assert pivots == [c for c, _ in exact._echelon(m)], m.rows
+        assert pivots == fraction_rref(m.to_dense())[1], m.rows
         entries = {(i, j): v for i, j, v in m.triples()}
         assert all(len(pivots) == rank_mod(entries, q) for q in PRIMES)
 
@@ -169,6 +169,9 @@ def test_pivot_columns_never_changes_its_input():
     for m in cases:
         before = list(m.triples())
         exact.pivot_columns(m)
+        assert list(m.triples()) == before
+        # kernel_basis reads the pivot rows, some of them rows of m
+        kernel_basis(m)
         assert list(m.triples()) == before
     # incident_ranks lends each stored block's rows to pivot_columns
     before = [list(b.triples()) for b in d.blocks]
