@@ -52,6 +52,13 @@ def _check_budget(count, k):
                          f"than the tuple budget of {MAX_TUPLES}")
 
 
+def _find(root, a):
+    """The root of atom a in the union-find forest root, halving its path."""
+    while root.setdefault(a, a) != a:
+        root[a] = a = root[root[a]]
+    return a
+
+
 def _bits(m):
     while m:
         lsb = m & -m
@@ -62,8 +69,9 @@ def _bits(m):
 class _IntersectionContext:
     """Bitset tables for common-intersection queries across k complexes.
 
-    Raises ValueError when the star bound shows that the walk would yield
-    more than MAX_TUPLES tuples, before any tuple is enumerated."""
+    Raises ValueError when the star bound, summed over the components of
+    the first complex, shows that the walk would yield more than
+    MAX_TUPLES tuples, before any tuple is enumerated."""
 
     def __init__(self, systems):
         if not systems:
@@ -99,15 +107,23 @@ class _IntersectionContext:
             self.inc.append(inc)
 
         # the cells of each system that contain one atom all meet there, so
-        # there are at least prod_j |star of the atom in system j| tuples
-        least = 0
+        # there are at least prod_j |star of the atom in system j| tuples;
+        # tuples counted at atoms in two components of the first system's
+        # cells differ in their first cell, so the components' maxima add up
+        root: dict = {}
+        for mask in self.sup_bits[0]:
+            ids = _bits(mask)
+            top = _find(root, next(ids))
+            for aid in ids:
+                root[_find(root, aid)] = top
+        least: dict = {}
         for a, cells in self.inc[0].items():
             n = cells.bit_count()
             for inc in self.inc[1:]:
                 n *= inc.get(a, 0).bit_count()
-            if n > least:
-                least = n
-        _check_budget(least, len(systems))
+            r = _find(root, a)
+            least[r] = max(least.get(r, 0), n)
+        _check_budget(sum(least.values()), len(systems))
 
     def candidates(self, t, running):
         """Bitset of cells of system t whose support meets the atom bitset
@@ -308,16 +324,6 @@ def multivariate_euler_polynomial(c: Complex, k: int) -> dict:
     if k < 1:
         raise ValueError("order k must be at least 1")
     return _profile_counts([c] * k)
-
-
-def eval_multivariate(poly: dict, values) -> int:
-    total = 0
-    for expo, coeff in poly.items():
-        term = coeff
-        for e, v in zip(expo, values):
-            term *= v ** e
-        total += term
-    return total
 
 
 def polynomial_string(poly: dict) -> str:

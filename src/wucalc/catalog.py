@@ -1,8 +1,9 @@
 """Named example complexes and frozen expectation tables.
 
-Builders return fresh Complex (or Graph) objects so callers can mutate
-nothing shared. The tables at the bottom drive the fixtures runner and the
-acceptance suite: MAIN_TABLE holds (wu, betti) per complex and order k,
+Builders return fresh Complex objects so callers can mutate nothing
+shared; a builder of a Whitney complex builds its Graph inside, and no
+builder returns one. The tables at the bottom drive the fixtures runner and
+the acceptance suite: MAIN_TABLE holds (wu, betti) per complex and order k,
 PAIR_TABLE holds the two-complex intersection fixtures. A few entries carry
 notes where the published values contain slips; the stored numbers are the
 ones consistent with Euler-Poincare, and the notes say what differs.
@@ -24,72 +25,7 @@ from .simplicial import (
 
 
 # ---------------------------------------------------------------------------
-# graphs
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    vs = range(1, n + 1)
-    return Graph(vs, [(i, i % n + 1) for i in vs])
-
-
-def path_graph(n: int) -> Graph:
-    vs = range(1, n + 1)
-    return Graph(vs, [(i, i + 1) for i in range(1, n)])
-
-
-def star_graph(n: int) -> Graph:
-    """Star with center 0 and n rays."""
-    return Graph(range(n + 1), [(0, i) for i in range(1, n + 1)])
-
-
-def wheel_graph() -> Graph:
-    """Hub 0 joined to the 4-cycle 1-2-3-4."""
-    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]
-    return Graph(range(5), edges)
-
-
-def octahedron_graph() -> Graph:
-    """Six vertices, all pairs adjacent except the three antipodal ones."""
-    anti = {frozenset((1, 6)), frozenset((2, 5)), frozenset((3, 4))}
-    vs = range(1, 7)
-    edges = [(i, j) for i in vs for j in vs
-             if i < j and frozenset((i, j)) not in anti]
-    return Graph(vs, edges)
-
-
-def icosahedron_graph() -> Graph:
-    edges = [(0, i) for i in range(1, 6)]
-    edges += [(i, i % 5 + 1) for i in range(1, 6)]
-    edges += [(5 + i, 5 + i % 5 + 1) for i in range(1, 6)]
-    edges += [(11, 5 + i) for i in range(1, 6)]
-    edges += [(i, 5 + i) for i in range(1, 6)]
-    edges += [(i, 5 + i % 5 + 1) for i in range(1, 6)]
-    return Graph(range(12), edges)
-
-
-def hypercube_graph(d: int) -> Graph:
-    vs = range(2 ** d)
-    edges = [(u, u ^ (1 << b)) for u in vs for b in range(d)
-             if u < u ^ (1 << b)]
-    return Graph(vs, edges)
-
-
-def cube_graph() -> Graph:
-    return hypercube_graph(3)
-
-
-def tesseract_graph() -> Graph:
-    return hypercube_graph(4)
-
-
-# ---------------------------------------------------------------------------
 # complexes
-
-
-def point() -> Complex:
-    return generate_complex([(1,)])
 
 
 def complete_complex(n: int) -> Complex:
@@ -97,15 +33,21 @@ def complete_complex(n: int) -> Complex:
 
 
 def cycle_complex(n: int) -> Complex:
-    return whitney_complex(cycle_graph(n))
+    if n < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    vs = range(1, n + 1)
+    return whitney_complex(Graph(vs, [(i, i % n + 1) for i in vs]))
 
 
 def path_complex(n: int = 3) -> Complex:
-    return whitney_complex(path_graph(n))
+    vs = range(1, n + 1)
+    return whitney_complex(Graph(vs, [(i, i + 1) for i in range(1, n)]))
 
 
 def star_complex(n: int) -> Complex:
-    return whitney_complex(star_graph(n))
+    """Star with center 0 and n rays."""
+    rays = [(0, i) for i in range(1, n + 1)]
+    return whitney_complex(Graph(range(n + 1), rays))
 
 
 def bouquet(k: int) -> Complex:
@@ -131,16 +73,36 @@ def house() -> Complex:
 
 
 def octahedron() -> Complex:
-    return whitney_complex(octahedron_graph())
+    """Six vertices, all pairs adjacent except the three antipodal ones."""
+    anti = {frozenset((1, 6)), frozenset((2, 5)), frozenset((3, 4))}
+    vs = range(1, 7)
+    edges = [(i, j) for i in vs for j in vs
+             if i < j and frozenset((i, j)) not in anti]
+    return whitney_complex(Graph(vs, edges))
 
 
 def icosahedron() -> Complex:
-    return whitney_complex(icosahedron_graph())
+    edges = [(0, i) for i in range(1, 6)]
+    edges += [(i, i % 5 + 1) for i in range(1, 6)]
+    edges += [(5 + i, 5 + i % 5 + 1) for i in range(1, 6)]
+    edges += [(11, 5 + i) for i in range(1, 6)]
+    edges += [(i, 5 + i) for i in range(1, 6)]
+    edges += [(i, 5 + i % 5 + 1) for i in range(1, 6)]
+    return whitney_complex(Graph(range(12), edges))
 
 
 def wheel_complex() -> Complex:
-    """The 2-ball: four filled triangles around a hub."""
-    return whitney_complex(wheel_graph())
+    """The 2-ball: four filled triangles joining hub 0 to the 4-cycle."""
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]
+    return whitney_complex(Graph(range(5), edges))
+
+
+def hypercube(d: int) -> Complex:
+    """Whitney complex of the d-cube graph; it has no triangles."""
+    vs = range(2 ** d)
+    edges = [(u, u ^ (1 << b)) for u in vs for b in range(d)
+             if u < u ^ (1 << b)]
+    return whitney_complex(Graph(vs, edges))
 
 
 def disk() -> Complex:
@@ -275,13 +237,6 @@ def disk_boundary_point() -> Complex:
     return generate_complex([(_disk_idx()[(1,)],)])
 
 
-def two_circles() -> tuple:
-    """Two 4-cycles crossing in exactly two vertices."""
-    g = cycle_complex(4)
-    h = generate_complex([(1, 5), (3, 5), (3, 6), (1, 6)])
-    return g, h
-
-
 # ---------------------------------------------------------------------------
 # frozen expectations
 
@@ -306,8 +261,8 @@ NAMED = {
     "bouquet5": lambda: bouquet(5),
     "rabbit": rabbit,
     "house": house,
-    "cube": lambda: whitney_complex(cube_graph()),
-    "tesseract": lambda: whitney_complex(tesseract_graph()),
+    "cube": lambda: hypercube(3),
+    "tesseract": lambda: hypercube(4),
     "moebius": moebius,
     "cylinder": cylinder,
     "projective_plane": projective_plane,
@@ -477,7 +432,5 @@ PAIR_TABLE = [
 
 
 def pair_fixtures():
-    out = []
-    for name, bg, bh, wu, betti, note in PAIR_TABLE:
-        out.append((name, bg(), bh(), wu, betti, note))
-    return out
+    return [(name, bg(), bh(), wu, betti, note)
+            for name, bg, bh, wu, betti, note in PAIR_TABLE]

@@ -97,12 +97,14 @@ def harmonic_basis(dl: DiracLaplacian):
     |M_p x|^2 and the two share their kernel over Q, hence their row space
     and their reduced-echelon kernel basis; M_p has +-1 entries and none of
     the Gram fill-in. Taking the DiracLaplacian keeps the d^2 = 0 check of
-    dirac_and_laplacian in front of every caller.
-
-    Vectors are primitive integer vectors; their count per grade equals the
-    Betti number (Hodge-Weyl), which the tests cross-check.
+    dirac_and_laplacian in front of every caller. With d^2 = 0, im d_(p-1)
+    lies in ker d_p, orthogonal to the rows of d_p, so dim ker M_p = b_p: a
+    grade whose Betti number (betti_vector, from the clearing ranks) is 0
+    gets [] and no elimination. Vectors are primitive integer vectors.
     """
-    return [exact.kernel_basis(m) for m in dirac_columns(dl.derivative)]
+    betti = betti_vector(dl.derivative)
+    return [exact.kernel_basis(m) if b else []
+            for m, b in zip(dirac_columns(dl.derivative), betti)]
 
 
 def laplacian_nullities(dl: DiracLaplacian):

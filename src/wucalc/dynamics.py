@@ -56,15 +56,6 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
     return out
 
 
-def dirac_spectrum(dl: DiracLaplacian):
-    import numpy
-
-    dense = dense_array(dl.dirac)
-    if dense.size == 0:
-        return numpy.zeros(0)
-    return numpy.linalg.eigvalsh(dense)
-
-
 def mckean_singer_supertrace(spectra, t: float) -> float:
     """Supertrace of the heat kernel at time t from per-grade spectra."""
     import numpy
@@ -94,18 +85,6 @@ def supersymmetry_gap(spectra, tol: float = 1e-8) -> dict:
     gap = max((abs(a - b) for a, b in zip(even, odd)), default=0.0)
     return {"even": len(even), "odd": len(odd), "max_gap": gap,
             "supersymmetric": gap <= tol * 10}
-
-
-def supertrace_power(dl: DiracLaplacian, n: int) -> int:
-    """Exact supertrace of L^n; vanishes for small n by supersymmetry."""
-    total = 0
-    for p, block in enumerate(dl.laplacian_blocks):
-        power = block
-        for _ in range(n - 1):
-            power = power.matmul(block)
-        tr = power.trace()
-        total += tr if p % 2 == 0 else -tr
-    return total
 
 
 def wave_evolve(dl: DiracLaplacian, u0, v0, t: float):

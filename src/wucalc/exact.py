@@ -88,9 +88,6 @@ class SparseIntMatrix:
                 out.rows[i] = acc
         return out
 
-    def trace(self):
-        return sum(row.get(i, 0) for i, row in self.rows.items())
-
     def to_dense(self):
         dense = [[0] * self.ncols for _ in range(self.nrows)]
         for i, row in self.rows.items():

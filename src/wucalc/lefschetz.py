@@ -14,8 +14,6 @@ from math import prod
 
 from .basis import InteractionBasis
 from .cohomology import cohomology_data
-from .differential import DiracLaplacian
-from .exact import dense_array
 from .simplicial import Complex, Graph
 
 # the automorphism search is exponential in the worst case, so it refuses
@@ -168,26 +166,3 @@ def lefschetz_fixed_point_check(t: dict, c: Complex, k: int) -> dict:
         "fixed_point_ok": cohom == local,
     }
 
-
-def heat_trace(t: dict, c: Complex, k: int, time: float) -> float:
-    """Supertrace of exp(-time * L) composed with the induced map; it
-    interpolates between the index sum (time 0) and the Lefschetz number."""
-    import numpy
-
-    data = cohomology_data(tuple([c] * k))
-    dl: DiracLaplacian = data.dirac
-    maps = _signed_permutation(t, data.basis)
-    total = 0.0
-    for p, lp in enumerate(dl.laplacian_blocks):
-        n = lp.nrows
-        if n == 0:
-            continue
-        dense = dense_array(lp)
-        image, signs = maps[p]
-        u = numpy.zeros((n, n))
-        u[image, numpy.arange(n)] = signs
-        evals, q = numpy.linalg.eigh(dense)
-        a = q.T @ u @ q
-        term = float(numpy.sum(numpy.exp(-time * evals) * numpy.diag(a)))
-        total += term if p % 2 == 0 else -term
-    return total

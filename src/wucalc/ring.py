@@ -96,10 +96,6 @@ class RingElement:
                 norm.append((int(coeff), factors))
         self.terms = tuple(norm)
 
-    @classmethod
-    def from_complex(cls, c: Complex, coeff=1):
-        return cls([(coeff, (c,))])
-
     def __add__(self, other):
         return RingElement(self.terms + other.terms)
 

@@ -145,14 +145,6 @@ class Graph:
         self.edges = frozenset(es)
         self.adj = {v: frozenset(ns) for v, ns in adj.items()}
 
-    @classmethod
-    def from_edges(cls, edges):
-        vs = {v for e in edges for v in e}
-        return cls(vs, edges)
-
-    def neighbors(self, v):
-        return self.adj[v]
-
     def degree(self, v) -> int:
         return len(self.adj[v])
 

@@ -4,8 +4,16 @@ Everything here is written against the definitions directly, with none of
 the package's bitset or sparse-elimination machinery: tuples come from
 itertools, derivatives are dense sign sums, ranks come from Gaussian
 elimination over GF(p) for two 31-bit primes (which must agree), and the
-small dense helpers work over Fractions. Slow on purpose. The last few
-helpers wrap the package's own types for the tests that need them.
+small dense helpers work over Fractions. Slow on purpose.
+
+sparse_from_dense, integer_rank and laplacian_is_block_diagonal wrap the
+package's own types for the tests that need them. The six helpers after
+them (graph_from_edges to heat_trace) left the library because only tests
+call them; all but eval_multivariate wrap package types too: Graph, the
+catalog, the DiracLaplacian and cohomology_data. numpy, wucalc.cohomology
+and wucalc.lefschetz are imported in the bodies of the helpers that use
+them, so importing this module loads no more than importing wucalc does,
+and no numpy: the command-line benchmark imports it in its timed set-up.
 """
 
 import itertools
@@ -13,7 +21,9 @@ from fractions import Fraction
 from math import gcd
 
 from wucalc import exact
+from wucalc.catalog import cycle_complex
 from wucalc.exact import SparseIntMatrix
+from wucalc.simplicial import Graph, generate_complex
 
 PRIMES = (2147483647, 1000000007)
 
@@ -404,3 +414,73 @@ def laplacian_is_block_diagonal(dl) -> bool:
             if expect != lp.rows.get(i, {}):
                 return False
     return True
+
+
+def graph_from_edges(edges) -> Graph:
+    """The graph on the endpoints of the given edges."""
+    return Graph({v for e in edges for v in e}, edges)
+
+
+def two_circles() -> tuple:
+    """Two 4-cycles crossing in exactly two vertices."""
+    return cycle_complex(4), generate_complex([(1, 5), (3, 5), (3, 6), (1, 6)])
+
+
+def eval_multivariate(poly: dict, values) -> int:
+    """A {exponent tuple: coefficient} polynomial evaluated at values."""
+    total = 0
+    for expo, coeff in poly.items():
+        term = coeff
+        for e, v in zip(expo, values):
+            term *= v ** e
+        total += term
+    return total
+
+
+def supertrace_power(dl, n: int) -> int:
+    """Exact supertrace of L^n; vanishes for small n by supersymmetry."""
+    total = 0
+    for p, block in enumerate(dl.laplacian_blocks):
+        power = block
+        for _ in range(n - 1):
+            power = power.matmul(block)
+        tr = sum(row.get(i, 0) for i, row in power.rows.items())
+        total += tr if p % 2 == 0 else -tr
+    return total
+
+
+def dirac_spectrum(dl):
+    """Eigenvalues of the Dirac matrix D, ascending, in floats."""
+    import numpy
+
+    dense = exact.dense_array(dl.dirac)
+    if dense.size == 0:
+        return numpy.zeros(0)
+    return numpy.linalg.eigvalsh(dense)
+
+
+def heat_trace(t: dict, c, k: int, time: float) -> float:
+    """Supertrace of exp(-time * L) composed with the map the automorphism t
+    induces on the order-k basis of c; it interpolates between the index
+    sum (time 0) and the Lefschetz number."""
+    import numpy
+
+    from wucalc.cohomology import cohomology_data
+    from wucalc.lefschetz import _signed_permutation
+
+    data = cohomology_data(tuple([c] * k))
+    maps = _signed_permutation(t, data.basis)
+    total = 0.0
+    for p, lp in enumerate(data.dirac.laplacian_blocks):
+        n = lp.nrows
+        if n == 0:
+            continue
+        dense = exact.dense_array(lp)
+        image, signs = maps[p]
+        u = numpy.zeros((n, n))
+        u[image, numpy.arange(n)] = signs
+        evals, q = numpy.linalg.eigh(dense)
+        a = q.T @ u @ q
+        term = float(numpy.sum(numpy.exp(-time * evals) * numpy.diag(a)))
+        total += term if p % 2 == 0 else -term
+    return total

@@ -36,7 +36,7 @@ from wucalc.simplicial import (
     Complex, barycentric_refinement, f_vector, generate_complex,
 )
 
-from oracles import charpoly, random_facets
+from oracles import charpoly, random_facets, two_circles
 
 
 def _small_random(rng, max_cells=20):
@@ -87,7 +87,7 @@ def test_criterion_02_pair_cohomology_tables():
         assert result["wu"] == wu_expected, name
         assert result["betti"] + [0] * (n - len(result["betti"])) == \
             list(betti_expected) + [0] * (n - len(betti_expected)), name
-    g, h = catalog.two_circles()
+    g, h = two_circles()
     result = euler_poincare_check([g, h], 2)
     assert result["betti"] == [0, 0, 2] and result["wu"] == 2
     print("criterion 2 PASS: 16 pair rows plus the intersecting circles")

@@ -5,7 +5,7 @@ import pytest
 
 from wucalc import basis, catalog
 from wucalc.basis import (
-    build_basis, eval_multivariate, euler_polynomial, f_matrix, f_tensor,
+    build_basis, euler_polynomial, f_matrix, f_tensor,
     multivariate_euler_polynomial, polynomial_string, wu_characteristic,
 )
 from wucalc.catalog import (
@@ -16,7 +16,8 @@ from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex, Graph, whitney_complex, zagreb_index
 
 from oracles import (
-    common_product_tuples, common_tuples, naive_wu, random_facets,
+    common_product_tuples, common_tuples, eval_multivariate, naive_wu,
+    random_facets,
 )
 
 
@@ -125,6 +126,16 @@ def test_walks_past_the_tuple_budget_are_refused_as_they_count(monkeypatch):
     for walk in (build_basis, wu_characteristic):
         with pytest.raises(ValueError, match="tuple budget"):
             walk(systems)
+
+
+def test_disconnected_inputs_are_refused_by_their_component_sum():
+    # 500 disjoint edges: each vertex lies in 2 simplices, so every atom's
+    # star bound is 2**16 at k = 16, within the budget, but the edges are
+    # 500 components and together carry at least 500 * 2**16 > 2**24 tuples
+    edges500 = generate_complex([(2 * i, 2 * i + 1) for i in range(500)])
+    assert 2 ** 16 < basis.MAX_TUPLES < 500 * 2 ** 16
+    with pytest.raises(ValueError, match="tuple budget"):
+        basis._IntersectionContext([edges500] * 16)
 
 
 def test_every_catalog_row_is_under_the_tuple_budget():

@@ -460,7 +460,8 @@ def run_fresh(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-# Imports wucalc, then runs each command of argv lists given as JSON, and
+# Imports wucalc, then the test oracles from the directory given as the
+# second argument, then runs each command of argv lists given as JSON, and
 # prints, as its last line, whether numpy was loaded after each step and the
 # exit code of each command.
 IMPORT_PROBE = """
@@ -469,6 +470,9 @@ import wucalc
 seen = [("import wucalc", "numpy" in sys.modules, 0)]
 from wucalc import cli
 seen.append(("import wucalc.cli", "numpy" in sys.modules, 0))
+sys.path.insert(0, sys.argv[2])
+import oracles
+seen.append(("import oracles", "numpy" in sys.modules, 0))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -490,11 +494,13 @@ def test_only_spectrum_and_deform_load_numpy(triangle, interval, tmp_path):
     assert {a[0] for a in argvs} == set(cli.COMMANDS) - {"spectrum", "deform"}
     # the last command shows that the probe sees numpy once it is loaded
     argvs.append(["spectrum", triangle, "-k", "1"])
-    proc = run_fresh("-c", IMPORT_PROBE, json.dumps(argvs))
+    proc = run_fresh("-c", IMPORT_PROBE, json.dumps(argvs),
+                     str(Path(__file__).resolve().parent))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == ([["import wucalc", False, 0],
-                     ["import wucalc.cli", False, 0]]
+                     ["import wucalc.cli", False, 0],
+                     ["import oracles", False, 0]]
                     + [[a[0], False, 0] for a in argvs[:-1]]
                     + [["spectrum", True, 0]])
 

@@ -149,6 +149,17 @@ def test_harmonic_vectors_are_integer_kernel_elements():
                 assert h[p] == want, (c, k, p)
 
 
+@pytest.mark.parametrize("make", [cylinder, moebius])
+def test_harmonic_forms_eliminate_only_grades_with_cohomology(make,
+                                                             monkeypatch):
+    dl = cohomology_data((make(), make())).dirac
+    betti = betti_vector(dl.derivative)
+    calls = count_calls(monkeypatch, "kernel_basis")
+    assert [len(h) for h in harmonic_basis(dl)] == betti
+    assert [m.ncols for m in calls] == [
+        n for n, b in zip(dl.grade_sizes, betti) if b]
+
+
 def test_rank_nullity_accounting():
     c = generate_complex([(1, 2, 3), (2, 3, 4)])
     data = cohomology_data((c, c))

@@ -10,9 +10,11 @@ from wucalc.catalog import (
 )
 from wucalc.cohomology import cohomology_data, normalize_complexes
 from wucalc.dynamics import (
-    block_spectra, dirac_spectrum, lax_deform, mckean_singer_supertrace,
-    supersymmetry_gap, supertrace_power, wave_evolve,
+    block_spectra, lax_deform, mckean_singer_supertrace, supersymmetry_gap,
+    wave_evolve,
 )
+
+from oracles import dirac_spectrum, supertrace_power
 
 SMALL_FIXTURES = [
     (path_complex(3), 2),

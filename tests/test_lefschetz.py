@@ -7,11 +7,13 @@ from wucalc.catalog import (
 )
 from wucalc.cohomology import cohomology_data, euler_poincare_check
 from wucalc.lefschetz import (
-    automorphism_group, complex_automorphisms, fixed_tuples, heat_trace,
+    automorphism_group, complex_automorphisms, fixed_tuples,
     lefschetz_fixed_point_check, lefschetz_number, permutation_sign,
 )
 
-from oracles import cycle_sign, fixed_point_indices, random_facets
+from oracles import (
+    cycle_sign, fixed_point_indices, heat_trace, random_facets,
+)
 
 
 def test_identity_map_gives_the_wu_characteristic():

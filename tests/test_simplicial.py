@@ -12,7 +12,7 @@ from wucalc.simplicial import (
 )
 from wucalc.catalog import figure_eight, rabbit
 
-from oracles import power_cells, random_facets
+from oracles import graph_from_edges, power_cells, random_facets
 
 
 def test_generate_complex_is_closed_under_faces():
@@ -57,7 +57,7 @@ def test_f_vector_and_euler_characteristic_of_triangle():
 
 
 def test_whitney_complex_fills_cliques():
-    g = Graph.from_edges([(1, 2), (2, 3), (1, 3), (3, 4)])
+    g = graph_from_edges([(1, 2), (2, 3), (1, 3), (3, 4)])
     c = whitney_complex(g)
     assert (1, 2, 3) in c
     assert (3, 4) in c
@@ -65,7 +65,7 @@ def test_whitney_complex_fills_cliques():
 
 
 def test_whitney_of_complete_graph_is_full_simplex():
-    g = Graph.from_edges([(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+    g = graph_from_edges([(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
     c = whitney_complex(g)
     assert f_vector(c) == (4, 6, 4, 1)
 
@@ -132,12 +132,12 @@ def test_inductive_dimension_of_rabbit():
     g = rabbit().skeleton_graph()
     d = inductive_dimension(g)
     assert d == Fraction(3, 2)
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    adj = {v: set(g.adj[v]) for v in g.vertices}
     assert _dimension_by_hand(adj, g.vertices) == d
 
 
 def test_inductive_dimension_of_small_fixed_graphs():
-    path = Graph.from_edges([(1, 2), (2, 3)])
+    path = graph_from_edges([(1, 2), (2, 3)])
     assert inductive_dimension(path) == 1
     point = Graph([1], [])
     assert inductive_dimension(point) == 0
@@ -145,7 +145,7 @@ def test_inductive_dimension_of_small_fixed_graphs():
 
 
 def test_inductive_dimension_of_complete_graph():
-    g = Graph.from_edges([(i, j) for i in range(4) for j in range(i + 1, 4)])
+    g = graph_from_edges([(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert inductive_dimension(g) == 3
 
 
@@ -178,7 +178,7 @@ def test_poincare_hopf_indices_sum_to_euler_characteristic():
 
 
 def test_zagreb_index_of_star():
-    g = Graph.from_edges([(0, i) for i in range(1, 5)])
+    g = graph_from_edges([(0, i) for i in range(1, 5)])
     assert zagreb_index(g) == 16 + 4
 
 

@@ -14,6 +14,8 @@ from wucalc.cohomology import euler_poincare_check
 from wucalc.ring import ring_betti, ring_wu
 from wucalc.simplicial import Complex
 
+from oracles import two_circles
+
 
 def _pad(vec, n):
     return list(vec) + [0] * (n - len(vec))
@@ -58,7 +60,7 @@ def test_pair_table_row(row):
 
 
 def test_two_intersecting_circles():
-    g, h = catalog.two_circles()
+    g, h = two_circles()
     result = euler_poincare_check([g, h], 2)
     assert result["wu"] == 2
     assert result["betti"] == [0, 0, 2]
