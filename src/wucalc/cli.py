@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -564,6 +565,11 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         COMMANDS[args.command][0](args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: the rest goes to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return USAGE_EXIT
     except InputError as exc:
         print(f"wucalc: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -1,8 +1,9 @@
 """Exact Betti vectors, harmonic representatives, and the Euler-Poincare check.
 
 All ranks are computed over the rationals with exact integer elimination,
-except that a Laplacian nullity takes the GF(q) rank of exact.rank_mod when
-the derivative ranks certify it. The derivative ranks are cleared from the
+except that a Laplacian nullity takes the count of exact.rank_mod, the order
+of a principal submatrix of L_p that is non-singular mod q, when the
+derivative ranks certify it. The derivative ranks are cleared from the
 top grade down (the "twist" of Chen and Kerber, Persistent homology
 computation with a twist, 2011): d_(p+1) d_p = 0 makes every row of d_p at
 a pivot column of d_(p+1) redundant, so d_p is ranked without those rows.
@@ -14,8 +15,8 @@ The Betti vector streams: each d_p is assembled from the basis without
 those rows, ranked and dropped, and only its pivot columns pass down to
 the next grade, so CohomologyData.betti never builds the whole derivative.
 The same clearing loop ranks the stored blocks of a derivative that is
-already built, for the Laplacian nullities and for a Betti vector asked for
-after the Laplacian.
+already built, once: the ranks stay on it for the Laplacian nullities, the
+harmonic forms and a Betti vector asked for after the Laplacian.
 Betti vectors are reported with length equal to the number of grades of the
 basis (trailing zeros kept), which is how the reference tables print them.
 """
@@ -32,27 +33,28 @@ from .differential import (DiracLaplacian, GradedIntMatrix, block_assembler,
 from .exact import SparseIntMatrix
 
 
-def _block_source(source: InteractionBasis | GradedIntMatrix):
-    """(grade sizes, block) for a source of derivative blocks, where
-    block(p, skip) is d_p without the rows in skip. An InteractionBasis is
-    assembled one block at a time by differential.block_assembler, which
-    never builds the skipped rows and shares its face tables among the
-    blocks; a built GradedIntMatrix lends its stored blocks."""
+def _ranked(source: InteractionBasis | GradedIntMatrix):
+    """(grade sizes, incident ranks) of a source of derivative blocks: an
+    InteractionBasis assembles them one at a time (block_assembler), and a
+    built GradedIntMatrix lends its stored blocks and keeps its ranks, so
+    the Hodge route ranks each block of one derivative once."""
     if isinstance(source, InteractionBasis):
-        return source.grade_sizes(), block_assembler(source)
+        sizes = source.grade_sizes()
+        return sizes, _incident_ranks(sizes, block_assembler(source))
+    if source.ranks is None:
+        def stored(p, skip):
+            b = source.blocks[p]
+            return SparseIntMatrix(b.nrows, b.ncols, {
+                i: r for i, r in b.rows.items() if i not in skip})
 
-    def stored(p, skip):
-        b = source.blocks[p]
-        return SparseIntMatrix(b.nrows, b.ncols, {
-            i: r for i, r in b.rows.items() if i not in skip})
-
-    return source.grade_sizes, stored
+        source.ranks = _incident_ranks(source.grade_sizes, stored)
+    return source.grade_sizes, source.ranks
 
 
 def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     """rank(d_(p-1)) + rank(d_p) for each grade p, exact; the derivative
     into grade 0 and the one out of the top grade are zero. The source is
-    an InteractionBasis or a built GradedIntMatrix (see _block_source).
+    an InteractionBasis or a built GradedIntMatrix (see _ranked).
 
     The blocks are ranked from the top grade down, each without the rows
     at the pivot columns of the block above. Those columns J of d_(p+1) are
@@ -62,11 +64,12 @@ def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     the next: a block is dropped once ranked, so a basis source holds one
     block and its elimination at a time, never the whole derivative.
     """
-    return _incident_ranks(*_block_source(source))
+    return list(_ranked(source)[1])
 
 
 def _incident_ranks(sizes, block):
-    """incident_ranks on the grade sizes and block function of a source."""
+    """incident_ranks from grade sizes and block(p, skip), d_p without the
+    rows in skip."""
     ranks = [0] * (len(sizes) + 1)
     cleared = set()
     for p in range(len(sizes) - 2, -1, -1):
@@ -79,8 +82,7 @@ def betti_vector(source: InteractionBasis | GradedIntMatrix):
     """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade, from an
     InteractionBasis or a built GradedIntMatrix."""
     betti = []
-    sizes, block = _block_source(source)
-    for p, (n, r) in enumerate(zip(sizes, _incident_ranks(sizes, block))):
+    for p, (n, r) in enumerate(zip(*_ranked(source))):
         b = n - r
         if b < 0:
             raise ArithmeticError(
@@ -110,13 +112,15 @@ def harmonic_basis(dl: DiracLaplacian):
 def laplacian_nullities(dl: DiracLaplacian):
     """dim ker L_p for each grade p, exact.
 
-    Each rank is sandwiched: rank_GF(q)(L_p) <= rank_Q(L_p) holds for any
-    integer matrix, and L_p = d_p^T d_p + d_(p-1) d_(p-1)^T, as assembled by
+    Each rank is sandwiched. exact.rank_mod(L_p) is the order of a principal
+    submatrix that is non-singular mod q, so it is at most rank_Q(L_p) for
+    any symmetric L_p; L_p = d_p^T d_p + d_(p-1) d_(p-1)^T, as assembled by
     DiracLaplacian, gives rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by
-    subadditivity alone, no Hodge theorem used. When exact.rank_mod(L_p)
-    reaches that bound the rank is proven and the nullity is n_p minus it;
-    otherwise, and for blocks of more than exact.MAX_DENSE_ENTRIES entries,
-    the block takes the exact route, exact.nullity(L_p).
+    subadditivity alone, no Hodge theorem used. When the two meet, as they
+    do on the positive-semidefinite L_p unless q divides a pivot, the rank
+    is proven and the nullity is n_p minus it; otherwise, and for blocks of
+    more than exact.MAX_DENSE_ENTRIES entries, the block takes the exact
+    route, exact.nullity(L_p).
     """
     out = []
     for lp, bound in zip(dl.laplacian_blocks, incident_ranks(dl.derivative)):

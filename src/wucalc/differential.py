@@ -34,6 +34,7 @@ class GradedIntMatrix:
     def __init__(self, grade_sizes, blocks):
         self.grade_sizes = grade_sizes
         self.blocks = blocks
+        self.ranks = None  # kept by cohomology.incident_ranks on first use
 
     def __repr__(self):
         shapes = [(b.nrows, b.ncols) for b in self.blocks]

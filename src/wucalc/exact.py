@@ -25,11 +25,19 @@ scaling: the determinant value itself is the result, and gcd rescaling
 would change it.
 
 rank_mod() stays separate because it gives only a lower bound on the
-rational rank (q may divide a minor), fast: a dense blocked elimination
-over GF(q) in numpy floats, suited to the filled-in Laplacian blocks, whose
-every intermediate is an integer below 2**53, so its arithmetic is exact. A
-caller trusts it only under a certificate that closes the gap from above,
-as cohomology.laplacian_nullities does.
+rational rank, fast, for the symmetric Laplacian blocks: a blocked LDL^T
+over GF(q) in numpy with no pivoting, whose count of non-zero pivots is the
+order of a principal submatrix that is non-singular mod q, a lower bound on
+the rank of any symmetric input. A positive-semidefinite Schur complement
+over Q, as of a Gram block L_p, has a zero row wherever its diagonal is
+zero, so on L_p the count is the rational rank unless q divides a pivot.
+Its reverse Cuthill-McKee order, which only the rank sees, keeps the fill
+in a band (bandwidth 1,167 -> 387 on the 1,376-column block of
+three_sphere at k=2). Entries are residues below q/2 + 1 in magnitude, and
+a trailing entry is reduced before it gathers more than _TERMS products of
+two, so every sum is an integer below 2**53, exact in any BLAS summation
+order. A caller trusts the count only under a certificate that closes the
+gap from above, as cohomology.laplacian_nullities does.
 """
 
 from __future__ import annotations
@@ -37,11 +45,13 @@ from __future__ import annotations
 from math import gcd
 
 # rank_mod() works over GF(_MODULUS), the largest prime below 2**22, one
-# panel of _PANEL columns at a time; these are constants, not tuning knobs
+# panel of _PANEL indices at a time, on residues of magnitude at most _HALF;
+# a trailing entry is reduced every _TERMS products (64 panels of 32)
 _MODULUS = 4194301
 _PANEL = 32
-# the largest sum rank_mod() forms: one residue plus _PANEL products of two
-assert (_MODULUS - 1) + _PANEL * (_MODULUS - 1) ** 2 < 2 ** 53
+_HALF = _MODULUS // 2 + 1
+_TERMS = 2048
+assert _HALF + _TERMS * _HALF ** 2 < 2 ** 53
 
 # the most entries of a dense float64 copy of one block (1 GiB) that
 # dense_array() makes and that a caller may hand to rank_mod()
@@ -201,82 +211,87 @@ def dense_array(m: SparseIntMatrix):
 
 def _reduce(x, rint):
     """x mod _MODULUS as residues of magnitude at most _MODULUS / 2 + 1;
-    rint is numpy.rint, which rank_mod() hands over.
-
-    For integers |x| < 2**53, x * (1 / q) is within 2 / q of x / q, so its
-    rounding k leaves |x - k q| <= q / 2 + 1, and k q and x - k q are
-    integers below 2**53, computed exactly. numpy.fmod gives the same
-    residue class but runs a bitwise long division whose cost grows with
-    x / q, which makes it many times slower on the trailing sums near 2**49.
+    rint is numpy.rint, which rank_mod() hands over. For integers
+    |x| < 2**53, x * (1 / q) is within 2 / q of x / q, so its rounding k
+    leaves |x - k q| <= q / 2 + 1, all computed exactly. numpy.fmod runs a
+    long division whose cost grows with x / q, many times slower here.
     """
     return x - rint(x * (1.0 / _MODULUS)) * _MODULUS
 
 
-def rank_mod(m: SparseIntMatrix) -> int:
-    """Rank of an integer matrix over GF(_MODULUS): a lower bound on its
-    rational rank, equal to it unless _MODULUS divides the relevant minors.
+def _rcm(rows, n):
+    """The reverse Cuthill-McKee order (Cuthill and McKee, 1969) of the graph
+    of the symmetric rows: each component breadth first from a vertex of
+    least degree, unseen neighbours by ascending degree, then reversed."""
+    degree = [len(rows.get(i, ())) for i in range(n)]
+    order, seen, k = [], set(), 0
+    for s in sorted(range(n), key=degree.__getitem__):
+        if s not in seen:
+            seen.add(s)
+            order.append(s)
+        while k < len(order):
+            near = sorted((j for j in rows.get(order[k], ()) if j not in seen),
+                          key=degree.__getitem__)
+            seen.update(near)
+            order += near
+            k += 1
+    return order[::-1]
 
-    Right-looking LU on a dense float64 array of residues, one panel of
-    _PANEL columns at a time. Inside the panel each pivot row is scaled to a
-    unit pivot and eliminated from the live rows only (the free rows
-    non-zero in its column), leaving the multipliers in place of the cleared
-    entries. The panel's pivot rows then get their trailing part U12 by
-    forward substitution, and the live rows below take one BLAS update
-    A22 -= L21 @ U12.
+
+def rank_mod(m: SparseIntMatrix) -> int:
+    """The order of a principal submatrix of the symmetric integer matrix m
+    that is non-singular mod _MODULUS (see the module docstring); raises
+    ValueError unless m is square and symmetric.
+
+    One panel of _PANEL indices at a time: factor its diagonal block in
+    int64 beside an identity, which becomes L11^-1 on the kept indices, form
+    U12 = L11^-1 A12 with one product, and update A22 -= U12^T D^-1 U12 in
+    place, on the band that the envelope of the panel's rows spans.
     """
-    # Exactness: residues stay below q in magnitude, so every product is
-    # below q**2 and every sum, a residue minus at most _PANEL products, is
-    # an integer below 2**53 (the assert at the top of the module). Each
-    # partial sum is then exact, and the rank does not depend on BLAS
-    # summation order, FMA or threads.
-    q = _MODULUS
-    if not m.rows:
-        return 0
+    n, rows = m.nrows, m.rows
+    if m.ncols != n or any(rows.get(j, {}).get(i, 0) != v
+                           for i, row in rows.items() for j, v in row.items()):
+        raise ValueError(f"rank_mod needs a square symmetric matrix, not {m}")
     import numpy
 
     rint = numpy.rint
-    a = numpy.zeros((m.nrows, m.ncols))
-    for i, row in m.rows.items():
-        a[i, list(row)] = [v % q for v in row.values()]
-    rest = numpy.arange(m.nrows)        # rows not yet chosen as pivots
-    rank = 0
-    for c0 in range(0, m.ncols, _PANEL):
-        c1 = min(c0 + _PANEL, m.ncols)
-        # the panel, transposed so that each of its columns is contiguous
-        pan = a[rest, c0:c1].T.copy()
-        free = numpy.ones(rest.size, dtype=bool)
-        piv, cols, invs = [], [], []
-        for j in range(c1 - c0):
-            hits = numpy.flatnonzero((pan[j] != 0) & free)
-            if not hits.size:
-                continue
-            h, live = hits[0], hits[1:]
-            inv = pow(int(pan[j, h]) % q, q - 2, q)
-            if live.size and j + 1 < c1 - c0:
-                unit = _reduce(pan[j + 1:, h] * inv, rint)
-                pan[j + 1:, live] = _reduce(
-                    pan[j + 1:, live] - numpy.outer(unit, pan[j, live]), rint)
-            free[h] = False
-            piv.append(h)
-            cols.append(j)
-            invs.append(inv)
+    q, h = _MODULUS, _MODULUS // 2
+    pos = {i: k for k, i in enumerate(_rcm(rows, n))}
+    a = numpy.zeros((n, n))
+    ii, jj = [], []
+    for i, row in rows.items():
+        ii += [pos[i]] * len(row)
+        jj += map(pos.__getitem__, row)
+    a[ii, jj] = [(v + h) % q - h for row in rows.values() for v in row.values()]
+    last = numpy.zeros(n, dtype=numpy.int64)  # each row's last column
+    numpy.maximum.at(last, ii, jj)
+    reach = numpy.maximum.accumulate(last).tolist()
+    rank = terms = 0
+    for c0 in range(0, n, _PANEL):
+        c1 = min(c0 + _PANEL, n)
+        w, hi = c1 - c0, max(reach[c1 - 1] + 1, c1)
+        band = _reduce(a[c0:c1, c0:hi], rint)
+        fac = numpy.hstack([band[:, :w], numpy.eye(w)]).astype(numpy.int64)
+        piv, invs = [], []
+        for j in range(w):
+            # row j of the Schur complement is also its column: the rows
+            # below take their multipliers from it
+            r = fac[j]
+            r %= q
+            if r[j]:
+                piv.append(j)
+                invs.append(pow(int(r[j]), -1, q))
+                fac[j + 1:] -= (r[j + 1:w] * invs[-1] % q)[:, None] * r
         rank += len(piv)
-        if not piv:
+        if not piv or hi == c1:
             continue
-        prows, rest = rest[piv], rest[free]
-        if not rest.size or c1 == m.ncols:
-            break
-        u12 = a[prows, c1:]
-        l11 = pan[numpy.ix_(cols, piv)].T
-        for k, inv in enumerate(invs):
-            if k:
-                u12[k] = _reduce(u12[k] - l11[k, :k] @ u12[:k], rint)
-            u12[k] = _reduce(u12[k] * inv, rint)
-        l21 = pan[numpy.ix_(cols, numpy.flatnonzero(free))].T
-        hit = numpy.flatnonzero(l21.any(axis=1))
-        if hit.size:
-            live = rest[hit]
-            a[live, c1:] = _reduce(a[live, c1:] - l21[hit] @ u12, rint)
+        u12 = _reduce(fac[piv, w:] @ band[:, w:], rint)
+        scaled = _reduce(u12 * numpy.array(invs)[:, None], rint)
+        if terms + len(piv) > _TERMS:
+            a[c1:hi, c1:hi] = _reduce(a[c1:hi, c1:hi], rint)
+            terms = 0
+        terms += len(piv)
+        a[c1:hi, c1:hi] -= u12.T @ scaled
     return rank
 
 

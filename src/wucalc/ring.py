@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .basis import euler_polynomial, wu_characteristic
+from .basis import wu_characteristic
 from .cohomology import cohomology_data
 from .simplicial import Complex, leibniz_boundary
 
@@ -144,12 +144,6 @@ def ring_betti(e, k: int):
     if any(coeff < 0 for coeff, _ in _terms(e)):
         raise ValueError("cohomology of a negative combination is undefined")
     return _term_sum(e, lambda c: cohomology_data(tuple([c] * k)).betti)
-
-
-def ring_euler_polynomial(e) -> list:
-    """Euler polynomial of a ring element: the cell counts of each product
-    term, so a term with an empty factor contributes [0]."""
-    return _term_sum(e, euler_polynomial)
 
 
 def poly_mul(a, b):

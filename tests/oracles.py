@@ -484,3 +484,12 @@ def heat_trace(t: dict, c, k: int, time: float) -> float:
         term = float(numpy.sum(numpy.exp(-time * evals) * numpy.diag(a)))
         total += term if p % 2 == 0 else -term
     return total
+
+
+def ring_euler_polynomial(e) -> list:
+    """Euler polynomial of a ring element: the cell counts of each product
+    term, so a term with an empty factor contributes [0]."""
+    from wucalc.basis import euler_polynomial
+    from wucalc.ring import _term_sum
+
+    return _term_sum(e, euler_polynomial)

@@ -31,12 +31,12 @@ from wucalc.dynamics import (
 )
 from wucalc.exact import det_bareiss, kernel_basis
 from wucalc.lefschetz import complex_automorphisms, lefschetz_fixed_point_check, lefschetz_number
-from wucalc.ring import kuenneth_check, poly_mul, product_cell_complex, ring_euler_polynomial
+from wucalc.ring import kuenneth_check, poly_mul, product_cell_complex
 from wucalc.simplicial import (
     Complex, barycentric_refinement, f_vector, generate_complex,
 )
 
-from oracles import charpoly, random_facets, two_circles
+from oracles import charpoly, random_facets, ring_euler_polynomial, two_circles
 
 
 def _small_random(rng, max_cells=20):

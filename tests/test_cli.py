@@ -515,3 +515,23 @@ def test_numeric_commands_run_cold(argv, triangle, capsys):
     code, out, _ = run(capsys, *cmd)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
     assert code == 0
+
+
+def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
+    # the boundary of the 4-dimensional cross-polytope: its 384 Lefschetz
+    # records print about 100 KiB, more than a 64 KiB pipe buffer holds, so
+    # the command is still writing when the reader goes away
+    s3 = write_json(tmp_path, "s3.json", [
+        [a, b, c, d] for a in (1, 2) for b in (3, 4) for c in (5, 6)
+        for d in (7, 8)])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wucalc.cli", "lefschetz", s3, "-k", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.USAGE_EXIT
+    assert head.startswith(b'{\n  "k": 1,\n  "automorphisms": 384,')
+    assert err == b""

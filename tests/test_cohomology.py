@@ -127,6 +127,43 @@ def test_an_oversized_block_skips_the_modular_rank(monkeypatch):
     assert exact_calls == data.dirac.laplacian_blocks
 
 
+def test_three_sphere_pair_nullities_are_certified(monkeypatch):
+    # the 1,376-column block included: a certificate that misses sends it
+    # to the exact route
+    c = catalog.three_sphere()
+    data = cohomology_data((c, c))
+    exact_calls = count_calls(monkeypatch, "nullity")
+    assert laplacian_nullities(data.dirac) == [0, 0, 0, 1, 0, 0, 1]
+    assert exact_calls == []
+
+
+def test_catalog_laplacian_nullities_are_certified(monkeypatch):
+    exact_calls = count_calls(monkeypatch, "nullity")
+    checked = 0
+    for name in sorted(catalog.NAMED):
+        c = catalog.NAMED[name]()
+        for k in (1, 2):
+            if sum(multivariate_euler_polynomial(c, k).values()) > 5000:
+                continue
+            data = cohomology_data((c,) * k)
+            assert laplacian_nullities(data.dirac) == data.betti, (name, k)
+            checked += 1
+    assert checked > 40
+    assert exact_calls == []
+
+
+def test_a_hodge_pass_ranks_each_derivative_block_once(monkeypatch):
+    # the Laplacian nullities, the Betti vector and the harmonic forms of
+    # one built derivative share its clearing ranks
+    c = cylinder()
+    data = CohomologyData((c, c))
+    dl = data.dirac
+    calls = count_calls(monkeypatch, "pivot_columns")
+    assert laplacian_nullities(dl) == data.betti == [
+        len(h) for h in data.harmonic]
+    assert len(calls) == len(dl.derivative.blocks) == 4
+
+
 def test_harmonic_vectors_are_integer_kernel_elements():
     c = generate_complex([(1, 2, 3), (3, 4), (4, 5)])
     data = cohomology_data((c, c))

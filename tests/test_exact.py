@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -201,28 +202,97 @@ def rank_mod_cases(rng):
     return cases
 
 
+def gram(rows):
+    """A^T A for the integer matrix A with these rows: symmetric, positive
+    semidefinite, and of the rational rank of A."""
+    return [[sum(a * b for a, b in zip(ci, cj)) for cj in zip(*rows)]
+            for ci in zip(*rows)]
+
+
+def indefinite(rows):
+    """A + A^T for the square cases, and the same with every other diagonal
+    entry cleared: symmetric, indefinite, with zero diagonal entries."""
+    out = []
+    for a in rows:
+        if a and len(a) == len(a[0]):
+            s = [[x + y for x, y in zip(r, c)] for r, c in zip(a, zip(*a))]
+            out.append(s)
+            out.append([[0 if i == j and i % 2 else v
+                         for j, v in enumerate(r)] for i, r in enumerate(s)])
+    return out
+
+
+def gf_rank(m):
+    return rank_mod({(i, j): v for i, j, v in m.triples()}, exact._MODULUS)
+
+
 def test_rank_mod_matches_the_oracles():
+    # on a Gram matrix the order of the principal submatrix found is its
+    # GF(q) rank and its rational rank, which is rank(A); on an indefinite
+    # matrix it is a lower bound, reached on some and missed on others
+    cases = rank_mod_cases(random.Random(49))
     deficient = 0
-    for rows in rank_mod_cases(random.Random(49)):
-        m = to_sparse(rows)
-        entries = {(i, j): v for i, j, v in m.triples()}
+    for rows in cases:
+        m = to_sparse(gram(rows))
         r = exact.rank_mod(m)
-        assert r == rank_mod(entries, exact._MODULUS) == rank(m), rows
-        deficient += r < min(m.nrows, m.ncols)
+        assert r == gf_rank(m) == rank(to_sparse(rows)), rows
+        deficient += r < m.nrows
     assert deficient > 10
+    below = reached = 0
+    for rows in indefinite(cases):
+        m = to_sparse(rows)
+        r, want = exact.rank_mod(m), gf_rank(m)
+        assert r <= want, rows
+        below += r < want
+        reached += 0 < r == want
+    assert below > 5 and reached > 0
 
 
 def test_rank_mod_of_empty_shapes_is_zero():
-    for nrows, ncols in ((0, 0), (0, 7), (7, 0)):
-        assert exact.rank_mod(SparseIntMatrix(nrows, ncols)) == 0
+    for n in (0, 7):
+        assert exact.rank_mod(SparseIntMatrix(n, n)) == 0
+
+
+def test_rank_mod_refuses_a_non_square_or_non_symmetric_matrix():
+    bad = [SparseIntMatrix(0, 7), SparseIntMatrix(7, 0),
+           to_sparse([[1, 2, 3], [2, 1, 0]]), to_sparse([[1, 2], [3, 1]]),
+           to_sparse([[0, 1], [1 + exact._MODULUS, 0]]),
+           to_sparse([[1, 0, 5], [0, 1, 0], [0, 0, 1]])]
+    for m in bad:
+        with pytest.raises(ValueError):
+            exact.rank_mod(m)
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_cases(seed):
+    """The Gram matrices of rank_mod_cases(seed) with their rational ranks,
+    and its indefinite matrices, shared by the parametrized tests below."""
+    cases = rank_mod_cases(random.Random(seed))
+    return ([to_sparse(gram(rows)) for rows in cases],
+            [rank(to_sparse(rows)) for rows in cases],
+            [to_sparse(rows) for rows in indefinite(cases)])
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 7])
 def test_rank_mod_does_not_depend_on_the_panel_width(width, monkeypatch):
-    cases = rank_mod_cases(random.Random(50))
-    want = [rank(to_sparse(rows)) for rows in cases]
+    # each index is kept or left out by its Schur complement pivot, whatever
+    # the blocking, so indefinite inputs keep their count as well
+    grams, want, others = symmetric_cases(50)
+    counts = [exact.rank_mod(m) for m in others]
     monkeypatch.setattr(exact, "_PANEL", width)
-    assert [exact.rank_mod(to_sparse(rows)) for rows in cases] == want
+    assert [exact.rank_mod(m) for m in grams] == want
+    assert [exact.rank_mod(m) for m in others] == counts
+
+
+@pytest.mark.parametrize("terms", [0, 1, 40])
+def test_rank_mod_does_not_depend_on_when_the_trailing_block_is_reduced(
+        terms, monkeypatch):
+    grams, want, others = symmetric_cases(50)
+    counts = [exact.rank_mod(m) for m in others]
+    monkeypatch.setattr(exact, "_TERMS", terms)
+    monkeypatch.setattr(exact, "_PANEL", 4)
+    assert [exact.rank_mod(m) for m in grams] == want
+    assert [exact.rank_mod(m) for m in others] == counts
 
 
 def test_rank_mod_is_only_a_lower_bound():

@@ -31,6 +31,7 @@ GONE = {
                 "hypercube_graph", "cube_graph", "tesseract_graph"],
     "dynamics": ["dirac_spectrum", "supertrace_power"],
     "lefschetz": ["heat_trace"],
+    "ring": ["ring_euler_polynomial"],
 }
 GONE_METHODS = {
     "exact.SparseIntMatrix": ["trace"],
