@@ -12,8 +12,9 @@ formats are sniffed automatically:
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a requested
 mathematical check fails. A complex of more than simplicial.MAX_SIMPLICES
-simplices, read or built, is an input error, and so is a tuple walk over
-more than basis.MAX_TUPLES intersecting k-tuples.
+simplices, read or built, is an input error, and so are a product of more
+than that many cells, an order above MAX_ORDER and a tuple walk over more
+than basis.MAX_TUPLES intersecting k-tuples.
 """
 
 from __future__ import annotations
@@ -81,6 +82,21 @@ class Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+class CommandParser(Parser):
+    """The parser of one command. It takes argv with the command name in
+    front and refuses arguments it does not know under the name "wucalc",
+    so it gives what the full parser gives for that argv."""
+
+    def parse_args(self, args):
+        name, *rest = args
+        namespace, extras = self.parse_known_args(
+            rest, argparse.Namespace(command=name))
+        if extras:
+            self.exit(USAGE_EXIT, "wucalc: error: unrecognized arguments: "
+                                  f"{' '.join(extras)}\n")
+        return namespace
+
+
 def positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -88,6 +104,24 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
+# The highest interaction order -k accepts, checked before k copies of
+# anything are made. The tuple budget already refuses an order of 25 or more
+# on a complex with an edge (an edge and one of its vertices give 2**k
+# tuples), so only 0-dimensional complexes reach this bound. It sits below
+# the first recursion failure under the default limit of 1,000 frames: at
+# order 495 in fmatrix, whose output nests k lists deep (two frames per
+# level), and at 985 in the tuple walk.
+MAX_ORDER = 256
+
+
+def order(text: str) -> int:
+    value = positive_int(text)
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"{text} is over the maximum order {MAX_ORDER}")
     return value
 
 
@@ -117,8 +151,8 @@ def nonnegative_float(text: str) -> float:
 
 def _bounded(fn, *args):
     """fn(*args), with the ValueError it raises on input over a budget (the
-    simplex, tuple, dense, automorphism vertex or Fredholm budget) as an
-    input error."""
+    simplex, product cell, tuple, dense, automorphism vertex or Fredholm
+    budget) as an input error."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -324,7 +358,7 @@ def cmd_lefschetz(args):
 def cmd_product(args):
     a = load_complex(args.files[0])
     b = load_complex(args.files[1])
-    pc = product_cell_complex([a, b])
+    pc = _bounded(product_cell_complex, [a, b])
     emit({
         "cells": len(pc.cells),
         "cell_f_vector": list(f_vector(pc)),
@@ -496,7 +530,7 @@ def _arg(*names, **options):
 FILE = _arg("file", metavar="FILE")
 FILES = _arg("files", nargs="+", metavar="FILE")
 PAIR = _arg("files", nargs=2, metavar="FILE")
-K = _arg("-k", type=positive_int, default=2,
+K = _arg("-k", type=order, default=2,
          help="interaction order (default 2)")
 
 # name -> (handler, help, arguments), in the order `wucalc --help` lists them
@@ -540,20 +574,26 @@ COMMANDS = {
 }
 
 
+def _add_arguments(parser, name):
+    for names, options in COMMANDS[name][2]:
+        parser.add_argument(*names, **options)
+    return parser
+
+
 def build_parser(argv=()) -> Parser:
-    """The wucalc parser. When argv[0] names a command, only that
-    subcommand is built: argparse hands everything after the name to it, so
-    parsing is the same as with all of them, at a fraction of the set-up."""
+    """The wucalc parser. When argv[0] names a command, it is that
+    command's CommandParser alone: the full parser hands everything after
+    the name to the same subparser, so parsing argv gives the same result
+    with one ArgumentParser built in place of two and a subparsers action. Otherwise (no argv, no
+    command or an unknown one) it is the full parser of every command."""
+    if argv and argv[0] in COMMANDS:
+        return _add_arguments(CommandParser(prog=f"wucalc {argv[0]}"),
+                              argv[0])
     parser = Parser(prog="wucalc",
                     description="interaction cohomology of finite complexes")
     sub = parser.add_subparsers(dest="command", required=True)
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    for name, (_, help_text, arguments) in COMMANDS.items():
-        if only not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_text)
-        for names, options in arguments:
-            p.add_argument(*names, **options)
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 

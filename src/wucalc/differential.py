@@ -22,6 +22,7 @@ shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 
 from .basis import InteractionBasis
@@ -135,23 +136,28 @@ def dirac_columns(d: GradedIntMatrix):
 
 
 class DiracLaplacian:
-    """D = d + d^T on the full graded space and the blocks of L = D^2."""
+    """D = d + d^T on the full graded space and the blocks of L = D^2. The
+    blocks are built at once; D is built when it is first read (only the
+    wave and Lax flows read it)."""
 
     def __init__(self, derivative: GradedIntMatrix):
         self.derivative = derivative
         self.grade_sizes = derivative.grade_sizes
         *self.offsets, self.size = accumulate(self.grade_sizes, initial=0)
-        columns = dirac_columns(derivative)
-        dirac: dict = {}
-        for m, co in zip(columns, self.offsets):
-            for i, row in m.rows.items():
-                dirac.setdefault(i, {}).update(
-                    (co + j, v) for j, v in row.items())
-        self.dirac = SparseIntMatrix(self.size, self.size, dirac)
         # L_p = d_p^T d_p + d_(p-1) d_(p-1)^T is the sum of v v^T over the
         # rows v of M_p
         self.laplacian_blocks = [SparseIntMatrix(n, n, _gram(m.rows.values()))
-                                 for m, n in zip(columns, self.grade_sizes)]
+                                 for m, n in zip(dirac_columns(derivative),
+                                                 self.grade_sizes)]
+
+    @cached_property
+    def dirac(self) -> SparseIntMatrix:
+        dirac: dict = {}
+        for m, co in zip(dirac_columns(self.derivative), self.offsets):
+            for i, row in m.rows.items():
+                dirac.setdefault(i, {}).update(
+                    (co + j, v) for j, v in row.items())
+        return SparseIntMatrix(self.size, self.size, dirac)
 
     def grading(self):
         """Grade label per coordinate of the full space."""

@@ -12,15 +12,19 @@ why a product cell's support is the set of its vertex tuples.
 
 from __future__ import annotations
 
+import math
 from itertools import product as iter_product
 
 from .basis import wu_characteristic
 from .cohomology import cohomology_data
-from .simplicial import Complex, leibniz_boundary
+from .simplicial import MAX_SIMPLICES, Complex, leibniz_boundary
 
 
 class ProductComplex:
-    """Cartesian cell product of two or more simplicial complexes."""
+    """Cartesian cell product of two or more simplicial complexes.
+
+    Raises ValueError, before listing any cell, when it would have more than
+    simplicial.MAX_SIMPLICES cells."""
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -28,6 +32,9 @@ class ProductComplex:
             raise ValueError("a product needs at least two factors")
         if not all(isinstance(f, Complex) for f in factors):
             raise TypeError("factors must be simplicial complexes")
+        if math.prod(len(f) for f in factors) > MAX_SIMPLICES:
+            raise ValueError(
+                f"the product has more than {MAX_SIMPLICES} cells")
         self.factors = factors
         cells = list(iter_product(*(f.cells for f in factors)))
         cells.sort(key=lambda c: (self.cell_dim(c), self.flat_key(c)))

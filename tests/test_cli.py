@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -366,6 +367,22 @@ BAD_INPUT = [
     ["kuenneth", "{two}", "{two}", "-k", "5"],
     ["spectrum", "{two}", "-k", "10"],
     ["deform", "{two}", "-k", "10"],
+    # over cli.MAX_ORDER, refused by the type of -k before k copies of
+    # anything are made: an order past the index size, one whose k-element
+    # lists fill memory, one whose k-fold tables run for minutes, and
+    # orders past the tuple walk's recursion on two points
+    *[[cmd, "{T}", "-k", "100000000000000000000"]
+      for cmd in ["betti", "wu", "fmatrix", "euler-poly", "spectrum",
+                  "deform", "lefschetz"]],
+    ["kuenneth", "{T}", "{T}", "-k", "100000000000000000000"],
+    ["betti", "{T}", "-k", "10000000000"],
+    ["betti", "{T}", "-k", "1000000"],
+    ["betti", "{points}", "-k", "995"],
+    ["fmatrix", "{points}", "-k", str(cli.MAX_ORDER + 1)],
+    # over simplicial.MAX_SIMPLICES product cells: a 12-vertex facet has
+    # 4,095 faces, so its square has about 1.7e7 cells
+    ["product", "{facet12}", "{facet12}"],
+    ["kuenneth", "{facet12}", "{facet12}", "-k", "1"],
 ]
 
 
@@ -395,7 +412,11 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
              "k26_facets": write_json(tmp_path, "k26.json",
                                       [[u, v] for v in range(26)
                                        for u in range(v)]),
-             "two": write_json(tmp_path, "two.json", [[0, 1, 2], [1, 2, 3]])}
+             "two": write_json(tmp_path, "two.json", [[0, 1, 2], [1, 2, 3]]),
+             "T": write_json(tmp_path, "T.json", [[1, 2, 3], [3, 4]]),
+             "points": write_json(tmp_path, "points.json", [[1], [2]]),
+             "facet12": write_json(tmp_path, "facet12.json",
+                                   [list(range(12))])}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 1
     assert out == ""
@@ -426,6 +447,13 @@ PARSE_ARGVS = [
     ["deform", "f", "-k", "2", "--tmax", "40", "--dt", "0.9"],
     ["curvature", "f"], ["dimension", "f"],
     [], ["--help"], ["frobnicate"], ["-k", "2", "betti"],
+    # what the full parser, not the command's own, reports or accepts:
+    # arguments the command does not know, an abbreviated option, an
+    # attached value, a missing value and a positional after "--"
+    ["fvector", "f", "g"], ["betti", "f", "--bogus"],
+    ["product", "a", "b", "c"], ["deform", "f", "--tm", "2"],
+    ["spectrum", "f", "--tol=1e-3"], ["betti", "f", "-k3"],
+    ["betti", "f", "-k"], ["betti", "--", "-x"],
 ] + [[a.format_map(_OwnNames()) for a in argv] for argv in BAD_INPUT] + [
     [name, "--help"] for name in cli.COMMANDS]
 
@@ -440,6 +468,32 @@ def test_the_one_command_parser_parses_as_the_full_one(argv, capsys):
         return result, capsys.readouterr()
 
     assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
+
+
+def test_a_named_command_builds_one_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for name in cli.COMMANDS:
+        built.clear()
+        cli.build_parser([name])
+        assert built == [f"wucalc {name}"]
+
+
+def test_every_order_up_to_the_budget_runs(tmp_path, capsys):
+    """MAX_ORDER is below every recursion the k-tuple commands make, also
+    from the deeper stack of a test."""
+    points = write_json(tmp_path, "points.json", [[1], [2]])
+    k = str(cli.MAX_ORDER)
+    for cmd in ["betti", "wu", "fmatrix", "euler-poly", "spectrum", "deform",
+                "lefschetz"]:
+        assert run(capsys, cmd, points, "-k", k)[0] == 0, cmd
+    assert run(capsys, "kuenneth", points, points, "-k", k)[0] == 0
 
 
 def test_help_lists_every_command(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
-    DiracLaplacian, block_assembler, dirac_and_laplacian,
+    DiracLaplacian, block_assembler, dirac_and_laplacian, dirac_columns,
     interaction_derivative, verify_d_squared,
 )
 from wucalc.exact import SparseIntMatrix
@@ -154,6 +154,17 @@ def test_dirac_is_symmetric_and_squares_to_the_laplacian():
         for i in range(block.nrows):
             for j in range(block.ncols):
                 assert square[off + i][off + j] == dense[i][j]
+
+
+def test_the_dirac_matrix_is_built_on_first_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr("wucalc.differential.dirac_columns",
+                        lambda d: calls.append(d) or dirac_columns(d))
+    c = generate_complex([(1, 2, 3), (3, 4)])
+    dl = DiracLaplacian(interaction_derivative(build_basis((c, c))))
+    assert len(calls) == 1 and "dirac" not in vars(dl)
+    assert dl.dirac is dl.dirac
+    assert len(calls) == 2
 
 
 def _dense(m):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wucalc.basis import (
     euler_polynomial, multivariate_euler_polynomial, wu_characteristic,
 )
@@ -12,7 +14,7 @@ from wucalc.ring import (
     ProductComplex, RingElement, disjoint_union, kuenneth_check, poly_mul,
     product_cell_complex, ring_betti, ring_wu,
 )
-from wucalc.simplicial import Complex, f_vector
+from wucalc.simplicial import MAX_SIMPLICES, Complex, f_vector
 
 from oracles import random_facets, ring_euler_polynomial
 
@@ -120,6 +122,21 @@ def test_product_cells_pair_dimensions_additively():
     # so it adds nothing to a sum, not even trailing zeros
     e = RingElement([(1, (g,))]) + RingElement([(1, empty.factors)])
     assert ring_euler_polynomial(e) == [2, 1]
+
+
+def test_a_product_over_the_cell_budget_is_refused_before_its_cells(
+        monkeypatch):
+    def unlisted(*parts):
+        raise AssertionError("cells listed")
+
+    facet = generate_complex([range(12)])
+    assert len(facet) ** 2 > MAX_SIMPLICES
+    # a product lists its cells with itertools.product
+    monkeypatch.setattr("wucalc.ring.iter_product", unlisted)
+    with pytest.raises(ValueError, match="more than"):
+        ProductComplex((facet, facet))
+    with pytest.raises(ValueError, match="more than"):
+        kuenneth_check(facet, facet, 1)
 
 
 def test_product_cell_boundary_follows_the_leibniz_rule():
