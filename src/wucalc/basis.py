@@ -84,7 +84,6 @@ class _IntersectionContext:
         atom_ids: dict = {}
         self.dims = []       # per system: list of cell dimensions
         self.sup_bits = []   # per system: per cell, atom bitset of its support
-        self.full = []       # per system: all-ones cell bitset
         self.dim_masks = []  # per system: {dim: cell bitset}
         self.inc = []        # per system: {atom id: cell bitset}
         for sys, cells in zip(self.systems, self.cell_lists):
@@ -102,9 +101,10 @@ class _IntersectionContext:
                 dmask[d] = dmask.get(d, 0) | bit
             self.dims.append(dims)
             self.sup_bits.append(sups)
-            self.full.append((1 << len(cells)) - 1)
             self.dim_masks.append(dmask)
             self.inc.append(inc)
+        # the running set before the first slot: every cell meets it
+        self.all_atoms = (1 << len(atom_ids)) - 1
 
         # the cells of each system that contain one atom all meet there, so
         # there are at least prod_j |star of the atom in system j| tuples;
@@ -127,9 +127,7 @@ class _IntersectionContext:
 
     def candidates(self, t, running):
         """Bitset of cells of system t whose support meets the atom bitset
-        running; every cell when running is None (nothing chosen yet)."""
-        if running is None:
-            return self.full[t]
+        running."""
         u = 0
         inc = self.inc[t]
         for a in _bits(running):
@@ -200,11 +198,10 @@ def _walk(ctx):
             return
         for idx in _bits(cand):
             sup = sup_bits[j][idx]
-            yield from rec(j + 1, ids + (idx,),
-                           sup if running is None else running & sup,
+            yield from rec(j + 1, ids + (idx,), running & sup,
                            dsum + dims[j][idx])
 
-    return rec(0, (), None, 0)
+    return rec(0, (), ctx.all_atoms, 0)
 
 
 def build_basis(complexes) -> InteractionBasis:

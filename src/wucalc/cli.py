@@ -11,10 +11,10 @@ formats are sniffed automatically:
     of the graph, with every clique filled in.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a requested
-mathematical check fails. A complex of more than simplicial.MAX_SIMPLICES
-simplices, read or built, is an input error, and so are a product of more
-than that many cells, an order above MAX_ORDER and a tuple walk over more
-than basis.MAX_TUPLES intersecting k-tuples.
+mathematical check fails. A refusal is a ValueError, an InputError from here
+or a library budget (simplices, product cells, k-tuples, dense size), and
+only main maps it to exit 1 and one stderr line; a broken invariant, an
+ArithmeticError, is not caught. -k refuses orders above MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ USAGE_EXIT = 1
 CHECK_EXIT = 2
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Input this module refuses before any library call."""
 
 
 class CheckFailure(Exception):
@@ -149,16 +149,6 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
-def _bounded(fn, *args):
-    """fn(*args), with the ValueError it raises on input over a budget (the
-    simplex, product cell, tuple, dense, automorphism vertex or Fredholm
-    budget) as an input error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
 def parse_facets_json(data):
     if isinstance(data, dict):
         if "facets" not in data:
@@ -177,7 +167,7 @@ def parse_facets_json(data):
             raise InputError(f"facet {i} has a negative vertex; vertex ids "
                              "must be non-negative integers")
         facets.append(tuple(facet))
-    return _bounded(generate_complex, facets)
+    return generate_complex(facets)
 
 
 def parse_edge_lines(text: str):
@@ -203,7 +193,7 @@ def parse_edge_lines(text: str):
         edges.append((u, v))
     if not edges:
         raise InputError("no edges found in input")
-    return _bounded(whitney_complex, Graph(vertices, edges))
+    return whitney_complex(Graph(vertices, edges))
 
 
 def load_complex(path: str) -> Complex:
@@ -257,7 +247,7 @@ def _load_k_complexes(args):
 
 
 def cmd_betti(args):
-    result = _bounded(euler_poincare_check, _load_k_complexes(args), args.k)
+    result = euler_poincare_check(_load_k_complexes(args), args.k)
     emit(result)
     if not result["euler_poincare_ok"]:
         raise CheckFailure("betti vector violates Euler-Poincare")
@@ -265,7 +255,7 @@ def cmd_betti(args):
 
 def cmd_wu(args):
     systems = normalize_complexes(_load_k_complexes(args), args.k)
-    emit({"k": args.k, "wu": _bounded(wu_characteristic, systems)})
+    emit({"k": args.k, "wu": wu_characteristic(systems)})
 
 
 def cmd_fvector(args):
@@ -278,12 +268,12 @@ def cmd_fvector(args):
 
 def cmd_fmatrix(args):
     c = load_complex(args.file)
-    emit({"k": args.k, "f_matrix": _bounded(f_tensor, c, args.k)})
+    emit({"k": args.k, "f_matrix": f_tensor(c, args.k)})
 
 
 def cmd_euler_poly(args):
     c = load_complex(args.file)
-    poly = _bounded(multivariate_euler_polynomial, c, args.k)
+    poly = multivariate_euler_polynomial(c, args.k)
     terms = {",".join(str(e) for e in exp): coeff
              for exp, coeff in sorted(poly.items())}
     emit({
@@ -295,7 +285,7 @@ def cmd_euler_poly(args):
 
 def cmd_refine(args):
     c = load_complex(args.file)
-    refined = _bounded(barycentric_refinement, c)
+    refined = barycentric_refinement(c)
     emit({"facets": [list(s) for s in refined.facets()]})
 
 
@@ -335,12 +325,12 @@ def _parse_automorphism(spec: str, c: Complex) -> dict:
 def cmd_lefschetz(args):
     c = load_complex(args.file)
     if args.aut == "all":
-        autos = _bounded(complex_automorphisms, c)
+        autos = complex_automorphisms(c)
     else:
         autos = [_parse_automorphism(args.aut, c)]
     results = []
     for t in autos:
-        res = _bounded(lefschetz_fixed_point_check, t, c, args.k)
+        res = lefschetz_fixed_point_check(t, c, args.k)
         res["map"] = {str(v): t[v] for v in sorted(t)}
         results.append(res)
     total = sum(r["lefschetz"] for r in results)
@@ -358,7 +348,7 @@ def cmd_lefschetz(args):
 def cmd_product(args):
     a = load_complex(args.files[0])
     b = load_complex(args.files[1])
-    pc = _bounded(product_cell_complex, [a, b])
+    pc = product_cell_complex([a, b])
     emit({
         "cells": len(pc.cells),
         "cell_f_vector": list(f_vector(pc)),
@@ -369,7 +359,7 @@ def cmd_product(args):
 def cmd_kuenneth(args):
     a = load_complex(args.files[0])
     b = load_complex(args.files[1])
-    result = _bounded(kuenneth_check, a, b, args.k)
+    result = kuenneth_check(a, b, args.k)
     emit(result)
     if not result["kuenneth_ok"]:
         raise CheckFailure("product cohomology does not factor")
@@ -377,9 +367,9 @@ def cmd_kuenneth(args):
 
 def cmd_connection(args):
     c = load_complex(args.file)
-    _bounded(check_connection_budget, c)
+    check_connection_budget(c)
     cg = connection_graph(c)
-    conn = _bounded(whitney_complex, cg)
+    conn = whitney_complex(cg)
     conn_edges = {frozenset(e) for e in cg.edges}
     included = all(frozenset(e) in conn_edges for e in inclusion_edges(c))
     payload = {
@@ -395,7 +385,7 @@ def cmd_connection(args):
 
 def cmd_fredholm(args):
     c = load_complex(args.file)
-    fredholm = _bounded(fredholm_characteristic, c)
+    fredholm = fredholm_characteristic(c)
     fermi = fermi_characteristic(c)
     trace = wu_via_connection_trace(c)
     wu2 = wu_characteristic(normalize_complexes(c, 2))
@@ -415,9 +405,9 @@ def cmd_fredholm(args):
 def cmd_spectrum(args):
     c = load_complex(args.file)
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
-    n = _bounded(lambda: max(data.basis.grade_sizes(), default=0))
-    _bounded(check_dense, n, n)  # the largest L_p, before any is built
-    spectra = _bounded(lambda: block_spectra(data.dirac, args.tol))
+    n = max(data.basis.grade_sizes(), default=0)
+    check_dense(n, n)  # the largest L_p, before any is built
+    spectra = block_spectra(data.dirac, args.tol)
     gap = supersymmetry_gap(spectra, tol=args.tol)
     payload = {
         "k": args.k,
@@ -439,8 +429,7 @@ def cmd_deform(args):
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
     mode = "complex" if args.complex else "real"
     # D is as large as the basis: its budget is checked before D is built
-    _bounded(lambda: lax_steps(sum(data.basis.grade_sizes()),
-                               args.tmax, args.dt))
+    lax_steps(sum(data.basis.grade_sizes()), args.tmax, args.dt)
     try:
         _, report = lax_deform(data.dirac, mode=mode,
                                t_max=args.tmax, dt=args.dt)
@@ -457,7 +446,7 @@ def cmd_curvature(args):
     c = load_complex(args.file)
     g = c.skeleton_graph()
     # a unit sphere's cliques are cliques of g, so this bounds them too
-    chi = euler_characteristic(_bounded(whitney_complex, g))
+    chi = euler_characteristic(whitney_complex(g))
     curvatures = {v: euler_curvature(g, v) for v in sorted(g.vertices)}
     total = sum(curvatures.values(), Fraction(0))
     payload = {
@@ -477,7 +466,7 @@ def cmd_dimension(args):
     # inductive_dimension memoizes one value per vertex set it meets: the
     # whole vertex set or the common neighbourhood of a clique of g, so the
     # clique budget bounds its work too
-    _bounded(whitney_complex, g)
+    whitney_complex(g)
     emit({"inductive_dimension": inductive_dimension(g)})
 
 
@@ -610,7 +599,7 @@ def main(argv=None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return USAGE_EXIT
-    except InputError as exc:
+    except ValueError as exc:  # a refusal: InputError or a library budget
         print(f"wucalc: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except CheckFailure as exc:

@@ -9,7 +9,8 @@ vector recovers the order-2 Wu characteristic.
 
 from __future__ import annotations
 
-from .basis import multivariate_euler_polynomial
+from .basis import (_IntersectionContext, _bits, _walk,
+                    multivariate_euler_polynomial)
 from .exact import det_bareiss
 from .simplicial import (MAX_SIMPLICES, OVER_BUDGET, Complex, Graph,
                          simplex_weight, whitney_complex)
@@ -29,16 +30,17 @@ def connection_matrix(c: Complex):
 def connection_graph(c: Complex) -> Graph:
     """Vertices are simplex indices in the global cell order; two indices
     are adjacent when the simplices intersect: the upper triangle of the
-    connection matrix."""
-    rows = connection_matrix(c)
-    return Graph(range(len(rows)), [(i, j) for i, row in enumerate(rows)
-                                    for j in range(i + 1, len(row)) if row[j]])
+    connection matrix, read from the order-2 tuple walk, whose prefix (i,)
+    comes with the bitset of the cells that meet cell i."""
+    edges = [(i, j) for (i,), _, meets in _walk(_IntersectionContext([c, c]))
+             for j in _bits(meets >> (i + 1) << (i + 1))]
+    return Graph(range(len(c)), edges)
 
 
 def check_connection_budget(c: Complex):
     """Raise ValueError when the connection complex of c has more than
-    MAX_SIMPLICES simplices for certain, before the n x n connection matrix
-    is built. That complex holds a vertex per simplex and an edge per
+    MAX_SIMPLICES simplices for certain, before the connection graph lists
+    its edges. That complex holds a vertex per simplex and an edge per
     unordered pair of distinct intersecting simplices; the k=2 profile
     counts give the ordered intersecting pairs, the n pairs (x, x) among
     them, without materializing any pair."""

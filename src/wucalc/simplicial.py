@@ -232,13 +232,17 @@ def barycentric_refinement(c: Complex) -> Complex:
     return whitney_complex(Graph(range(len(c.cells)), inclusion_edges(c)))
 
 
+def _induced(g: Graph, vertices) -> Graph:
+    """Subgraph of g induced by vertices, read from the adjacency sets."""
+    return Graph(vertices, [(a, b) for a in vertices
+                            for b in g.adj[a] & vertices if a < b])
+
+
 def unit_sphere(g: Graph, v) -> Graph:
     """Subgraph induced by the neighbors of v."""
     if v not in g.vertices:
         raise ValueError(f"vertex {v} not in graph")
-    nbrs = g.adj[v]
-    edges = [(a, b) for (a, b) in g.edges if a in nbrs and b in nbrs]
-    return Graph(nbrs, edges)
+    return _induced(g, g.adj[v])
 
 
 def inductive_dimension(g: Graph) -> Fraction:
@@ -283,8 +287,7 @@ def poincare_hopf_index(g: Graph, f: dict, v) -> int:
     if len(set(values)) != len(values):
         raise ValueError("valuation must be injective on the vertices")
     below = frozenset(w for w in g.adj[v] if f[w] < f[v])
-    edges = [(a, b) for (a, b) in g.edges if a in below and b in below]
-    return 1 - euler_characteristic(whitney_complex(Graph(below, edges)))
+    return 1 - euler_characteristic(whitney_complex(_induced(g, below)))
 
 
 def zagreb_index(g: Graph) -> int:

@@ -496,6 +496,32 @@ def test_every_order_up_to_the_budget_runs(tmp_path, capsys):
     assert run(capsys, "kuenneth", points, points, "-k", k)[0] == 0
 
 
+def _argv_with_stub(monkeypatch, name, error):
+    """argv that parses as command name, whose handler now raises error."""
+    def handler(args):
+        raise error
+
+    _, help_text, arguments = cli.COMMANDS[name]
+    monkeypatch.setitem(cli.COMMANDS, name, (handler, help_text, arguments))
+    files = sum(2 if options.get("nargs") == 2 else 1
+                for names, options in arguments
+                if not names[0].startswith("-"))
+    return [name] + ["f"] * files
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_main_maps_every_value_error_to_exit_1(name, monkeypatch, capsys):
+    argv = _argv_with_stub(monkeypatch, name, ValueError("x"))
+    assert run(capsys, *argv) == (cli.USAGE_EXIT, "", "wucalc: error: x\n")
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_main_lets_an_arithmetic_error_through(name, monkeypatch):
+    argv = _argv_with_stub(monkeypatch, name, ArithmeticError("x"))
+    with pytest.raises(ArithmeticError):
+        cli.main(argv)
+
+
 def test_help_lists_every_command(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

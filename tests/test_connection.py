@@ -1,5 +1,6 @@
 import random
 
+from wucalc import connection
 from wucalc.basis import wu_characteristic
 from wucalc.catalog import (
     barycentric_refinement, generate_complex, octahedron, path_complex,
@@ -21,6 +22,25 @@ def test_path_connection_graph_by_hand():
     g = connection_graph(p3)
     assert sorted(g.vertices) == [0, 1, 2, 3, 4]
     assert sorted(g.edges) == [(0, 3), (1, 3), (1, 4), (2, 4), (3, 4)]
+
+
+def test_the_connection_graph_does_not_build_the_matrix(monkeypatch):
+    """The graph is the upper triangle of the connection matrix, read from
+    the order-2 tuple walk: with the matrix unavailable it still matches."""
+    rng = random.Random(12)
+    complexes = [generate_complex(random_facets(rng)) for _ in range(40)]
+    expected = [[(i, j) for i, row in enumerate(connection_matrix(c))
+                 for j in range(i + 1, len(row)) if row[j]]
+                for c in complexes]
+
+    def refuse(c):
+        raise AssertionError("connection_matrix was called")
+
+    monkeypatch.setattr(connection, "connection_matrix", refuse)
+    for c, edges in zip(complexes, expected):
+        g = connection_graph(c)
+        assert g.vertices == frozenset(range(len(c)))
+        assert g.edges == frozenset(edges)
 
 
 def test_connection_matrix_is_the_intersection_indicator():

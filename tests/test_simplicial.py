@@ -177,6 +177,29 @@ def test_poincare_hopf_indices_sum_to_euler_characteristic():
         assert total == chi, f"Poincare-Hopf fails on {facets}"
 
 
+def _induced_by_edge_scan(g, vertices):
+    return Graph(vertices, [(a, b) for (a, b) in g.edges
+                            if a in vertices and b in vertices])
+
+
+def test_unit_spheres_and_indices_match_the_edge_scan():
+    """Both induced subgraphs equal the definition that scans every edge of
+    g, written here as the oracle."""
+    rng = random.Random(9)
+    for _ in range(40):
+        vs = list(range(rng.randint(1, 12)))
+        g = Graph(vs, [e for e in combinations(vs, 2) if rng.random() < 0.4])
+        vals = list(vs)
+        rng.shuffle(vals)
+        f = dict(zip(vs, vals))
+        for v in vs:
+            assert unit_sphere(g, v) == _induced_by_edge_scan(g, g.adj[v])
+            below = frozenset(w for w in g.adj[v] if f[w] < f[v])
+            chi = euler_characteristic(
+                whitney_complex(_induced_by_edge_scan(g, below)))
+            assert poincare_hopf_index(g, f, v) == 1 - chi
+
+
 def test_zagreb_index_of_star():
     g = graph_from_edges([(0, i) for i in range(1, 5)])
     assert zagreb_index(g) == 16 + 4
