@@ -40,7 +40,6 @@ from .cohomology import (
     normalize_complexes,
 )
 from .connection import (
-    check_connection_budget,
     connection_graph,
     fermi_characteristic,
     fredholm_characteristic,
@@ -367,7 +366,6 @@ def cmd_kuenneth(args):
 
 def cmd_connection(args):
     c = load_complex(args.file)
-    check_connection_budget(c)
     cg = connection_graph(c)
     conn = whitney_complex(cg)
     conn_edges = {frozenset(e) for e in cg.edges}

@@ -3,17 +3,19 @@
 All ranks are computed over the rationals with exact integer elimination,
 except that a Laplacian nullity takes the count of exact.rank_mod, the order
 of a principal submatrix of L_p that is non-singular mod q, when the
-derivative ranks certify it. The derivative ranks are cleared from the
-top grade down (the "twist" of Chen and Kerber, Persistent homology
-computation with a twist, 2011): d_(p+1) d_p = 0 makes every row of d_p at
-a pivot column of d_(p+1) redundant, so d_p is ranked without those rows.
-Each block is ranked by the standard left-looking reduction that goes with
-the twist (Bauer, Kerber, Reininghaus and Wagner, PHAT, 2017), in
-exact.pivot_columns, which stores the rows it need not reduce by reference
-and copies only those it reduces.
-The Betti vector streams: each d_p is assembled from the basis without
-those rows, ranked and dropped, and only its pivot columns pass down to
-the next grade, so CohomologyData.betti never builds the whole derivative.
+derivative ranks certify it. The derivative ranks are cleared from grade 0
+up, in the cohomology direction (de Silva, Morozov and Vejdemo-Johansson,
+Dualities in persistent (co)homology, 2011; Bauer, Ripser, 2021): each
+block is ranked as d_p^T, whose rows are the coboundaries of the grade-p
+tuples, and (d_(p+1) d_p)^T = 0 makes every row of d_(p+1)^T at a pivot
+column of d_p^T redundant, so d_(p+1)^T is ranked without those rows.
+Each block is ranked by the left-looking standard reduction (Bauer,
+Kerber, Reininghaus and Wagner, PHAT, 2017) in exact.pivot_columns, which
+stores the rows it need not reduce by reference and copies only those it
+reduces; in this direction almost every row left is an apparent pivot.
+The Betti vector streams: each d_p^T is assembled from the basis without
+those rows, ranked and dropped, and only its pivot columns pass up to the
+next grade, so CohomologyData.betti never builds the whole derivative.
 The same clearing loop ranks the stored blocks of a derivative that is
 already built, once: the ranks stay on it for the Laplacian nullities, the
 harmonic forms and a Betti vector asked for after the Laplacian.
@@ -27,52 +29,44 @@ from functools import cached_property, lru_cache
 
 from . import exact
 from .basis import InteractionBasis, build_basis, wu_characteristic
-from .differential import (DiracLaplacian, GradedIntMatrix, block_assembler,
-                           dirac_and_laplacian, dirac_columns,
-                           interaction_derivative)
-from .exact import SparseIntMatrix
-
-
-def _ranked(source: InteractionBasis | GradedIntMatrix):
-    """(grade sizes, incident ranks) of a source of derivative blocks: an
-    InteractionBasis assembles them one at a time (block_assembler), and a
-    built GradedIntMatrix lends its stored blocks and keeps its ranks, so
-    the Hodge route ranks each block of one derivative once."""
-    if isinstance(source, InteractionBasis):
-        sizes = source.grade_sizes()
-        return sizes, _incident_ranks(sizes, block_assembler(source))
-    if source.ranks is None:
-        def stored(p, skip):
-            b = source.blocks[p]
-            return SparseIntMatrix(b.nrows, b.ncols, {
-                i: r for i, r in b.rows.items() if i not in skip})
-
-        source.ranks = _incident_ranks(source.grade_sizes, stored)
-    return source.grade_sizes, source.ranks
+from .differential import (DiracLaplacian, GradedIntMatrix,
+                           coboundary_assembler, dirac_and_laplacian,
+                           dirac_columns, interaction_derivative, transpose)
 
 
 def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     """rank(d_(p-1)) + rank(d_p) for each grade p, exact; the derivative
-    into grade 0 and the one out of the top grade are zero. The source is
-    an InteractionBasis or a built GradedIntMatrix (see _ranked).
+    into grade 0 and the one out of the top grade are zero. An
+    InteractionBasis source assembles its coboundary blocks d_p^T one at a
+    time (coboundary_assembler); a built GradedIntMatrix lends the
+    transposes of its stored blocks and keeps its ranks, so the Hodge route
+    ranks each block of one derivative once.
 
-    The blocks are ranked from the top grade down, each without the rows
-    at the pivot columns of the block above. Those columns J of d_(p+1) are
-    independent and span its column space, so d_(p+1) d_p = 0 writes each
-    row of d_p in J as a combination of its rows outside J, and dropping
-    them leaves rank(d_p) unchanged over Q. Only J passes from one grade to
-    the next: a block is dropped once ranked, so a basis source holds one
-    block and its elimination at a time, never the whole derivative.
+    Each block is ranked as d_p^T, from grade 0 up, without the rows at the
+    pivot columns of the block below. Those columns J of d_(p-1)^T are
+    independent and span its column space, so
+    d_(p-1)^T d_p^T = (d_p d_(p-1))^T = 0 writes each row of d_p^T in J as
+    a combination of its rows outside J, and dropping them leaves rank(d_p)
+    unchanged over Q. Only J passes from one grade to the next: a block is
+    dropped once ranked, so a basis source holds one block and its
+    elimination at a time, never the whole derivative.
     """
-    return list(_ranked(source)[1])
+    if isinstance(source, InteractionBasis):
+        return _cleared_ranks(source.grade_sizes(),
+                              coboundary_assembler(source))
+    if source.ranks is None:
+        source.ranks = _cleared_ranks(
+            source.grade_sizes,
+            lambda p, skip: transpose(source.blocks[p], skip))
+    return list(source.ranks)
 
 
-def _incident_ranks(sizes, block):
-    """incident_ranks from grade sizes and block(p, skip), d_p without the
-    rows in skip."""
+def _cleared_ranks(sizes, block):
+    """incident_ranks from grade sizes and block(p, skip), d_p^T without the
+    rows in skip: the one clearing loop."""
     ranks = [0] * (len(sizes) + 1)
     cleared = set()
-    for p in range(len(sizes) - 2, -1, -1):
+    for p in range(len(sizes) - 1):
         cleared = set(exact.pivot_columns(block(p, cleared)))
         ranks[p + 1] = len(cleared)
     return [ranks[p] + ranks[p + 1] for p in range(len(sizes))]
@@ -81,8 +75,10 @@ def _incident_ranks(sizes, block):
 def betti_vector(source: InteractionBasis | GradedIntMatrix):
     """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade, from an
     InteractionBasis or a built GradedIntMatrix."""
+    sizes = (source.grade_sizes() if isinstance(source, InteractionBasis)
+             else source.grade_sizes)
     betti = []
-    for p, (n, r) in enumerate(zip(*_ranked(source))):
+    for p, (n, r) in enumerate(zip(sizes, incident_ranks(source))):
         b = n - r
         if b < 0:
             raise ArithmeticError(

@@ -9,8 +9,7 @@ vector recovers the order-2 Wu characteristic.
 
 from __future__ import annotations
 
-from .basis import (_IntersectionContext, _bits, _walk,
-                    multivariate_euler_polynomial)
+from .basis import _IntersectionContext, _bits, _walk
 from .exact import det_bareiss
 from .simplicial import (MAX_SIMPLICES, OVER_BUDGET, Complex, Graph,
                          simplex_weight, whitney_complex)
@@ -31,28 +30,22 @@ def connection_graph(c: Complex) -> Graph:
     """Vertices are simplex indices in the global cell order; two indices
     are adjacent when the simplices intersect: the upper triangle of the
     connection matrix, read from the order-2 tuple walk, whose prefix (i,)
-    comes with the bitset of the cells that meet cell i."""
-    edges = [(i, j) for (i,), _, meets in _walk(_IntersectionContext([c, c]))
-             for j in _bits(meets >> (i + 1) << (i + 1))]
-    return Graph(range(len(c)), edges)
-
-
-def check_connection_budget(c: Complex):
-    """Raise ValueError when the connection complex of c has more than
-    MAX_SIMPLICES simplices for certain, before the connection graph lists
-    its edges. That complex holds a vertex per simplex and an edge per
-    unordered pair of distinct intersecting simplices; the k=2 profile
-    counts give the ordered intersecting pairs, the n pairs (x, x) among
-    them, without materializing any pair."""
+    comes with the bitset of the cells that meet cell i. Raises ValueError,
+    before any edge is listed, when a first walk over the same tables
+    counts more than MAX_SIMPLICES vertices and edges of the connection
+    complex: its ordered intersecting pairs include the n pairs (x, x)."""
+    ctx = _IntersectionContext([c, c])
     n = len(c)
-    ordered = sum(multivariate_euler_polynomial(c, 2).values())
+    ordered = sum(meets.bit_count() for _, _, meets in _walk(ctx))
     if n + (ordered - n) // 2 > MAX_SIMPLICES:
         raise ValueError(OVER_BUDGET)
+    edges = [(i, j) for (i,), _, meets in _walk(ctx)
+             for j in _bits(meets >> (i + 1) << (i + 1))]
+    return Graph(range(n), edges)
 
 
 def connection_complex(c: Complex) -> Complex:
     """Whitney complex of the connection graph."""
-    check_connection_budget(c)
     return whitney_complex(connection_graph(c))
 
 

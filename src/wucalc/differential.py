@@ -2,19 +2,19 @@
 
 The derivative of a form on k-tuples sends each tuple to its signed faces
 by the Leibniz rule: a face of part j carries its own face sign times
-(-1)^(dims of the parts before j). It is assembled on the integer codes of
-the basis: a face of part j swaps digit j of the tuple's code for the face
-id, so each entry is one dict lookup and no face tuple is built. Face
-tuples that drop out of the basis (the parts lose their common point) are
-omitted; a tuple between two basis tuples is itself in the basis, which is
-why the restricted d still squares to zero.
+(-1)^(dims of the parts before j). It is assembled in the cohomology
+direction, one coboundary row of d_p^T per grade-p tuple, on the integer
+codes of the basis: a coface of part j swaps digit j of the code for the
+coface id and carries the same sign, so each entry is one dict lookup and
+no tuple is built. The basis is closed upward (enlarging a part keeps the
+common point), so every lookup hits; and a tuple between two basis tuples
+is itself in the basis, which is why the restricted d still squares to 0.
 
-block_assembler holds that one assembly loop, for one block d_p without a
-given set of rows, and builds the face tables once for all the blocks of
-one basis: interaction_derivative lists its blocks with nothing skipped,
-and the streamed Betti route (cohomology.incident_ranks) asks for one block
-at a time without the rows that clearing drops, so those rows are never
-built and no more than one block is alive.
+coboundary_assembler holds that one assembly loop, for one block d_p^T
+without a given set of rows, with the coface tables built once per basis:
+interaction_derivative stores the transposes of its blocks, and the
+streamed Betti route (cohomology.incident_ranks) asks for one block at a
+time without the rows that clearing drops, so those rows are never built.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
@@ -43,43 +43,44 @@ class GradedIntMatrix:
 
 
 def _face_table(system):
-    """Per cell of system, in cells order: its faces as (face id, sign),
-    from cell_boundary, and the parity of its dimension."""
+    """The face relation of system read upward, per cell in cells order:
+    its cofaces as (coface id, sign), the cells whose cell_boundary holds
+    it with that sign, and the parity of its dimension."""
     ids = {cell: i for i, cell in enumerate(system.cells)}
-    faces = [[(ids[f], sign) for f, sign in system.cell_boundary(cell)]
-             for cell in system.cells]
-    return faces, [system.cell_dim(cell) & 1 for cell in system.cells]
+    cofaces = [[] for _ in ids]
+    for i, cell in enumerate(system.cells):
+        for f, sign in system.cell_boundary(cell):
+            cofaces[ids[f]].append((i, sign))
+    return cofaces, [system.cell_dim(cell) & 1 for cell in system.cells]
 
 
-def block_assembler(b: InteractionBasis):
-    """The function block(p, skip=()) that assembles d_p, from grade p to
-    grade p+1, without the rows in skip: the one assembly loop. The face
-    table of each distinct complex is built once here, so a caller that
-    assembles several blocks of one basis shares it."""
-    tables: dict = {}  # one face table per distinct complex
+def coboundary_assembler(b: InteractionBasis):
+    """The function block(p, skip=()) that assembles d_p^T, a row per
+    grade-p tuple and a column per grade-(p+1) tuple, without the rows in
+    skip: the one assembly loop. The coface table of each distinct complex
+    is built once here, shared by the blocks of one basis."""
+    tables: dict = {}  # one coface table per distinct complex
     for s in b.systems:
         if s not in tables:
             tables[s] = _face_table(s)
     slots = [(r, tables[s]) for r, s in zip(b.radices, b.systems)]
-    get = b.position.get
+    position = b.position
 
     def block(p: int, skip=()) -> SparseIntMatrix:
-        m = SparseIntMatrix(len(b.codes[p + 1]), len(b.codes[p]))
-        for row, code in enumerate(b.codes[p + 1]):
+        m = SparseIntMatrix(len(b.codes[p]), len(b.codes[p + 1]))
+        for row, code in enumerate(b.codes[p]):
             if row in skip:
                 continue
-            # a face of part j swaps digit j for the face id and carries
-            # (-1)^(dims of the parts before j); distinct (slot, face) swaps
-            # give distinct codes, so each column is written once
+            # a coface of part j swaps digit j for the coface id and carries
+            # (-1)^(dims of the parts before j); it keeps the common point,
+            # so it is in the basis, and distinct swaps give distinct codes
             entries = {}
             rest, odd = code, 0
-            for r, (faces, parity) in slots:
+            for r, (cofaces, parity) in slots:
                 c, rest = divmod(rest, r)
                 base = code - c * r
-                for f, sign in faces[c]:
-                    col = get(base + f * r)
-                    if col is not None:
-                        entries[col] = -sign if odd else sign
+                for f, sign in cofaces[c]:
+                    entries[position[base + f * r]] = -sign if odd else sign
                 odd ^= parity[c]
             if entries:
                 m.rows[row] = entries
@@ -88,10 +89,21 @@ def block_assembler(b: InteractionBasis):
     return block
 
 
+def transpose(m: SparseIntMatrix, skip=()) -> SparseIntMatrix:
+    """m^T without the rows in skip, that is m without those columns."""
+    rows = {j: {} for j in range(m.ncols) if j not in skip}
+    for i, row in m.rows.items():
+        for j, v in row.items():
+            if j in rows:
+                rows[j][i] = v
+    return SparseIntMatrix(m.ncols, m.nrows,
+                           {j: r for j, r in rows.items() if r})
+
+
 def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
-    block = block_assembler(b)
+    block = coboundary_assembler(b)
     return GradedIntMatrix(b.grade_sizes(), [
-        block(p) for p in range(len(b.codes) - 1)])
+        transpose(block(p)) for p in range(len(b.codes) - 1)])
 
 
 def verify_d_squared(d: GradedIntMatrix) -> bool:
@@ -128,9 +140,8 @@ def dirac_columns(d: GradedIntMatrix):
         if p < len(d.blocks):
             rows = {offsets[p + 1] + i: r for i, r in d.blocks[p].rows.items()}
         if p > 0:
-            for i, row in d.blocks[p - 1].rows.items():
-                for j, v in row.items():
-                    rows.setdefault(offsets[p - 1] + j, {})[i] = v
+            rows.update((offsets[p - 1] + j, r)
+                        for j, r in transpose(d.blocks[p - 1]).rows.items())
         out.append(SparseIntMatrix(offsets[-1], n, rows))
     return out
 

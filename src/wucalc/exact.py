@@ -13,12 +13,13 @@ Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves rank(),
 pivot_columns(), nullity() and kernel_basis(). It reduces each row by the
 pivot rows stored so far and stores a row that needs no reduction by
 reference, so a matrix is neither copied nor indexed by column. Its
-traffic has +-1 entries: the derivative blocks, after clearing (see
-cohomology) almost only apparent pivots, and the stacked derivative whose
-kernel is the harmonic forms (see cohomology.harmonic_basis). The stored
-rows are an echelon basis of the row space, so their leading columns are
-the Gauss-Jordan pivot columns and back-substitution through them yields
-the unique reduced-echelon kernel basis.
+traffic has +-1 entries: the coboundary blocks d_p^T, which after clearing
+in the cohomology direction (see cohomology) hold almost only apparent
+pivots, and the stacked derivative whose kernel is the harmonic forms
+(see cohomology.harmonic_basis). The stored rows are an echelon basis of
+the row space, so their leading columns are the Gauss-Jordan pivot
+columns and back-substitution through them yields the unique
+reduced-echelon kernel basis.
 
 det_bareiss() stays a separate fraction-free elimination without any row
 scaling: the determinant value itself is the result, and gcd rescaling

@@ -181,6 +181,40 @@ def test_connection_command(triangle, capsys):
     assert payload["refinement_subgraph_ok"]
 
 
+def test_connection_builds_one_intersection_context(tmp_path, capsys,
+                                                   monkeypatch):
+    # the budget count and the edge list share one set of bitset tables;
+    # the payload is read off the connection matrix, built independently
+    from wucalc import basis
+    from wucalc.connection import connection_matrix
+    from wucalc.simplicial import Graph, f_vector, whitney_complex
+
+    inits = []
+    real = basis._IntersectionContext.__init__
+
+    def spy(self, systems):
+        inits.append(len(systems))
+        real(self, systems)
+
+    monkeypatch.setattr(basis._IntersectionContext, "__init__", spy)
+    for facets in ([[1, 2, 3]], [[1, 2, 3], [3, 4], [4, 5, 6], [7]],
+                   [[1, 2], [2, 3], [3, 1], [1, 4, 5]]):
+        path = write_json(tmp_path, "c.json", facets)
+        inits.clear()
+        code, out, _ = run(capsys, "connection", path)
+        assert (code, inits) == (0, [2])
+        m = connection_matrix(cli.load_complex(path))
+        edges = [(i, j) for i, row in enumerate(m)
+                 for j in range(i + 1, len(row)) if row[j]]
+        conn = whitney_complex(Graph(range(len(m)), edges))
+        assert out == json.dumps({
+            "simplices": len(m),
+            "connection_edges": len(edges),
+            "connection_f_vector": list(f_vector(conn)),
+            "refinement_subgraph_ok": True,
+        }, indent=2) + "\n"
+
+
 def test_fredholm_command(triangle, capsys):
     code, out, _ = run(capsys, "fredholm", triangle)
     assert code == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wucalc import catalog, differential, exact
+from wucalc import catalog, cohomology, differential, exact
 from wucalc.basis import build_basis, multivariate_euler_polynomial
 from wucalc.catalog import (
     cycle_complex, cylinder, figure_eight, generate_complex, moebius,
@@ -18,8 +18,8 @@ from wucalc.exact import SparseIntMatrix
 from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
-from oracles import (fraction_kernel, integer_rank, naive_interaction_data,
-                     random_facets)
+from oracles import (PRIMES, fraction_kernel, integer_rank,
+                     naive_interaction_data, random_facets, rank_mod)
 
 
 def test_order_one_betti_matches_classical_homology():
@@ -256,6 +256,65 @@ def test_rows_at_the_pivot_columns_above_do_not_change_a_rank():
             assert exact.rank(SparseIntMatrix(b.nrows, b.ncols, rest)) == \
                 exact.rank(b)
     assert dropped > 0
+
+
+def test_rows_at_the_pivot_columns_below_do_not_change_a_coboundary_rank():
+    # the clearing lemma in the cohomology direction: d_p^T d_(p+1)^T = 0
+    dropped = 0
+    for complexes in rank_cases(1122) + [(cylinder(),) * 2]:
+        b = build_basis(complexes)
+        block = differential.coboundary_assembler(b)
+        for p in range(len(b.codes) - 2):
+            below = set(exact.pivot_columns(block(p)))
+            assert len(below) == exact.rank(block(p))
+            full, rest = block(p + 1), block(p + 1, below)
+            dropped += len(full.rows) - len(rest.rows)
+            assert exact.rank(rest) == exact.rank(full)
+    assert dropped > 0
+
+
+def small_products(rng, n):
+    return [ProductComplex([
+        generate_complex(random_facets(rng, max_vertices=4, max_facets=3,
+                                       max_size=3))
+        for _ in range(2)]) for _ in range(n)]
+
+
+def test_streamed_betti_matches_the_stored_route_and_the_modular_oracle():
+    rng = random.Random(2020)
+    systems = [generate_complex(random_facets(rng)) for _ in range(4)]
+    systems += small_products(rng, 3)
+    for s in systems:
+        for k in (1, 2, 3):
+            b = build_basis((s,) * k)
+            d = interaction_derivative(b)
+            ranks = [0]
+            for m in d.blocks:
+                entries = {(i, j): v for i, j, v in m.triples()}
+                rs = {rank_mod(entries, q) for q in PRIMES}
+                assert len(rs) == 1
+                ranks += rs
+            ranks.append(0)
+            want = [n - ranks[p] - ranks[p + 1]
+                    for p, n in enumerate(b.grade_sizes())]
+            assert betti_vector(b) == betti_vector(d) == want, (s, k)
+
+
+def test_the_streamed_betti_never_builds_a_derivative(monkeypatch):
+    c = generate_complex([(1, 2, 3), (3, 4), (4, 5, 6)])
+    cases = [(c,) * k for k in (1, 2, 3)]
+    cases += [(pc,) * 2 for pc in small_products(random.Random(2021), 2)]
+    want = [betti_vector(interaction_derivative(build_basis(complexes)))
+            for complexes in cases]
+    calls = []
+    for module in (cohomology, differential):
+        monkeypatch.setattr(module, "interaction_derivative", calls.append)
+    for complexes, betti in zip(cases, want):
+        data = CohomologyData(complexes)
+        assert data.betti == betti
+        assert incident_ranks(data.basis) == incident_ranks(
+            build_basis(complexes))
+    assert calls == []
 
 
 def test_streamed_betti_matches_the_built_derivative():

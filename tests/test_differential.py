@@ -6,7 +6,7 @@ import numpy as np
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
-    DiracLaplacian, block_assembler, dirac_and_laplacian, dirac_columns,
+    DiracLaplacian, coboundary_assembler, dirac_and_laplacian, dirac_columns,
     interaction_derivative, verify_d_squared,
 )
 from wucalc.exact import SparseIntMatrix
@@ -33,12 +33,16 @@ def test_a_derivative_block_leaves_out_exactly_its_skipped_rows():
         cases += [(pc,) * k for k in (1, 2, 3)]
     for systems in cases:
         b = build_basis(systems)
-        block = block_assembler(b)
-        for p, full in enumerate(interaction_derivative(b).blocks):
-            skip = {i for i in range(full.nrows) if rng.random() < 0.5}
-            rest = {i: r for i, r in full.rows.items() if i not in skip}
+        block = coboundary_assembler(b)
+        for p, d in enumerate(interaction_derivative(b).blocks):
+            # the transpose of the full d_p, built here from its triples
+            full = {}
+            for i, j, v in d.triples():
+                full.setdefault(j, {})[i] = v
+            skip = {j for j in range(d.ncols) if rng.random() < 0.5}
+            rest = {j: r for j, r in full.items() if j not in skip}
             assert block(p, skip) == SparseIntMatrix(
-                full.nrows, full.ncols, rest), (systems, p)
+                d.ncols, d.nrows, rest), (systems, p)
 
 
 def test_boundary_chain_signs_alternate():

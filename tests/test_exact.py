@@ -8,7 +8,7 @@ from wucalc import exact
 from wucalc.basis import build_basis
 from wucalc.catalog import cylinder, generate_complex
 from wucalc.cohomology import cohomology_data, incident_ranks
-from wucalc.differential import block_assembler, interaction_derivative
+from wucalc.differential import coboundary_assembler, interaction_derivative
 from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 
 from oracles import (
@@ -141,14 +141,14 @@ def pivot_cases(rng):
 
 
 def derivative_cases(rng):
-    """Seeded derivative blocks at k = 1, 2, 3, each without a random set of
-    its rows."""
+    """Seeded coboundary blocks d_p^T at k = 1, 2, 3, each without a random
+    set of its rows."""
     for _ in range(8):
         c = generate_complex(random_facets(rng))
         for k in (1, 2, 3):
             b = build_basis((c,) * k)
-            block = block_assembler(b)
-            for p, n in enumerate(b.grade_sizes()[1:]):
+            block = coboundary_assembler(b)
+            for p, n in enumerate(b.grade_sizes()[:-1]):
                 skip = {i for i in range(n) if rng.random() < 0.3}
                 yield block(p, skip)
 
