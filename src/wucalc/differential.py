@@ -71,9 +71,8 @@ def coboundary_assembler(b: InteractionBasis):
         for row, code in enumerate(b.codes[p]):
             if row in skip:
                 continue
-            # a coface of part j swaps digit j for the coface id and carries
-            # (-1)^(dims of the parts before j); it keeps the common point,
-            # so it is in the basis, and distinct swaps give distinct codes
+            # a coface keeps the common point, so its code is in position;
+            # distinct (slot, coface) swaps give distinct codes
             entries = {}
             rest, odd = code, 0
             for r, (cofaces, parity) in slots:
