@@ -16,9 +16,9 @@ reduces; in this direction almost every row left is an apparent pivot.
 The Betti vector streams: each d_p^T is assembled from the basis without
 those rows, ranked and dropped, and only its pivot columns pass up to the
 next grade, so CohomologyData.betti never builds the whole derivative.
-The same clearing loop ranks the stored blocks of a derivative that is
-already built, once: the ranks stay on it for the Laplacian nullities, the
-harmonic forms and a Betti vector asked for after the Laplacian.
+The same clearing loop ranks the transposed blocks of a derivative that
+is already built, once: the ranks stay on it for the Laplacian nullities,
+the harmonic forms and a Betti vector asked for after the Laplacian.
 Betti vectors are reported with length equal to the number of grades of the
 basis (trailing zeros kept), which is how the reference tables print them.
 """
