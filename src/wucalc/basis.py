@@ -19,10 +19,13 @@ The walk works on cell ids and hands each prefix to its consumer together
 with the candidate bitset of the last slot. build_basis expands the last
 slot into integer codes: a tuple is stored as the mixed-radix number whose
 digit j is the position of x_j in systems[j].cells, so the derivative can
-find a face tuple by swapping one digit (see differential), and the tuples
-of cells are decoded only for the callers that ask for them. The
-dimension-profile counts, and the Wu characteristic which is their signed
-sum, never materialize tuples: their innermost sum is a popcount.
+find a face tuple by swapping one digit (see differential). Each grade is
+kept in walk order, ascending codes, which the Betti numbers are ranked
+in, since a rank over Q does not depend on the order of the basis; the
+pinned layout order, which fixes every matrix shown, and the tuples of
+cells are derived only for the routes that read them (InteractionBasis).
+The dimension-profile counts, and the Wu characteristic which is their
+signed sum, never materialize tuples: their innermost sum is a popcount.
 
 Everything accepts any object implementing the small cell interface of
 simplicial.Complex (cells, cell_dim, cell_boundary, cell_support,
@@ -33,7 +36,7 @@ complexes of one call are all of one kind.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import getitem, mul
+from operator import mul
 
 from .simplicial import Complex, f_vector
 
@@ -60,10 +63,18 @@ def _find(root, a):
 
 
 def _bits(m):
+    """The positions of the set bits of m >= 0, ascending. Each step takes
+    the 64-bit word that starts at the lowest set bit left, so a dense mask
+    of n bits costs n/64 big-int steps, not n."""
     while m:
-        lsb = m & -m
-        yield lsb.bit_length() - 1
-        m ^= lsb
+        base = (m & -m).bit_length() - 1
+        w = m >> base & 0xFFFF_FFFF_FFFF_FFFF
+        m ^= w << base
+        base -= 1
+        while w:
+            lsb = w & -w
+            yield base + lsb.bit_length()
+            w ^= lsb
 
 
 class _IntersectionContext:
@@ -140,33 +151,56 @@ class InteractionBasis:
 
     A tuple (x_1, ..., x_k) is stored as one mixed-radix integer code, the
     sum of c_j * radices[j] where c_j is the position of x_j in
-    systems[j].cells. codes[p] lists the codes of grade p in basis order and
-    position maps every code to its place in its grade. The tuples of cells
-    themselves, grades[p] and the index from tuple to position, are decoded
-    on first access, for the callers that name cells."""
+    systems[j].cells. codes[p] lists the codes of grade p in walk order,
+    ascending, which the Betti route ranks; layout[p] lists them in the
+    pinned order of every matrix shown. The layout, the tuples of cells in
+    it, grades[p], and the index from tuple to position are derived on
+    first read."""
 
-    def __init__(self, systems, radices, codes, position):
+    def __init__(self, systems, radices, codes):
         self.systems = systems
         self.radices = radices        # radices[j] = product of later sizes
-        self.codes = codes            # codes[p] = ordered list of codes
-        self.position = position      # code -> position in its grade
+        self.codes = codes            # codes[p] = grade p in walk order
 
     def grade_sizes(self):
         return [len(g) for g in self.codes]
 
+    def _parts(self, code, tables):
+        """The entries of tables[j] at the digits c_j of code, as a tuple."""
+        parts = []
+        for table, r in zip(tables, self.radices):
+            c, code = divmod(code, r)
+            parts.append(table[c])
+        return tuple(parts)
+
+    @cached_property
+    def layout(self):
+        """Each grade sorted by the flat concatenation of its tuples' parts'
+        flat_key, then by the parts' keys; ties (product cells can share a
+        flat key) keep ascending codes. The first k-1 parts' share of the
+        key is built once per prefix, code // n_last."""
+        keys = [list(map(s.flat_key, s.cells)) for s in self.systems]
+        last_keys = keys[-1]
+        n_last = len(last_keys)
+        prefix_keys = {}
+
+        def sort_key(code):
+            prefix, c = divmod(code, n_last)
+            flat_parts = prefix_keys.get(prefix)
+            if flat_parts is None:
+                parts = self._parts(code - c, keys)[:-1]
+                flat_parts = prefix_keys[prefix] = (sum(parts, ()), parts)
+            flat, parts = flat_parts
+            key = last_keys[c]
+            return (flat + key, parts + (key,))
+
+        return [sorted(g, key=sort_key) for g in self.codes]
+
     @cached_property
     def grades(self):
-        """grades[p] = the ordered list of tuples of cells of grade p."""
+        """grades[p] = the tuples of cells of grade p in layout order."""
         cells = [s.cells for s in self.systems]
-
-        def decode(code):
-            parts = []
-            for cl, r in zip(cells, self.radices):
-                c, code = divmod(code, r)
-                parts.append(cl[c])
-            return tuple(parts)
-
-        return [list(map(decode, g)) for g in self.codes]
+        return [[self._parts(code, cells) for code in g] for g in self.layout]
 
     @cached_property
     def index(self):
@@ -207,47 +241,24 @@ def _walk(ctx):
 def build_basis(complexes) -> InteractionBasis:
     """Enumerate all ordered k-tuples with common intersection, graded.
 
-    k=1 gives all cells graded by dimension. Within a grade, tuples are
-    sorted lexicographically by the concatenation of their parts' vertex
-    tuples (with the structured parts as a tie-break), which fixes every
-    downstream matrix layout.
+    k=1 gives all cells graded by dimension. One walk lists the codes of
+    each grade in walk order, ascending, and builds no sort key: the Betti
+    route ranks that order, and only the routes that show a matrix read the
+    pinned order, InteractionBasis.layout, derived on first read.
     """
     systems = list(complexes)
     ctx = _IntersectionContext(systems)
     radices = [1] * len(systems)
     for j in range(len(systems) - 1, 0, -1):
         radices[j - 1] = radices[j] * len(ctx.cell_lists[j])
-    flat_key = systems[0].flat_key  # the systems of one call are of one kind
-    keys = [list(map(flat_key, cells)) for cells in ctx.cell_lists]
-    last_keys, last_dims = keys[-1], ctx.dims[-1]
-    n_last = len(last_keys)
-    # the sort key of a tuple is the flat concatenation of its parts' keys,
-    # then the parts' keys; the first k-1 parts' share is kept per prefix,
-    # under the code of the prefix, code // n_last
-    prefix_keys = {}
+    last_dims = ctx.dims[-1]
     by_grade: dict = {}
     for ids, dsum, last in _walk(ctx):
-        if not last:
-            continue
         base = sum(map(mul, ids, radices))
-        parts = tuple(map(getitem, keys, ids))
-        prefix_keys[base // n_last] = (sum(parts, ()), parts)
         for idx in _bits(last):
             by_grade.setdefault(dsum + last_dims[idx], []).append(base + idx)
     codes = [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
-
-    def sort_key(code):
-        prefix, c = divmod(code, n_last)
-        flat, parts = prefix_keys[prefix]
-        key = last_keys[c]
-        return (flat + key, parts + (key,))
-
-    position = {}
-    for g in codes:
-        g.sort(key=sort_key)
-        for pos, code in enumerate(g):
-            position[code] = pos
-    return InteractionBasis(systems, radices, codes, position)
+    return InteractionBasis(systems, radices, codes)
 
 
 def wu_characteristic(complexes) -> int:

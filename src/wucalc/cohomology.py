@@ -13,11 +13,13 @@ Each block is ranked by the left-looking standard reduction (Bauer,
 Kerber, Reininghaus and Wagner, PHAT, 2017) in exact.pivot_columns, which
 stores the rows it need not reduce by reference and copies only those it
 reduces; in this direction almost every row left is an apparent pivot.
-The Betti vector streams: each d_p^T is assembled from the basis without
-those rows, ranked and dropped, and only its pivot columns pass up to the
-next grade, so CohomologyData.betti never builds the whole derivative.
-The same clearing loop ranks the transposed blocks of a derivative that
-is already built, once: the ranks stay on it for the Laplacian nullities,
+The Betti vector streams: each d_p^T is assembled from the basis in its
+walk order (a rank does not depend on the order of the basis, so this
+route never sorts the pinned layout) without those rows, ranked and
+dropped, and only its pivot columns pass up to the next grade, so
+CohomologyData.betti never builds the whole derivative. The same clearing
+loop ranks the transposed blocks of a derivative that is already built,
+in layout order, once: the ranks stay on it for the Laplacian nullities,
 the harmonic forms and a Betti vector asked for after the Laplacian.
 Betti vectors are reported with length equal to the number of grades of the
 basis (trailing zeros kept), which is how the reference tables print them.
@@ -38,10 +40,10 @@ from .exact import SparseIntMatrix
 def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     """rank(d_(p-1)) + rank(d_p) for each grade p, exact; the derivative
     into grade 0 and the one out of the top grade are zero. An
-    InteractionBasis source assembles its blocks one at a time and drops
-    each once ranked; a built GradedIntMatrix lends the transposes of its
-    stored blocks and keeps its ranks, so the Hodge route ranks each block
-    of one derivative once.
+    InteractionBasis source assembles its blocks one at a time, in walk
+    order, and drops each once ranked; a built GradedIntMatrix lends the
+    transposes of its stored blocks and keeps its ranks, so the Hodge route
+    ranks each block of one derivative once.
 
     Each block is ranked as d_p^T, from grade 0 up, without the rows at the
     pivot columns of the block below. Those columns J of d_(p-1)^T are
@@ -52,7 +54,7 @@ def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     """
     if isinstance(source, InteractionBasis):
         return _cleared_ranks(source.grade_sizes(),
-                              coboundary_assembler(source))
+                              coboundary_assembler(source, source.codes))
     if source.ranks is None:
         source.ranks = _cleared_ranks(
             source.grade_sizes,

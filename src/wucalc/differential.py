@@ -12,9 +12,10 @@ is itself in the basis, which is why the restricted d still squares to 0.
 
 coboundary_assembler holds that one assembly loop, for one block d_p^T
 without a given set of rows, with the coface tables built once per basis:
-interaction_derivative stores the transposes of its blocks, and the
-streamed Betti route (cohomology.incident_ranks) asks for one block at a
-time without the rows that clearing drops, so those rows are never built.
+interaction_derivative stores the transposes of its blocks in the layout
+order of the basis, and the streamed Betti route (cohomology.incident_ranks)
+asks for one block at a time in walk order without the rows that clearing
+drops, so those rows are never built and the layout is never sorted.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
@@ -54,21 +55,24 @@ def _face_table(system):
     return cofaces, [system.cell_dim(cell) & 1 for cell in system.cells]
 
 
-def coboundary_assembler(b: InteractionBasis):
+def coboundary_assembler(b: InteractionBasis, codes=None):
     """The function block(p, skip=()) that assembles d_p^T, a row per
-    grade-p tuple and a column per grade-(p+1) tuple, without the rows in
-    skip: the one assembly loop. The coface table of each distinct complex
-    is built once here, shared by the blocks of one basis."""
+    grade-p tuple and a column per grade-(p+1) tuple in the order of codes
+    (b.layout unless given), without the rows in skip: the one assembly
+    loop. The coface tables and the positions of the codes are built once
+    here, shared by the blocks of one basis."""
     tables: dict = {}  # one coface table per distinct complex
     for s in b.systems:
         if s not in tables:
             tables[s] = _face_table(s)
     slots = [(r, tables[s]) for r, s in zip(b.radices, b.systems)]
-    position = b.position
+    if codes is None:
+        codes = b.layout
+    position = {code: pos for g in codes for pos, code in enumerate(g)}
 
     def block(p: int, skip=()) -> SparseIntMatrix:
-        m = SparseIntMatrix(len(b.codes[p]), len(b.codes[p + 1]))
-        for row, code in enumerate(b.codes[p]):
+        m = SparseIntMatrix(len(codes[p]), len(codes[p + 1]))
+        for row, code in enumerate(codes[p]):
             if row in skip:
                 continue
             # a coface keeps the common point, so its code is in position;
@@ -102,7 +106,7 @@ def transpose(m: SparseIntMatrix, skip=()) -> SparseIntMatrix:
 def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
     block = coboundary_assembler(b)
     return GradedIntMatrix(b.grade_sizes(), [
-        transpose(block(p)) for p in range(len(b.codes) - 1)])
+        transpose(block(p)) for p in range(len(b.grade_sizes()) - 1)])
 
 
 def verify_d_squared(d: GradedIntMatrix) -> bool:

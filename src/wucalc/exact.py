@@ -223,7 +223,8 @@ def _reduce(x, rint):
 def _rcm(rows, n):
     """The reverse Cuthill-McKee order (Cuthill and McKee, 1969) of the graph
     of the symmetric rows: each component breadth first from a vertex of
-    least degree, unseen neighbours by ascending degree, then reversed."""
+    least degree, unseen neighbours by ascending (degree, index), then
+    reversed; so the order depends on the matrix, not on its dict order."""
     degree = [len(rows.get(i, ())) for i in range(n)]
     order, seen, k = [], set(), 0
     for s in sorted(range(n), key=degree.__getitem__):
@@ -231,8 +232,8 @@ def _rcm(rows, n):
             seen.add(s)
             order.append(s)
         while k < len(order):
-            near = sorted((j for j in rows.get(order[k], ()) if j not in seen),
-                          key=degree.__getitem__)
+            near = sorted(j for j in rows.get(order[k], ()) if j not in seen)
+            near.sort(key=degree.__getitem__)  # stable: ties stay by index
             seen.update(near)
             order += near
             k += 1

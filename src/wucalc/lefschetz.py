@@ -9,6 +9,7 @@ the tests exercise.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -32,13 +33,9 @@ def automorphism_group(g: Graph):
         raise ValueError(
             f"automorphism search on {len(vs)} vertices exceeds the limit of "
             f"{MAX_AUTOMORPHISM_VERTICES} vertices")
-    fp = {}
-    for v in vs:
-        nbr = tuple(sorted(g.degree(w) for w in g.adj[v]))
-        fp[v] = (g.degree(v), nbr)
-    counts: dict = {}
-    for v in vs:
-        counts[fp[v]] = counts.get(fp[v], 0) + 1
+    fp = {v: (g.degree(v), tuple(sorted(g.degree(w) for w in g.adj[v])))
+          for v in vs}
+    counts = Counter(fp.values())
     order = sorted(vs, key=lambda v: (counts[fp[v]], v))
     autos = []
     mapping: dict = {}
@@ -50,14 +47,9 @@ def automorphism_group(g: Graph):
         v = order[depth]
         used = set(mapping.values())
         for w in vs:
-            if w in used or fp[w] != fp[v]:
-                continue
-            ok = True
-            for u, tu in mapping.items():
-                if (u in g.adj[v]) != (tu in g.adj[w]):
-                    ok = False
-                    break
-            if ok:
+            if w not in used and fp[w] == fp[v] and all(
+                    (u in g.adj[v]) == (tu in g.adj[w])
+                    for u, tu in mapping.items()):
                 mapping[v] = w
                 extend(depth + 1)
                 del mapping[v]
@@ -68,12 +60,8 @@ def automorphism_group(g: Graph):
 
 def complex_automorphisms(c: Complex):
     """Automorphisms of the vertex skeleton that map simplices to simplices."""
-    autos = automorphism_group(c.skeleton_graph())
-    out = []
-    for t in autos:
-        if all(tuple(sorted(t[v] for v in s)) in c for s in c.simplices):
-            out.append(t)
-    return out
+    return [t for t in automorphism_group(c.skeleton_graph())
+            if all(tuple(sorted(t[v] for v in s)) in c for s in c.simplices)]
 
 
 def permutation_sign(t: dict, s) -> int:
@@ -95,12 +83,9 @@ def _signed_permutation(t: dict, basis: InteractionBasis):
         for s in c.cells:
             moved[s] = tuple(sorted(t[v] for v in s))
             sign[s] = permutation_sign(t, s)
-    maps = []
-    for grade in basis.grades:
-        image = [basis.index[tuple(moved[part] for part in x)] for x in grade]
-        signs = [prod(sign[part] for part in x) for x in grade]
-        maps.append((image, signs))
-    return maps
+    return [([basis.index[tuple(moved[part] for part in x)] for x in grade],
+             [prod(sign[part] for part in x) for x in grade])
+            for grade in basis.grades]
 
 
 def _fixed(basis: InteractionBasis, maps):
@@ -158,11 +143,6 @@ def lefschetz_fixed_point_check(t: dict, c: Complex, k: int) -> dict:
     cohom = _trace(data.harmonic, maps)
     fixed = _fixed(data.basis, maps)
     local = sum(index for _, index in fixed)
-    return {
-        "k": k,
-        "lefschetz": cohom,
-        "fixed_tuples": len(fixed),
-        "index_sum": local,
-        "fixed_point_ok": cohom == local,
-    }
+    return {"k": k, "lefschetz": cohom, "fixed_tuples": len(fixed),
+            "index_sum": local, "fixed_point_ok": cohom == local}
 

@@ -223,6 +223,23 @@ def test_profile_counts_match_brute_force_enumeration():
             assert multivariate_euler_polynomial(c, k) == naive
 
 
+def test_bits_lists_the_set_bits_as_the_one_bit_loop_does():
+    def one_bit_at_a_time(m):
+        while m:
+            lsb = m & -m
+            yield lsb.bit_length() - 1
+            m ^= lsb
+
+    rng = random.Random(2123)
+    for width in (0, 1, 63, 64, 65, 10_000):
+        masks = [(1 << width) - 1, 1 << width, (1 << width) | 1]
+        masks += [rng.getrandbits(width) for _ in range(20)]
+        masks += [sum(1 << rng.randrange(width) for _ in range(3))
+                  for _ in range(20) if width]
+        for m in masks:
+            assert list(basis._bits(m)) == list(one_bit_at_a_time(m)), m
+
+
 def test_the_complex_with_no_cells_has_no_tuples():
     c = Complex([])
     for k in (1, 2, 3):

@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from wucalc import catalog, cohomology, differential, exact
-from wucalc.basis import build_basis, multivariate_euler_polynomial
+from wucalc.basis import (
+    InteractionBasis, build_basis, multivariate_euler_polynomial,
+)
 from wucalc.catalog import (
     cycle_complex, cylinder, figure_eight, generate_complex, moebius,
     path_complex, rabbit,
@@ -352,6 +355,50 @@ def test_a_pass_builds_each_face_table_once(monkeypatch):
             builds.clear()
             run(b)
             assert sorted(map(id, builds)) == sorted(map(id, set(systems)))
+
+
+def test_the_betti_route_never_sorts_the_layout(monkeypatch):
+    # ranks do not depend on the order of the basis, so the streamed Betti
+    # ranks the walk order and never computes the layout's sort key
+    rng = random.Random(2122)
+    cases = [(generate_complex(random_facets(rng)),) * k for k in (1, 2, 3)]
+    cases += [(pc,) * k for pc in small_products(rng, 2) for k in (1, 2)]
+    want = [betti_vector(interaction_derivative(build_basis(complexes)))
+            for complexes in cases]
+    calls = []
+    layout = InteractionBasis.layout.func
+    monkeypatch.setattr(InteractionBasis, "layout", property(
+        lambda b: calls.append(b) or layout(b)))
+    for cls in (Complex, ProductComplex):
+        monkeypatch.setattr(cls, "flat_key", staticmethod(
+            lambda cell, key=cls.flat_key: calls.append(cell) or key(cell)))
+    for complexes, betti in zip(cases, want):
+        assert CohomologyData(complexes).betti == betti
+        assert betti_vector(build_basis(complexes)) == betti
+    assert calls == []
+    # the spies are live: the layout routes reach them
+    interaction_derivative(build_basis(cases[1]))
+    assert calls
+
+
+HARMONIC_SHA1 = {
+    ("cylinder", 1): "3b1940fe1fb08cbf89031893741a2c875c114852",
+    ("cylinder", 2): "f25153c3ed3b0783e0e9e5bf91de0073912db30b",
+    ("moebius", 1): "9679f9766815022455a759584d60efbf4f8f29ab",
+    ("moebius", 2): "25aea1255a5ec274b89350912fa2313e20afec88",
+    ("klein_bottle", 1): "57ec963c5b5a09c12debb54c641381b7aeea7489",
+    ("octahedron", 2): "eef0eaea274003868855edcc077156bb31209d42",
+    ("house", 2): "ac8bdcf799af90ae7c1f7419eed261debc2a2ca8",
+    ("rabbit", 2): "71825da3f88a8f5fd1ce31c2852aefe5c7378f70",
+}
+
+
+@pytest.mark.parametrize("name,k", sorted(HARMONIC_SHA1))
+def test_harmonic_forms_are_pinned(name, k):
+    # the forms are read in the layout order, which the Betti route skips
+    forms = cohomology_data((getattr(catalog, name)(),) * k).harmonic
+    digest = hashlib.sha1(repr(forms).encode()).hexdigest()
+    assert digest == HARMONIC_SHA1[name, k]
 
 
 def test_cohomology_data_is_cached_per_tuple():

@@ -6,7 +6,9 @@ import pytest
 
 from wucalc import exact
 from wucalc.basis import build_basis
-from wucalc.catalog import cylinder, generate_complex
+from wucalc.catalog import (
+    cylinder, generate_complex, moebius, octahedron,
+)
 from wucalc.cohomology import cohomology_data, incident_ranks
 from wucalc.differential import coboundary_assembler, interaction_derivative
 from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
@@ -293,6 +295,27 @@ def test_rank_mod_does_not_depend_on_when_the_trailing_block_is_reduced(
     monkeypatch.setattr(exact, "_PANEL", 4)
     assert [exact.rank_mod(m) for m in grams] == want
     assert [exact.rank_mod(m) for m in others] == counts
+
+
+def test_rcm_does_not_depend_on_the_insertion_order_of_the_rows():
+    # ties of degree are broken by index, so the band is a function of the
+    # matrix: the Laplacian blocks of these complexes have many equal degrees
+    rng = random.Random(2121)
+    grams, _, others = symmetric_cases(50)
+    cases = grams + others
+    for c in [cylinder(), moebius(), octahedron()] + [
+            generate_complex(random_facets(rng)) for _ in range(6)]:
+        for k in (1, 2):
+            data = cohomology_data((c,) * k)
+            cases += data.dirac.laplacian_blocks
+    for m in cases:
+        want = exact._rcm(m.rows, m.nrows)
+        assert sorted(want) == list(range(m.nrows))
+        for _ in range(3):
+            shuffled = {i: dict(rng.sample(list(m.rows[i].items()),
+                                           len(m.rows[i])))
+                        for i in rng.sample(list(m.rows), len(m.rows))}
+            assert exact._rcm(shuffled, m.nrows) == want
 
 
 def test_rank_mod_is_only_a_lower_bound():
