@@ -22,8 +22,10 @@ digit j is the position of x_j in systems[j].cells, so the derivative can
 find a face tuple by swapping one digit (see differential). Each grade is
 kept in walk order, ascending codes, which the Betti numbers are ranked
 in, since a rank over Q does not depend on the order of the basis; the
-pinned layout order, which fixes every matrix shown, and the tuples of
-cells are derived only for the routes that read them (InteractionBasis).
+pinned layout order, which fixes every matrix shown, is derived only for
+the routes that read it (InteractionBasis). An automorphism acts on the
+codes digit by digit too (see lefschetz), so no route decodes a whole
+basis into tuples of cells.
 The dimension-profile counts, and the Wu characteristic which is their
 signed sum, never materialize tuples: their innermost sum is a popcount.
 
@@ -153,9 +155,8 @@ class InteractionBasis:
     sum of c_j * radices[j] where c_j is the position of x_j in
     systems[j].cells. codes[p] lists the codes of grade p in walk order,
     ascending, which the Betti route ranks; layout[p] lists them in the
-    pinned order of every matrix shown. The layout, the tuples of cells in
-    it, grades[p], and the index from tuple to position are derived on
-    first read."""
+    pinned order of every matrix shown, derived on first read. No tuple of
+    cells is stored: _parts decodes a code for the few readers of one."""
 
     def __init__(self, systems, radices, codes):
         self.systems = systems
@@ -195,17 +196,6 @@ class InteractionBasis:
             return (flat + key, parts + (key,))
 
         return [sorted(g, key=sort_key) for g in self.codes]
-
-    @cached_property
-    def grades(self):
-        """grades[p] = the tuples of cells of grade p in layout order."""
-        cells = [s.cells for s in self.systems]
-        return [[self._parts(code, cells) for code in g] for g in self.layout]
-
-    @cached_property
-    def index(self):
-        """Tuple of cells -> position in its grade."""
-        return {t: pos for g in self.grades for pos, t in enumerate(g)}
 
     def __repr__(self):
         return (f"InteractionBasis(k={len(self.systems)}, "

@@ -7,13 +7,18 @@ elimination over GF(p) for two 31-bit primes (which must agree), and the
 small dense helpers work over Fractions. Slow on purpose.
 
 sparse_from_dense, integer_rank and laplacian_is_block_diagonal wrap the
-package's own types for the tests that need them. The six helpers after
-them (graph_from_edges to heat_trace) left the library because only tests
-call them; all but eval_multivariate wrap package types too: Graph, the
-catalog, the DiracLaplacian and cohomology_data. numpy, wucalc.cohomology
-and wucalc.lefschetz are imported in the bodies of the helpers that use
-them, so importing this module loads no more than importing wucalc does,
-and no numpy: the command-line benchmark imports it in its timed set-up.
+package's own types for the tests that need them. tuple_grades and
+tuple_index decode the codes of an InteractionBasis into tuples of cells,
+and _signed_permutation maps every decoded tuple under an automorphism:
+lefschetz_trace takes its trace on the harmonic forms by the definition,
+which wucalc.lefschetz, acting on codes, is checked against. The six
+helpers after laplacian_is_block_diagonal (graph_from_edges to heat_trace)
+left the library because only tests call them; all but eval_multivariate
+wrap package types too: Graph, the catalog, the DiracLaplacian and
+cohomology_data. numpy and wucalc.cohomology are imported in the bodies of
+the helpers that use them, so importing this module loads no more than
+importing wucalc does, and no numpy: the command-line benchmark imports it
+in its timed set-up.
 """
 
 import itertools
@@ -320,6 +325,68 @@ def cycle_sign(t, s):
     return sign
 
 
+def tuple_grades(basis):
+    """The tuples of cells of each grade of an InteractionBasis, decoded
+    from its codes in the pinned layout order, the order of every matrix
+    shown."""
+    cells = [s.cells for s in basis.systems]
+    return [[basis._parts(code, cells) for code in g] for g in basis.layout]
+
+
+def tuple_index(basis):
+    """Tuple of cells -> its position in its grade of tuple_grades."""
+    return {t: pos for g in tuple_grades(basis) for pos, t in enumerate(g)}
+
+
+def _signed_permutation(t, basis):
+    """The map the vertex map t induces on the basis tuples, grade by
+    grade, as a pair of lists (image, signs): t sends the tuple x at
+    position i to signs[i] times the tuple at position image[i] of the same
+    grade, where signs[i] is the product of the signs of t on the parts of
+    x. Every tuple is decoded and mapped."""
+    index = tuple_index(basis)
+    out = []
+    for grade in tuple_grades(basis):
+        image, signs = [], []
+        for x in grade:
+            image.append(index[tuple(tuple(sorted(t[v] for v in part))
+                                     for part in x)])
+            sign = 1
+            for part in x:
+                sign *= cycle_sign(t, part)
+            signs.append(sign)
+        out.append((image, signs))
+    return out
+
+
+def lefschetz_trace(t, c, k: int) -> Fraction:
+    """The Lefschetz number of the automorphism t at order k by its
+    definition: the alternating sum over grades of the trace of the signed
+    permutation U on the harmonic forms H of the grade. U keeps their span,
+    U H = H A, so A = (H^T H)^-1 H^T U H, solved over Fractions."""
+    from wucalc.cohomology import cohomology_data
+
+    data = cohomology_data(tuple([c] * k))
+    maps = _signed_permutation(t, data.basis)
+    total = Fraction(0)
+    for p, (kernel, (image, signs)) in enumerate(zip(data.harmonic, maps)):
+        if not kernel:
+            continue
+        moved = []
+        for h in kernel:
+            u = [0] * len(h)
+            for i, v in enumerate(h):
+                u[image[i]] = signs[i] * v
+            moved.append(u)
+        n = len(kernel)
+        rows = [[sum(x * y for x, y in zip(a, b)) for b in kernel + moved]
+                for a in kernel]
+        rref, _ = fraction_rref(rows)
+        tr = sum(rref[i][n + i] for i in range(n))
+        total += tr if p % 2 == 0 else -tr
+    return total
+
+
 def fixed_point_indices(t, grades):
     """The tuples of `grades`, in order, that the vertex map t fixes setwise
     in every slot, each with its local index prod_j w(x_j) * sign(t on x_j),
@@ -466,7 +533,6 @@ def heat_trace(t: dict, c, k: int, time: float) -> float:
     import numpy
 
     from wucalc.cohomology import cohomology_data
-    from wucalc.lefschetz import _signed_permutation
 
     data = cohomology_data(tuple([c] * k))
     maps = _signed_permutation(t, data.basis)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wucalc import cli, dynamics, exact
+from wucalc import catalog, cli, dynamics, exact
 from wucalc.catalog import cylinder, generate_complex
 from wucalc.cohomology import cohomology_data
 
@@ -149,6 +150,21 @@ def test_lefschetz_with_an_explicit_permutation(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["automorphisms"] == 1
     assert payload["results"][0]["lefschetz"] == 2
+
+
+@pytest.mark.parametrize("name, k, digest", [
+    ("three_sphere", "2", "4c79bf527ce364af8f685e72c520c77fd75d420e"),
+    ("cylinder", "3", "4e3a20803df5fdc77b680d8029218b9e407f1ac5"),
+], ids=["three_sphere-k2", "cylinder-k3"])
+def test_lefschetz_of_every_automorphism_is_pinned(name, k, digest, tmp_path,
+                                                   capsys):
+    # stdout sha1s of the route that mapped every basis tuple per map: 384
+    # maps of the 3-sphere at k=2 and 16 of the cylinder at k=3
+    facets = [list(f) for f in catalog.NAMED[name]().facets()]
+    path = write_json(tmp_path, f"{name}.json", facets)
+    code, out, _ = run(capsys, "lefschetz", path, "-k", k, "--aut", "all")
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == digest
 
 
 def test_lefschetz_rejects_a_non_automorphism(tmp_path, capsys):
@@ -417,6 +433,11 @@ BAD_INPUT = [
     # 4,095 faces, so its square has about 1.7e7 cells
     ["product", "{facet12}", "{facet12}"],
     ["kuenneth", "{facet12}", "{facet12}", "-k", "1"],
+    # over lefschetz.MAX_AUTOMORPHISMS: 12 isolated points and a 12-vertex
+    # facet each have 12! (about 4.8e8) automorphisms; the search stops at
+    # the first map past the limit
+    ["lefschetz", "{points12}", "-k", "1", "--aut", "all"],
+    ["lefschetz", "{facet12}", "-k", "1", "--aut", "all"],
 ]
 
 
@@ -450,7 +471,9 @@ def test_bad_input_is_one_line_and_exit_1(argv, triangle, tmp_path, capsys):
              "T": write_json(tmp_path, "T.json", [[1, 2, 3], [3, 4]]),
              "points": write_json(tmp_path, "points.json", [[1], [2]]),
              "facet12": write_json(tmp_path, "facet12.json",
-                                   [list(range(12))])}
+                                   [list(range(12))]),
+             "points12": write_json(tmp_path, "points12.json",
+                                    [[i] for i in range(12)])}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 1
     assert out == ""

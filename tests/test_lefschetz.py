@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 
 from wucalc.catalog import (
-    cycle_complex, cylinder, generate_complex, house, moebius, octahedron,
-    rabbit,
+    cycle_complex, cylinder, figure_eight, generate_complex, house, moebius,
+    octahedron, rabbit,
 )
 from wucalc.cohomology import cohomology_data, euler_poincare_check
 from wucalc.lefschetz import (
@@ -12,7 +12,8 @@ from wucalc.lefschetz import (
 )
 
 from oracles import (
-    cycle_sign, fixed_point_indices, heat_trace, random_facets,
+    cycle_sign, fixed_point_indices, heat_trace, lefschetz_trace,
+    random_facets, tuple_grades,
 )
 
 
@@ -98,10 +99,30 @@ def test_fixed_tuples_match_the_definition():
         for k in (1, 2, 3):
             basis = cohomology_data(tuple([c] * k)).basis
             for t in autos:
-                expected = fixed_point_indices(t, basis.grades)
+                expected = fixed_point_indices(t, tuple_grades(basis))
                 assert fixed_tuples(t, basis) == expected, (c, t, k)
                 assert sum(index for _, index in fixed_tuples(t, basis)) == \
                     sum(index for _, index in expected)
+
+
+def test_the_trace_on_codes_matches_the_definition():
+    # lefschetz_number maps one code per harmonic form; the oracle maps every
+    # tuple and solves for the trace on the span of the harmonic forms. The
+    # harmonic forms of the cylinder, the Moebius strip and the octahedron
+    # take 1 to 2 s each at k=3, so those run at k=1 and 2 (the cylinder's
+    # k=3 numbers are pinned in test_cli), and k=3 runs on the rabbit (six
+    # forms in one grade), the figure eight and random complexes.
+    rng = random.Random(3001)
+    cases = [(c, (1, 2)) for c in (cylinder(), moebius(), octahedron())]
+    cases += [(c, (1, 2, 3)) for c in (rabbit(), figure_eight())]
+    cases += [(generate_complex(random_facets(rng)), (1, 2, 3))
+              for _ in range(6)]
+    for c, ks in cases:
+        autos = complex_automorphisms(c)
+        for k in ks:
+            for t in autos:
+                assert lefschetz_number(t, c, k) == \
+                    lefschetz_trace(t, c, k), (c, t, k)
 
 
 def test_automorphism_group_of_the_octahedron_graph():
