@@ -10,14 +10,14 @@ block is ranked as d_p^T, whose rows are the coboundaries of the grade-p
 tuples, and (d_(p+1) d_p)^T = 0 makes every row of d_(p+1)^T at a pivot
 column of d_p^T redundant, so d_(p+1)^T is ranked without those rows.
 Each block is ranked by the left-looking standard reduction (Bauer,
-Kerber, Reininghaus and Wagner, PHAT, 2017) in exact.pivot_columns, which
-stores the rows it need not reduce by reference and copies only those it
-reduces; in this direction almost every row left is an apparent pivot.
-The Betti vector streams: each d_p^T is assembled from the basis in its
+Kerber, Reininghaus and Wagner, PHAT, 2017) of exact.pivot_rows, and in
+this direction almost every row left is an apparent pivot. So the Betti
+vector streams, as Ripser does: each row of d_p^T enters as its code, in
 walk order (a rank does not depend on the order of the basis, so this
-route never sorts the pinned layout) without those rows, ranked and
-dropped, and only its pivot columns pass up to the next grade, so
-CohomologyData.betti never builds the whole derivative. The same clearing
+route never sorts the pinned layout), with its leading column, the least
+coface code, and its entries are built only when a reduction reads them,
+for one row in thirteen on the catalog. No position map is made, and only
+the pivot columns, as codes, pass up to the next grade. The same clearing
 loop ranks the transposed blocks of a derivative that is already built,
 in layout order, once: the ranks stay on it for the Laplacian nullities,
 the harmonic forms and a Betti vector asked for after the Laplacian.
@@ -31,19 +31,19 @@ from functools import cached_property, lru_cache
 
 from . import exact
 from .basis import InteractionBasis, build_basis, wu_characteristic
-from .differential import (DiracLaplacian, GradedIntMatrix,
-                           coboundary_assembler, dirac_and_laplacian,
-                           dirac_columns, interaction_derivative, transpose)
+from .differential import (DiracLaplacian, GradedIntMatrix, coboundary,
+                           dirac_and_laplacian, dirac_columns,
+                           interaction_derivative, transpose)
 from .exact import SparseIntMatrix
 
 
 def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     """rank(d_(p-1)) + rank(d_p) for each grade p, exact; the derivative
     into grade 0 and the one out of the top grade are zero. An
-    InteractionBasis source assembles its blocks one at a time, in walk
-    order, and drops each once ranked; a built GradedIntMatrix lends the
-    transposes of its stored blocks and keeps its ranks, so the Hodge route
-    ranks each block of one derivative once.
+    InteractionBasis source streams its blocks one at a time, a row per
+    code in walk order; a built GradedIntMatrix lends the transposes of
+    its stored blocks and keeps its ranks, so the Hodge route ranks each
+    block of one derivative once.
 
     Each block is ranked as d_p^T, from grade 0 up, without the rows at the
     pivot columns of the block below. Those columns J of d_(p-1)^T are
@@ -53,22 +53,23 @@ def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     unchanged over Q. Only J passes from one grade to the next.
     """
     if isinstance(source, InteractionBasis):
-        return _cleared_ranks(source.grade_sizes(),
-                              coboundary_assembler(source, source.codes))
+        leads, row = coboundary(source)
+        return _cleared_ranks(source.grade_sizes(), lambda p, skip: (
+            exact.pivot_rows(leads(source.codes[p], skip), row)))
     if source.ranks is None:
         source.ranks = _cleared_ranks(
-            source.grade_sizes,
-            lambda p, skip: transpose(source.blocks[p], skip))
+            source.grade_sizes, lambda p, skip: exact.pivot_columns(
+                transpose(source.blocks[p], skip)))
     return list(source.ranks)
 
 
-def _cleared_ranks(sizes, block):
-    """incident_ranks from grade sizes and block(p, skip), d_p^T without the
-    rows in skip: the one clearing loop."""
+def _cleared_ranks(sizes, pivots):
+    """incident_ranks from grade sizes and pivots(p, skip), the pivot
+    columns of d_p^T without the rows in skip: the one clearing loop."""
     ranks = [0] * (len(sizes) + 1)
     cleared = set()
     for p in range(len(sizes) - 1):
-        cleared = set(exact.pivot_columns(block(p, cleared)))
+        cleared = set(pivots(p, cleared))
         ranks[p + 1] = len(cleared)
     return [ranks[p] + ranks[p + 1] for p in range(len(sizes))]
 

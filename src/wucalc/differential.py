@@ -5,17 +5,19 @@ by the Leibniz rule: a face of part j carries its own face sign times
 (-1)^(dims of the parts before j). It is assembled in the cohomology
 direction, one coboundary row of d_p^T per grade-p tuple, on the integer
 codes of the basis: a coface of part j swaps digit j of the code for the
-coface id and carries the same sign, so each entry is one dict lookup and
-no tuple is built. The basis is closed upward (enlarging a part keeps the
-common point), so every lookup hits; and a tuple between two basis tuples
-is itself in the basis, which is why the restricted d still squares to 0.
+coface id and carries the same sign, so each entry is a little integer
+arithmetic and no tuple is built. The basis is closed upward (enlarging a
+part keeps the common point), so every coface code is a basis code; and a
+tuple between two basis tuples is itself in the basis, which is why the
+restricted d still squares to 0.
 
-coboundary_assembler holds that one assembly loop, for one block d_p^T
-without a given set of rows, with the coface tables built once per basis:
-interaction_derivative stores the transposes of its blocks in the layout
-order of the basis, and the streamed Betti route (cohomology.incident_ranks)
-asks for one block at a time in walk order without the rows that clearing
-drops, so those rows are never built and the layout is never sorted.
+coboundary holds that one assembly loop, the coboundary row of one code,
+keyed by code. interaction_derivative writes each d_p in one pass over
+its rows in the layout order of the basis. The streamed Betti route
+(cohomology.incident_ranks) takes each row's leading column, its least
+coface code, from the first coface of each digit, and a reduction builds
+a row only when it reads it, so most rows are never built, no position
+map is made and the layout is never sorted.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
@@ -55,41 +57,46 @@ def _face_table(system):
     return cofaces, [system.cell_dim(cell) & 1 for cell in system.cells]
 
 
-def coboundary_assembler(b: InteractionBasis, codes=None):
-    """The function block(p, skip=()) that assembles d_p^T, a row per
-    grade-p tuple and a column per grade-(p+1) tuple in the order of codes
-    (b.layout unless given), without the rows in skip: the one assembly
-    loop. The coface tables and the positions of the codes are built once
-    here, shared by the blocks of one basis."""
-    tables: dict = {}  # one coface table per distinct complex
-    for s in b.systems:
-        if s not in tables:
-            tables[s] = _face_table(s)
+def coboundary(b: InteractionBasis):
+    """The pair (leads, row) on the codes of b, with the face tables built
+    once here, one per distinct complex. row(code) builds the coboundary
+    of the tuple of code, {coface code: sign}: the one assembly loop.
+    leads(codes, skip) yields (least coface code, code) for each code of
+    codes outside skip that has a coface, in order, from the first coface
+    of each digit, and builds no row."""
+    tables = {s: _face_table(s) for s in dict.fromkeys(b.systems)}
     slots = [(r, tables[s]) for r, s in zip(b.radices, b.systems)]
-    if codes is None:
-        codes = b.layout
-    position = {code: pos for g in codes for pos, code in enumerate(g)}
+    # the least coface code is code + min over the digits c_j of
+    # (first coface id - c_j) * r_j; `top`, past every code, means none
+    top = b.radices[0] * len(b.systems[0].cells)
+    shifts = [(r, [(min(cf)[0] - c) * r if cf else top
+                   for c, cf in enumerate(cofaces)])
+              for r, (cofaces, _) in slots]
 
-    def block(p: int, skip=()) -> SparseIntMatrix:
-        m = SparseIntMatrix(len(codes[p]), len(codes[p + 1]))
-        for row, code in enumerate(codes[p]):
-            if row in skip:
-                continue
-            # a coface keeps the common point, so its code is in position;
-            # distinct (slot, coface) swaps give distinct codes
-            entries = {}
-            rest, odd = code, 0
-            for r, (cofaces, parity) in slots:
-                c, rest = divmod(rest, r)
-                base = code - c * r
-                for f, sign in cofaces[c]:
-                    entries[position[base + f * r]] = -sign if odd else sign
-                odd ^= parity[c]
-            if entries:
-                m.rows[row] = entries
-        return m
+    def row(code):
+        # distinct (slot, coface) swaps give distinct codes, all in b
+        entries = {}
+        rest, odd = code, 0
+        for r, (cofaces, parity) in slots:
+            c, rest = divmod(rest, r)
+            base = code - c * r
+            for f, sign in cofaces[c]:
+                entries[base + f * r] = -sign if odd else sign
+            odd ^= parity[c]
+        return entries
 
-    return block
+    def leads(codes, skip):
+        for code in codes:
+            if code not in skip:
+                rest, least = code, top
+                for r, shift in shifts:
+                    c, rest = divmod(rest, r)
+                    if shift[c] < least:
+                        least = shift[c]
+                if least != top:
+                    yield code + least, code
+
+    return leads, row
 
 
 def transpose(m: SparseIntMatrix, skip=()) -> SparseIntMatrix:
@@ -104,9 +111,17 @@ def transpose(m: SparseIntMatrix, skip=()) -> SparseIntMatrix:
 
 
 def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
-    block = coboundary_assembler(b)
-    return GradedIntMatrix(b.grade_sizes(), [
-        transpose(block(p)) for p in range(len(b.grade_sizes()) - 1)])
+    """The blocks d_p in the layout order of b, each in one row pass."""
+    _, row = coboundary(b)
+    g, blocks = b.layout, []
+    for p in range(len(g) - 1):
+        rows = {code: {} for code in g[p + 1]}
+        for j, code in enumerate(g[p]):
+            for f, sign in row(code).items():
+                rows[f][j] = sign
+        blocks.append(SparseIntMatrix(len(rows), len(g[p]), {
+            i: r for i, r in enumerate(rows.values()) if r}))
+    return GradedIntMatrix(b.grade_sizes(), blocks)
 
 
 def verify_d_squared(d: GradedIntMatrix) -> bool:

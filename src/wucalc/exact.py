@@ -8,18 +8,19 @@ imports it at module level: Betti vectors, Wu characteristics, Lefschetz
 numbers and Kuenneth checks never touch a float, and loading numpy takes a
 one-shot command longer than all of its mathematics.
 
-One sparse elimination, the left-looking "standard reduction" of Bauer,
-Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves rank(),
-pivot_columns(), nullity() and kernel_basis(). It reduces each row by the
-pivot rows stored so far and stores a row that needs no reduction by
-reference, so a matrix is neither copied nor indexed by column. Its
-traffic has +-1 entries: the coboundary blocks d_p^T, which after clearing
-in the cohomology direction (see cohomology) hold almost only apparent
-pivots, and the stacked derivative whose kernel is the harmonic forms
-(see cohomology.harmonic_basis). The stored rows are an echelon basis of
-the row space, so their leading columns are the Gauss-Jordan pivot
-columns and back-substitution through them yields the unique
-reduced-echelon kernel basis.
+One sparse elimination, pivot_rows(), the left-looking "standard reduction"
+of Bauer, Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves rank(),
+pivot_columns(), nullity() and kernel_basis(). Rows come with their leading
+columns and are stored by key as they came, a matrix row by reference and a
+streamed row by its code; a row is built only when a collision reads it, so
+no matrix is copied or indexed by column. Its traffic has +-1 entries: the
+coboundary blocks d_p^T, which after clearing in the cohomology direction
+(see cohomology) hold almost only apparent pivots, most of them never
+built, and the stacked derivative whose kernel is the harmonic forms (see
+cohomology.harmonic_basis). The stored rows are an echelon basis of the row
+space, so their leading columns are the Gauss-Jordan pivot columns and
+back-substitution through them yields the unique reduced-echelon kernel
+basis.
 
 det_bareiss() stays a separate fraction-free elimination without any row
 scaling: the determinant value itself is the result, and gcd rescaling
@@ -143,46 +144,58 @@ def _eliminate(row, prow, c):
             row[j] //= g
 
 
-def pivot_rows(m: SparseIntMatrix) -> dict:
-    """An echelon basis of the row space of m, as {leading column: row};
+def pivot_rows(leads, build) -> dict:
+    """An echelon basis of the row space of leads, as {leading column: row};
     every entry of a row sits at or right of its leading column.
 
-    Left-looking reduction, one row at a time in m.rows order: a row whose
-    leading column holds no stored pivot row becomes the pivot there, by
-    reference; any other row is copied once and reduced by the stored
-    pivots until it vanishes or leads at a free column. When the incoming
-    row has the smaller (|leading entry|, length) it takes the stored row's
-    place, and a copy of the stored row is reduced instead, so no row of m
-    is ever changed; nor may a caller change the rows returned.
+    leads yields (leading column, row) in reduction order, a row being a
+    dict {column: value} or a key whose row build(key) makes as a new dict.
+    Left-looking reduction: a row whose leading column is free is stored
+    there as it came; any other row is copied or built once and reduced by
+    the stored pivots (a stored key is built in place on first use) until
+    it vanishes or leads at a free column. When it has the smaller
+    (|leading entry|, length) it takes the stored row's place and a copy
+    of that row is reduced instead, so no dict of leads is ever changed;
+    nor may a caller change the rows returned.
     """
     pivots: dict = {}
-    for row in m.rows.values():
+    for c, row in leads:
         owned = False
-        while row:
-            c = min(row)
+        while True:
             prow = pivots.get(c)
             if prow is None:
                 pivots[c] = row
                 break
+            if not isinstance(prow, dict):
+                pivots[c] = prow = build(prow)
+            if not isinstance(row, dict):
+                row, owned = build(row), True
             if (abs(row[c]), len(row)) < (abs(prow[c]), len(prow)):
                 pivots[c], row, prow = row, prow, row
                 owned = False
             if not owned:
-                row = dict(row)
-                owned = True
+                row, owned = dict(row), True
             _eliminate(row, prow, c)
+            if not row:
+                break
+            c = min(row)
     return pivots
+
+
+def _leads(m: SparseIntMatrix):
+    """(leading column, row) for each non-empty row of m, in m.rows order."""
+    return ((min(row), row) for row in m.rows.values() if row)
 
 
 def pivot_columns(m: SparseIntMatrix):
     """The pivot columns of m's echelon form, ascending: linearly
     independent columns of m that span its column space."""
-    return sorted(pivot_rows(m))
+    return sorted(pivot_rows(_leads(m), dict))
 
 
 def rank(m: SparseIntMatrix) -> int:
     """Exact rank over the rationals by sparse integer elimination."""
-    return len(pivot_rows(m))
+    return len(pivot_rows(_leads(m), dict))
 
 
 def nullity(m: SparseIntMatrix) -> int:
@@ -356,7 +369,7 @@ def kernel_basis(m: SparseIntMatrix):
     pivot. Each vector is found by integer back-substitution through the
     rows of pivot_rows().
     """
-    rows = pivot_rows(m)
+    rows = pivot_rows(_leads(m), dict)
     pivots = sorted(rows.items())
     basis = []
     for f in range(m.ncols):

@@ -6,19 +6,19 @@ itertools, derivatives are dense sign sums, ranks come from Gaussian
 elimination over GF(p) for two 31-bit primes (which must agree), and the
 small dense helpers work over Fractions. Slow on purpose.
 
-sparse_from_dense, integer_rank and laplacian_is_block_diagonal wrap the
-package's own types for the tests that need them. tuple_grades and
-tuple_index decode the codes of an InteractionBasis into tuples of cells,
-and _signed_permutation maps every decoded tuple under an automorphism:
-lefschetz_trace takes its trace on the harmonic forms by the definition,
-which wucalc.lefschetz, acting on codes, is checked against. The six
-helpers after laplacian_is_block_diagonal (graph_from_edges to heat_trace)
-left the library because only tests call them; all but eval_multivariate
-wrap package types too: Graph, the catalog, the DiracLaplacian and
-cohomology_data. numpy and wucalc.cohomology are imported in the bodies of
-the helpers that use them, so importing this module loads no more than
-importing wucalc does, and no numpy: the command-line benchmark imports it
-in its timed set-up.
+sparse_from_dense, integer_rank, coboundary_assembler and
+laplacian_is_block_diagonal wrap the package's own types for the tests that
+need them. tuple_grades and tuple_index decode the codes of an
+InteractionBasis into tuples of cells, and _signed_permutation maps every
+decoded tuple under an automorphism: lefschetz_trace takes its trace on the
+harmonic forms by the definition, which wucalc.lefschetz, acting on codes,
+is checked against. The six helpers after laplacian_is_block_diagonal
+(graph_from_edges to heat_trace) left the library because only tests call
+them; all but eval_multivariate wrap package types too: Graph, the catalog,
+the DiracLaplacian and cohomology_data. numpy, wucalc.differential and
+wucalc.cohomology are imported in the bodies of the helpers that use them,
+so importing this module loads no more than importing wucalc does, and no
+numpy: the command-line benchmark imports it in its timed set-up.
 """
 
 import itertools
@@ -460,6 +460,30 @@ def integer_rank(m) -> int:
     if not isinstance(m, SparseIntMatrix):
         m = sparse_from_dense(m)
     return exact.rank(m)
+
+
+def coboundary_assembler(b, codes=None):
+    """The function block(p, skip=()) that builds d_p^T of the basis b in
+    full, a row per grade-p tuple and a column per grade-(p+1) tuple in the
+    order of codes (b.layout unless given), without the rows in skip: every
+    row from the row builder of differential.coboundary, keyed by position
+    instead of by code, as the streamed Betti route never builds them."""
+    from wucalc.differential import coboundary
+
+    _, row = coboundary(b)
+    if codes is None:
+        codes = b.layout
+    position = {code: pos for g in codes for pos, code in enumerate(g)}
+
+    def block(p, skip=()):
+        m = SparseIntMatrix(len(codes[p]), len(codes[p + 1]))
+        for i, code in enumerate(codes[p]):
+            entries = {position[f]: v for f, v in row(code).items()}
+            if entries and i not in skip:
+                m.rows[i] = entries
+        return m
+
+    return block
 
 
 def laplacian_is_block_diagonal(dl) -> bool:

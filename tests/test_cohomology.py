@@ -21,9 +21,9 @@ from wucalc.exact import SparseIntMatrix
 from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
-from oracles import (PRIMES, fraction_kernel, integer_rank,
-                     naive_interaction_data, random_facets, rank_mod,
-                     tuple_grades)
+from oracles import (PRIMES, coboundary_assembler, fraction_kernel,
+                     integer_rank, naive_interaction_data, random_facets,
+                     rank_mod, tuple_grades)
 
 
 def test_order_one_betti_matches_classical_homology():
@@ -267,7 +267,7 @@ def test_rows_at_the_pivot_columns_below_do_not_change_a_coboundary_rank():
     dropped = 0
     for complexes in rank_cases(1122) + [(cylinder(),) * 2]:
         b = build_basis(complexes)
-        block = differential.coboundary_assembler(b)
+        block = coboundary_assembler(b)
         for p in range(len(b.codes) - 2):
             below = set(exact.pivot_columns(block(p)))
             assert len(below) == exact.rank(block(p))
@@ -382,6 +382,61 @@ def test_the_betti_route_never_sorts_the_layout(monkeypatch):
     assert calls
 
 
+def ungated_table_rows():
+    for name, k in sorted(catalog.MAIN_TABLE):
+        if (name, k) not in catalog.GATES["large"]:
+            yield (catalog.NAMED[name](),) * k
+
+
+def test_the_streamed_ranks_reduce_as_the_built_blocks(monkeypatch):
+    # lazy equals eager: the streamed Betti route, which builds a row of
+    # d_p^T only when a reduction reads it, finds the pivot columns of the
+    # fully built walk-order blocks, with the same eliminations
+    rng = random.Random(2323)
+    cases = rank_cases(2323) + [
+        (pc,) * k for pc in small_products(rng, 3) for k in (1, 2, 3)]
+    table = list(ungated_table_rows())
+    eliminated, pivots, built, ranked = [], [], [], []
+    eliminate, pivot_rows = exact._eliminate, exact.pivot_rows
+    monkeypatch.setattr(exact, "_eliminate", lambda *args: (
+        eliminated.append(args[2]) or eliminate(*args)))
+    monkeypatch.setattr(exact, "pivot_rows", lambda *args: (
+        pivots.append(pivot_rows(*args)) or pivots[-1]))
+    coboundary = cohomology.coboundary
+
+    def spy(b):
+        leads, row = coboundary(b)
+
+        def counted_leads(codes, skip):
+            for item in leads(codes, skip):
+                ranked.append(item[1])
+                yield item
+        return counted_leads, lambda code: built.append(code) or row(code)
+
+    monkeypatch.setattr(cohomology, "coboundary", spy)
+    for complexes in cases + table:
+        if complexes is table[0]:
+            built.clear()
+            ranked.clear()
+        b = build_basis(complexes)
+        pivots.clear()
+        eliminated.clear()
+        incident_ranks(b)
+        lazy, lazy_eliminated = [set(p) for p in pivots], len(eliminated)
+        eliminated.clear()
+        block = coboundary_assembler(b, b.codes)
+        cleared, eager = set(), []
+        for p in range(len(b.codes) - 1):
+            cleared = set(exact.pivot_columns(block(p, cleared)))
+            eager.append({b.codes[p + 1][j] for j in cleared})
+        assert lazy == eager, complexes
+        assert lazy_eliminated == len(eliminated), complexes
+    # on the ungated table almost every ranked row is an apparent pivot,
+    # kept by its code and never built
+    assert len(ranked) > 100000
+    assert len(built) < 0.15 * len(ranked)
+
+
 HARMONIC_SHA1 = {
     ("cylinder", 1): "3b1940fe1fb08cbf89031893741a2c875c114852",
     ("cylinder", 2): "f25153c3ed3b0783e0e9e5bf91de0073912db30b",
@@ -409,16 +464,24 @@ def test_cohomology_data_is_cached_per_tuple():
     assert a is b
 
 
-def test_betti_leaves_the_basis_tuples_undecoded():
+def test_betti_leaves_the_basis_tuples_undecoded(monkeypatch):
     # the derivative and the ranks read only the integer codes; the tuples
     # of cells are decoded for the callers that name cells
     c = generate_complex([(1, 2, 3), (3, 4), (4, 5, 6)])
+    calls = []
+    parts, layout = InteractionBasis._parts, InteractionBasis.layout.func
+    monkeypatch.setattr(InteractionBasis, "_parts", lambda b, *args: (
+        calls.append(args) or parts(b, *args)))
+    monkeypatch.setattr(InteractionBasis, "layout", property(
+        lambda b: calls.append(b) or layout(b)))
+    cohomology_data.cache_clear()
     data = cohomology_data((c, c, c))
     assert data.betti
-    assert "grades" not in vars(data.basis)
-    assert "index" not in vars(data.basis)
+    assert calls == []
     assert data.basis.grade_sizes() == [
         len(g) for g in tuple_grades(data.basis)]
+    # the spies are live: decoding the tuples reaches them
+    assert calls
 
 
 def test_normalize_complexes_shapes_and_errors():

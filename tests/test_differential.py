@@ -6,15 +6,15 @@ import numpy as np
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
 from wucalc.differential import (
-    DiracLaplacian, coboundary_assembler, dirac_and_laplacian, dirac_columns,
-    interaction_derivative, verify_d_squared,
+    DiracLaplacian, dirac_and_laplacian, dirac_columns, interaction_derivative,
+    verify_d_squared,
 )
 from wucalc.exact import SparseIntMatrix
 from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
 from oracles import (
-    common_product_tuples, common_tuples, laplacian_is_block_diagonal,
+    coboundary_assembler, common_product_tuples, common_tuples, laplacian_is_block_diagonal,
     naive_derivative_entries, product_boundary, product_dim, random_facets,
     simplex_boundary, tuple_grades, tuple_index,
 )

@@ -10,11 +10,11 @@ from wucalc.catalog import (
     cylinder, generate_complex, moebius, octahedron,
 )
 from wucalc.cohomology import cohomology_data, incident_ranks
-from wucalc.differential import coboundary_assembler, interaction_derivative
+from wucalc.differential import interaction_derivative
 from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 
 from oracles import (
-    PRIMES, charpoly, fraction_det, fraction_kernel, fraction_rank,
+    PRIMES, charpoly, coboundary_assembler, fraction_det, fraction_kernel, fraction_rank,
     fraction_rref, rank_mod, random_facets, sparse_from_dense,
 )
 
