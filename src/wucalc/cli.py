@@ -571,8 +571,9 @@ def build_parser(argv=()) -> Parser:
     """The wucalc parser. When argv[0] names a command, it is that
     command's CommandParser alone: the full parser hands everything after
     the name to the same subparser, so parsing argv gives the same result
-    with one ArgumentParser built in place of two and a subparsers action. Otherwise (no argv, no
-    command or an unknown one) it is the full parser of every command."""
+    with one ArgumentParser built in place of two and a subparsers action.
+    Otherwise (no argv, no command or an unknown one) it is the full parser
+    of every command."""
     if argv and argv[0] in COMMANDS:
         return _add_arguments(CommandParser(prog=f"wucalc {argv[0]}"),
                               argv[0])

@@ -17,10 +17,9 @@ walk order (a rank does not depend on the order of the basis, so this
 route never sorts the pinned layout), with its leading column, the least
 coface code, and its entries are built only when a reduction reads them,
 for one row in thirteen on the catalog. No position map is made, and only
-the pivot columns, as codes, pass up to the next grade. The same clearing
-loop ranks the transposed blocks of a derivative that is already built,
-in layout order, once: the ranks stay on it for the Laplacian nullities,
-the harmonic forms and a Betti vector asked for after the Laplacian.
+the pivot columns, as codes, pass up to the next grade. This is the one
+rank route: the Laplacian nullities and the harmonic forms of a built
+derivative read their ranks from its basis the same way.
 Betti vectors are reported with length equal to the number of grades of the
 basis (trailing zeros kept), which is how the reference tables print them.
 """
@@ -33,17 +32,14 @@ from . import exact
 from .basis import InteractionBasis, build_basis, wu_characteristic
 from .differential import (DiracLaplacian, GradedIntMatrix, coboundary,
                            dirac_and_laplacian, dirac_columns,
-                           interaction_derivative, transpose)
+                           interaction_derivative)
 from .exact import SparseIntMatrix
 
 
-def incident_ranks(source: InteractionBasis | GradedIntMatrix):
+def incident_ranks(b: InteractionBasis):
     """rank(d_(p-1)) + rank(d_p) for each grade p, exact; the derivative
-    into grade 0 and the one out of the top grade are zero. An
-    InteractionBasis source streams its blocks one at a time, a row per
-    code in walk order; a built GradedIntMatrix lends the transposes of
-    its stored blocks and keeps its ranks, so the Hodge route ranks each
-    block of one derivative once.
+    into grade 0 and the one out of the top grade are zero. The blocks
+    stream one at a time, a row per code in walk order.
 
     Each block is ranked as d_p^T, from grade 0 up, without the rows at the
     pivot columns of the block below. Those columns J of d_(p-1)^T are
@@ -52,40 +48,24 @@ def incident_ranks(source: InteractionBasis | GradedIntMatrix):
     a combination of its rows outside J, and dropping them leaves rank(d_p)
     unchanged over Q. Only J passes from one grade to the next.
     """
-    if isinstance(source, InteractionBasis):
-        leads, row = coboundary(source)
-        return _cleared_ranks(source.grade_sizes(), lambda p, skip: (
-            exact.pivot_rows(leads(source.codes[p], skip), row)))
-    if source.ranks is None:
-        source.ranks = _cleared_ranks(
-            source.grade_sizes, lambda p, skip: exact.pivot_columns(
-                transpose(source.blocks[p], skip)))
-    return list(source.ranks)
-
-
-def _cleared_ranks(sizes, pivots):
-    """incident_ranks from grade sizes and pivots(p, skip), the pivot
-    columns of d_p^T without the rows in skip: the one clearing loop."""
+    leads, row = coboundary(b)
+    sizes = b.grade_sizes()
     ranks = [0] * (len(sizes) + 1)
     cleared = set()
     for p in range(len(sizes) - 1):
-        cleared = set(pivots(p, cleared))
+        cleared = set(exact.pivot_rows(leads(b.codes[p], cleared), row))
         ranks[p + 1] = len(cleared)
     return [ranks[p] + ranks[p + 1] for p in range(len(sizes))]
 
 
-def betti_vector(source: InteractionBasis | GradedIntMatrix):
-    """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade, from an
-    InteractionBasis or a built GradedIntMatrix."""
-    sizes = (source.grade_sizes() if isinstance(source, InteractionBasis)
-             else source.grade_sizes)
+def betti_vector(b: InteractionBasis):
+    """b_p = n_p - rank(d_p) - rank(d_(p-1)), one entry per grade."""
     betti = []
-    for p, (n, r) in enumerate(zip(sizes, incident_ranks(source))):
-        b = n - r
-        if b < 0:
+    for p, (n, r) in enumerate(zip(b.grade_sizes(), incident_ranks(b))):
+        if n < r:
             raise ArithmeticError(
                 f"negative Betti number at grade {p}: rank bookkeeping is broken")
-        betti.append(b)
+        betti.append(n - r)
     return betti
 
 
@@ -99,12 +79,12 @@ def harmonic_basis(dl: DiracLaplacian):
     the Gram fill-in. Taking the DiracLaplacian keeps the d^2 = 0 check of
     dirac_and_laplacian in front of every caller. With d^2 = 0, im d_(p-1)
     lies in ker d_p, orthogonal to the rows of d_p, so dim ker M_p = b_p: a
-    grade whose Betti number (betti_vector, from the clearing ranks) is 0
+    grade whose Betti number (betti_vector, streamed from the basis) is 0
     gets [] and no elimination. Vectors are primitive integer vectors.
     The rows go to the elimination last to first: on the catalog surfaces
     at k=2 that takes a third to a half fewer eliminations.
     """
-    betti = betti_vector(dl.derivative)
+    betti = betti_vector(dl.derivative.basis)
     return [exact.kernel_basis(SparseIntMatrix(
         m.nrows, m.ncols, dict(reversed(m.rows.items())))) if b else []
         for m, b in zip(dirac_columns(dl.derivative), betti)]
@@ -123,8 +103,8 @@ def laplacian_nullities(dl: DiracLaplacian):
     more than exact.MAX_DENSE_ENTRIES entries, the block takes the exact
     route, exact.nullity(L_p).
     """
-    out = []
-    for lp, bound in zip(dl.laplacian_blocks, incident_ranks(dl.derivative)):
+    out, bounds = [], incident_ranks(dl.derivative.basis)
+    for lp, bound in zip(dl.laplacian_blocks, bounds):
         if (lp.nrows * lp.ncols <= exact.MAX_DENSE_ENTRIES
                 and exact.rank_mod(lp) == bound):
             out.append(lp.ncols - bound)
@@ -169,10 +149,9 @@ class CohomologyData:
 
     @cached_property
     def betti(self):
-        # a derivative that the Hodge, spectrum or Lefschetz route has built
-        # is ranked in place; otherwise the blocks stream from the basis, so
-        # this never fills self.derivative
-        return betti_vector(vars(self).get("derivative", self.basis))
+        # the blocks stream from the basis, so this never fills
+        # self.derivative
+        return betti_vector(self.basis)
 
     @cached_property
     def harmonic(self):

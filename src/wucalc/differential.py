@@ -13,11 +13,12 @@ restricted d still squares to 0.
 
 coboundary holds that one assembly loop, the coboundary row of one code,
 keyed by code. interaction_derivative writes each d_p in one pass over
-its rows in the layout order of the basis. The streamed Betti route
-(cohomology.incident_ranks) takes each row's leading column, its least
-coface code, from the first coface of each digit, and a reduction builds
-a row only when it reads it, so most rows are never built, no position
-map is made and the layout is never sorted.
+its rows in the layout order of the basis, for the routes that read a
+matrix: the Laplacian, Dirac, spectrum and harmonic routes. Every rank
+is streamed (cohomology.incident_ranks): it takes each row's leading
+column, its least coface code, from the first coface of each digit, and a
+reduction builds a row only when it reads it, so most rows are never
+built, no position map is made and the layout is never sorted.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
@@ -33,12 +34,13 @@ from .exact import SparseIntMatrix
 
 
 class GradedIntMatrix:
-    """The family {d_p} of derivative blocks for one interaction basis."""
+    """The family {d_p} of derivative blocks of an interaction basis, in its
+    layout order; the basis is kept, as the Hodge routes rank it."""
 
-    def __init__(self, grade_sizes, blocks):
-        self.grade_sizes = grade_sizes
+    def __init__(self, basis: InteractionBasis, blocks):
+        self.basis = basis
+        self.grade_sizes = basis.grade_sizes()
         self.blocks = blocks
-        self.ranks = None  # kept by cohomology.incident_ranks on first use
 
     def __repr__(self):
         shapes = [(b.nrows, b.ncols) for b in self.blocks]
@@ -99,13 +101,12 @@ def coboundary(b: InteractionBasis):
     return leads, row
 
 
-def transpose(m: SparseIntMatrix, skip=()) -> SparseIntMatrix:
-    """m^T without the rows in skip, that is m without those columns."""
-    rows = {j: {} for j in range(m.ncols) if j not in skip}
+def transpose(m: SparseIntMatrix) -> SparseIntMatrix:
+    """m^T, its rows in column order."""
+    rows = {j: {} for j in range(m.ncols)}
     for i, row in m.rows.items():
         for j, v in row.items():
-            if j in rows:
-                rows[j][i] = v
+            rows[j][i] = v
     return SparseIntMatrix(m.ncols, m.nrows,
                            {j: r for j, r in rows.items() if r})
 
@@ -121,7 +122,7 @@ def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
                 rows[f][j] = sign
         blocks.append(SparseIntMatrix(len(rows), len(g[p]), {
             i: r for i, r in enumerate(rows.values()) if r}))
-    return GradedIntMatrix(b.grade_sizes(), blocks)
+    return GradedIntMatrix(b, blocks)
 
 
 def verify_d_squared(d: GradedIntMatrix) -> bool:

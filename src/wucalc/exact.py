@@ -9,14 +9,15 @@ numbers and Kuenneth checks never touch a float, and loading numpy takes a
 one-shot command longer than all of its mathematics.
 
 One sparse elimination, pivot_rows(), the left-looking "standard reduction"
-of Bauer, Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves rank(),
-pivot_columns(), nullity() and kernel_basis(). Rows come with their leading
-columns and are stored by key as they came, a matrix row by reference and a
-streamed row by its code; a row is built only when a collision reads it, so
-no matrix is copied or indexed by column. Its traffic has +-1 entries: the
-coboundary blocks d_p^T, which after clearing in the cohomology direction
-(see cohomology) hold almost only apparent pivots, most of them never
-built, and the stacked derivative whose kernel is the harmonic forms (see
+of Bauer, Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves the
+streamed derivative ranks of cohomology.incident_ranks, rank(), nullity()
+and kernel_basis(). Rows come with their leading columns and are stored by
+key as they came, a matrix row by reference and a streamed row by its code;
+a row is built only when a collision reads it, so no matrix is copied or
+indexed by column. Its traffic has +-1 entries: the coboundary blocks
+d_p^T, which after clearing in the cohomology direction (see cohomology)
+hold almost only apparent pivots, most of them never built, and the
+stacked derivative whose kernel is the harmonic forms (see
 cohomology.harmonic_basis). The stored rows are an echelon basis of the row
 space, so their leading columns are the Gauss-Jordan pivot columns and
 back-substitution through them yields the unique reduced-echelon kernel
@@ -185,12 +186,6 @@ def pivot_rows(leads, build) -> dict:
 def _leads(m: SparseIntMatrix):
     """(leading column, row) for each non-empty row of m, in m.rows order."""
     return ((min(row), row) for row in m.rows.values() if row)
-
-
-def pivot_columns(m: SparseIntMatrix):
-    """The pivot columns of m's echelon form, ascending: linearly
-    independent columns of m that span its column space."""
-    return sorted(pivot_rows(_leads(m), dict))
 
 
 def rank(m: SparseIntMatrix) -> int:

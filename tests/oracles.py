@@ -6,19 +6,21 @@ itertools, derivatives are dense sign sums, ranks come from Gaussian
 elimination over GF(p) for two 31-bit primes (which must agree), and the
 small dense helpers work over Fractions. Slow on purpose.
 
-sparse_from_dense, integer_rank, coboundary_assembler and
-laplacian_is_block_diagonal wrap the package's own types for the tests that
-need them. tuple_grades and tuple_index decode the codes of an
-InteractionBasis into tuples of cells, and _signed_permutation maps every
-decoded tuple under an automorphism: lefschetz_trace takes its trace on the
-harmonic forms by the definition, which wucalc.lefschetz, acting on codes,
-is checked against. The six helpers after laplacian_is_block_diagonal
-(graph_from_edges to heat_trace) left the library because only tests call
-them; all but eval_multivariate wrap package types too: Graph, the catalog,
-the DiracLaplacian and cohomology_data. numpy, wucalc.differential and
-wucalc.cohomology are imported in the bodies of the helpers that use them,
-so importing this module loads no more than importing wucalc does, and no
-numpy: the command-line benchmark imports it in its timed set-up.
+sparse_from_dense, integer_rank, pivot_columns, uncleared_betti,
+coboundary_assembler and laplacian_is_block_diagonal wrap the package's own
+types for the tests that need them; pivot_columns left the library with
+its last caller there, the rank of a built derivative. tuple_grades and
+tuple_index decode the codes of an InteractionBasis into tuples of cells,
+and _signed_permutation maps every decoded tuple under an automorphism:
+lefschetz_trace takes its trace on the harmonic forms by the definition,
+which wucalc.lefschetz, acting on codes, is checked against. The six
+helpers after laplacian_is_block_diagonal (graph_from_edges to heat_trace)
+left the library because only tests call them; all but eval_multivariate
+wrap package types too: Graph, the catalog, the DiracLaplacian and
+cohomology_data. numpy, wucalc.differential and wucalc.cohomology are
+imported in the bodies of the helpers that use them, so importing this
+module loads no more than importing wucalc does, and no numpy: the
+command-line benchmark imports it in its timed set-up.
 """
 
 import itertools
@@ -460,6 +462,20 @@ def integer_rank(m) -> int:
     if not isinstance(m, SparseIntMatrix):
         m = sparse_from_dense(m)
     return exact.rank(m)
+
+
+def pivot_columns(m):
+    """The pivot columns of m's echelon form, ascending: linearly
+    independent columns of m that span its column space."""
+    return sorted(exact.pivot_rows(exact._leads(m), dict))
+
+
+def uncleared_betti(d):
+    """b_p = n_p - rank(d_p) - rank(d_(p-1)) of a built GradedIntMatrix,
+    each layout-order block ranked whole by exact.rank, with no clearing,
+    in the boundary direction where the library streams d_p^T."""
+    ranks = [0] + [exact.rank(m) for m in d.blocks] + [0]
+    return [n - ranks[p] - ranks[p + 1] for p, n in enumerate(d.grade_sizes)]
 
 
 def coboundary_assembler(b, codes=None):

@@ -22,8 +22,8 @@ from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
 from oracles import (PRIMES, coboundary_assembler, fraction_kernel,
-                     integer_rank, naive_interaction_data, random_facets,
-                     rank_mod, tuple_grades)
+                     integer_rank, naive_interaction_data, pivot_columns,
+                     random_facets, rank_mod, tuple_grades, uncleared_betti)
 
 
 def test_order_one_betti_matches_classical_homology():
@@ -82,9 +82,29 @@ def test_hodge_routes_agree():
         c = generate_complex(random_facets(rng, max_vertices=6))
         data = cohomology_data(tuple(normalize_complexes(c, 2)))
         assert laplacian_nullities(data.dirac) == data.betti
-        assert betti_vector(data.derivative) == data.betti
+        assert uncleared_betti(data.derivative) == data.betti
         h = harmonic_basis(data.dirac)
         assert [len(block) for block in h] == data.betti
+
+
+def test_the_hodge_consumers_stream_their_ranks_from_the_basis(monkeypatch):
+    # one rank route: with the derivative and the Laplacian built first, the
+    # Betti vector, the Laplacian nullities and the harmonic forms each
+    # still rank the basis by the streamed coboundary rows
+    product = small_products(random.Random(2425), 1)[0]
+    cases = [(cylinder(),) * 2, (product,) * 2]
+    coboundary = cohomology.coboundary
+    for complexes in cases:
+        data = CohomologyData(complexes)
+        dl = data.dirac
+        want = uncleared_betti(data.derivative)
+        for run in (lambda: data.betti, lambda: laplacian_nullities(dl),
+                    lambda: [len(h) for h in harmonic_basis(dl)]):
+            calls = []
+            monkeypatch.setattr(cohomology, "coboundary", lambda b: (
+                calls.append(b) or coboundary(b)))
+            assert run() == want, complexes
+            assert calls == [data.basis], complexes
 
 
 def count_calls(monkeypatch, name, wrap=lambda out: out):
@@ -156,18 +176,6 @@ def test_catalog_laplacian_nullities_are_certified(monkeypatch):
     assert exact_calls == []
 
 
-def test_a_hodge_pass_ranks_each_derivative_block_once(monkeypatch):
-    # the Laplacian nullities, the Betti vector and the harmonic forms of
-    # one built derivative share its clearing ranks
-    c = cylinder()
-    data = CohomologyData((c, c))
-    dl = data.dirac
-    calls = count_calls(monkeypatch, "pivot_columns")
-    assert laplacian_nullities(dl) == data.betti == [
-        len(h) for h in data.harmonic]
-    assert len(calls) == len(dl.derivative.blocks) == 4
-
-
 def test_harmonic_vectors_are_integer_kernel_elements():
     c = generate_complex([(1, 2, 3), (3, 4), (4, 5)])
     data = cohomology_data((c, c))
@@ -194,7 +202,7 @@ def test_harmonic_vectors_are_integer_kernel_elements():
 def test_harmonic_forms_eliminate_only_grades_with_cohomology(make,
                                                              monkeypatch):
     dl = cohomology_data((make(), make())).dirac
-    betti = betti_vector(dl.derivative)
+    betti = uncleared_betti(dl.derivative)
     calls = count_calls(monkeypatch, "kernel_basis")
     assert [len(h) for h in harmonic_basis(dl)] == betti
     assert [m.ncols for m in calls] == [
@@ -209,10 +217,10 @@ def test_rank_nullity_accounting():
     padded = [0] + ranks + [0]
     for p, n in enumerate(sizes):
         assert data.betti[p] == n - padded[p] - padded[p + 1]
-    assert incident_ranks(data.derivative) == [
+    assert incident_ranks(data.derivative.basis) == [
         padded[p] + padded[p + 1] for p in range(len(sizes))]
     point = cohomology_data((generate_complex([(1,)]),)).derivative
-    assert (point.blocks, incident_ranks(point)) == ([], [0])
+    assert (point.blocks, incident_ranks(point.basis)) == ([], [0])
 
 
 def rank_cases(seed):
@@ -243,7 +251,7 @@ def test_cleared_ranks_match_the_uncleared_reference():
     for complexes in rank_cases(2011) + rows:
         d = interaction_derivative(build_basis(complexes))
         ranks = [0] + [exact.rank(b) for b in d.blocks] + [0]
-        assert incident_ranks(d) == [
+        assert incident_ranks(d.basis) == [
             ranks[p] + ranks[p + 1] for p in range(len(d.grade_sizes))]
 
 
@@ -252,7 +260,7 @@ def test_rows_at_the_pivot_columns_above_do_not_change_a_rank():
     for complexes in rank_cases(1121) + [(cylinder(),) * 2]:
         d = interaction_derivative(build_basis(complexes))
         for p in range(len(d.blocks) - 1):
-            above = set(exact.pivot_columns(d.blocks[p + 1]))
+            above = set(pivot_columns(d.blocks[p + 1]))
             assert len(above) == exact.rank(d.blocks[p + 1])
             b = d.blocks[p]
             rest = {i: r for i, r in b.rows.items() if i not in above}
@@ -269,7 +277,7 @@ def test_rows_at_the_pivot_columns_below_do_not_change_a_coboundary_rank():
         b = build_basis(complexes)
         block = coboundary_assembler(b)
         for p in range(len(b.codes) - 2):
-            below = set(exact.pivot_columns(block(p)))
+            below = set(pivot_columns(block(p)))
             assert len(below) == exact.rank(block(p))
             full, rest = block(p + 1), block(p + 1, below)
             dropped += len(full.rows) - len(rest.rows)
@@ -301,14 +309,14 @@ def test_streamed_betti_matches_the_stored_route_and_the_modular_oracle():
             ranks.append(0)
             want = [n - ranks[p] - ranks[p + 1]
                     for p, n in enumerate(b.grade_sizes())]
-            assert betti_vector(b) == betti_vector(d) == want, (s, k)
+            assert betti_vector(b) == uncleared_betti(d) == want, (s, k)
 
 
 def test_the_streamed_betti_never_builds_a_derivative(monkeypatch):
     c = generate_complex([(1, 2, 3), (3, 4), (4, 5, 6)])
     cases = [(c,) * k for k in (1, 2, 3)]
     cases += [(pc,) * 2 for pc in small_products(random.Random(2021), 2)]
-    want = [betti_vector(interaction_derivative(build_basis(complexes)))
+    want = [uncleared_betti(interaction_derivative(build_basis(complexes)))
             for complexes in cases]
     calls = []
     for module in (cohomology, differential):
@@ -331,14 +339,14 @@ def test_streamed_betti_matches_the_built_derivative():
             for _ in range(2)]),) * k for k in (1, 2, 3)]
     for complexes in cases:
         data = CohomologyData(complexes)
-        assert data.betti == betti_vector(data.derivative), complexes
+        assert data.betti == uncleared_betti(data.derivative), complexes
 
 
 def test_betti_never_builds_the_whole_derivative():
     # the Betti route assembles, ranks and drops one block at a time
     c = generate_complex([(1, 2, 3), (3, 4), (4, 5, 6)])
     data = CohomologyData((c, c, c))
-    assert data.betti == betti_vector(interaction_derivative(data.basis))
+    assert data.betti == uncleared_betti(interaction_derivative(data.basis))
     assert "derivative" not in vars(data)
 
 
@@ -364,7 +372,7 @@ def test_the_betti_route_never_sorts_the_layout(monkeypatch):
     rng = random.Random(2122)
     cases = [(generate_complex(random_facets(rng)),) * k for k in (1, 2, 3)]
     cases += [(pc,) * k for pc in small_products(rng, 2) for k in (1, 2)]
-    want = [betti_vector(interaction_derivative(build_basis(complexes)))
+    want = [uncleared_betti(interaction_derivative(build_basis(complexes)))
             for complexes in cases]
     calls = []
     layout = InteractionBasis.layout.func
@@ -427,7 +435,7 @@ def test_the_streamed_ranks_reduce_as_the_built_blocks(monkeypatch):
         block = coboundary_assembler(b, b.codes)
         cleared, eager = set(), []
         for p in range(len(b.codes) - 1):
-            cleared = set(exact.pivot_columns(block(p, cleared)))
+            cleared = set(pivot_columns(block(p, cleared)))
             eager.append({b.codes[p + 1][j] for j in cleared})
         assert lazy == eager, complexes
         assert lazy_eliminated == len(eliminated), complexes

@@ -30,6 +30,7 @@ GONE = {
                 "wheel_graph", "octahedron_graph", "icosahedron_graph",
                 "hypercube_graph", "cube_graph", "tesseract_graph"],
     "dynamics": ["dirac_spectrum", "supertrace_power"],
+    "exact": ["pivot_columns"],
     "lefschetz": ["heat_trace"],
     "ring": ["ring_euler_polynomial"],
 }
