@@ -31,8 +31,7 @@ from functools import cached_property, lru_cache
 from . import exact
 from .basis import InteractionBasis, build_basis, wu_characteristic
 from .differential import (DiracLaplacian, GradedIntMatrix, coboundary,
-                           dirac_and_laplacian, dirac_columns,
-                           interaction_derivative)
+                           dirac_and_laplacian, interaction_derivative)
 from .exact import SparseIntMatrix
 
 
@@ -73,21 +72,22 @@ def harmonic_basis(dl: DiracLaplacian):
     """Exact rational kernel bases of the Laplacian blocks, one list per grade.
 
     ker L_p is taken as ker M_p, the rows of d_p and the columns of d_(p-1)
-    stacked (differential.dirac_columns): L_p = M_p^T M_p, so x^T L_p x =
-    |M_p x|^2 and the two share their kernel over Q, hence their row space
-    and their reduced-echelon kernel basis; M_p has +-1 entries and none of
-    the Gram fill-in. Taking the DiracLaplacian keeps the d^2 = 0 check of
-    dirac_and_laplacian in front of every caller. With d^2 = 0, im d_(p-1)
-    lies in ker d_p, orthogonal to the rows of d_p, so dim ker M_p = b_p: a
-    grade whose Betti number (betti_vector, streamed from the basis) is 0
-    gets [] and no elimination. Vectors are primitive integer vectors.
-    The rows go to the elimination last to first: on the catalog surfaces
-    at k=2 that takes a third to a half fewer eliminations.
+    stacked (dl.columns, built once by differential.dirac_columns):
+    L_p = M_p^T M_p, so x^T L_p x = |M_p x|^2 and the two share their
+    kernel over Q, hence their row space and their reduced-echelon kernel
+    basis; M_p has +-1 entries and none of the Gram fill-in. Taking the
+    DiracLaplacian keeps the d^2 = 0 check of dirac_and_laplacian in front
+    of every caller. With d^2 = 0, im d_(p-1) lies in ker d_p, orthogonal to
+    the rows of d_p, so dim ker M_p = b_p: a grade whose Betti number
+    (betti_vector, streamed from the basis) is 0 gets [] and no
+    elimination. Vectors are primitive integer vectors. The rows go to the
+    elimination last to first: on the catalog surfaces at k=2 that takes a
+    third to a half fewer eliminations.
     """
     betti = betti_vector(dl.derivative.basis)
     return [exact.kernel_basis(SparseIntMatrix(
         m.nrows, m.ncols, dict(reversed(m.rows.items())))) if b else []
-        for m, b in zip(dirac_columns(dl.derivative), betti)]
+        for m, b in zip(dl.columns, betti)]
 
 
 def laplacian_nullities(dl: DiracLaplacian):
@@ -180,9 +180,11 @@ def euler_poincare_check(complexes, k=None) -> dict:
     """Compare the alternating Betti sum with the Wu characteristic."""
     complexes = normalize_complexes(complexes, k)
     data = cohomology_data(complexes)
+    # the profile walk counts tuples and stores none, so an input over the
+    # tuple budget is refused before build_basis stores a code
+    wu = data.wu
     betti = data.betti
     alternating = sum((-1) ** p * b for p, b in enumerate(betti))
-    wu = data.wu
     return {
         "k": len(complexes),
         "betti": list(betti),

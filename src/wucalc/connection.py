@@ -29,18 +29,18 @@ def connection_matrix(c: Complex):
 def connection_graph(c: Complex) -> Graph:
     """Vertices are simplex indices in the global cell order; two indices
     are adjacent when the simplices intersect: the upper triangle of the
-    connection matrix, read from the order-2 tuple walk, whose prefix (i,)
-    comes with the bitset of the cells that meet cell i. Raises ValueError,
-    before any edge is listed, when a first walk over the same tables
-    counts more than MAX_SIMPLICES vertices and edges of the connection
-    complex: its ordered intersecting pairs include the n pairs (x, x)."""
+    connection matrix, read from one order-2 tuple walk, whose prefix (i,)
+    comes with the bitset of the cells that meet cell i. Raises ValueError
+    as soon as the n vertices and the edges listed so far would pass
+    MAX_SIMPLICES simplices of the connection complex, so no more than that
+    many edges are ever held."""
     ctx = _IntersectionContext([c, c])
-    n = len(c)
-    ordered = sum(meets.bit_count() for _, _, meets in _walk(ctx))
-    if n + (ordered - n) // 2 > MAX_SIMPLICES:
-        raise ValueError(OVER_BUDGET)
-    edges = [(i, j) for (i,), _, meets in _walk(ctx)
-             for j in _bits(meets >> (i + 1) << (i + 1))]
+    n, edges = len(c), []
+    for (i,), _, meets in _walk(ctx):
+        later = meets >> (i + 1) << (i + 1)
+        if n + len(edges) + later.bit_count() > MAX_SIMPLICES:
+            raise ValueError(OVER_BUDGET)
+        edges.extend((i, j) for j in _bits(later))
     return Graph(range(n), edges)
 
 

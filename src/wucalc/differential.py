@@ -20,6 +20,11 @@ column, its least coface code, from the first coface of each digit, and a
 reduction builds a row only when it reads it, so most rows are never
 built, no position map is made and the layout is never sorted.
 
+A DiracLaplacian stacks the derivative of each grade p once, as M_p
+(dirac_columns: the rows of d_p and the columns of d_(p-1)), and every
+Hodge object is read off those M_p: D is their sum, L_p = M_p^T M_p is
+one SparseIntMatrix.matmul, and the harmonic forms are ker M_p.
+
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
 """
@@ -132,20 +137,6 @@ def verify_d_squared(d: GradedIntMatrix) -> bool:
     return True
 
 
-def _gram(vectors):
-    """The sum of v v^T over sparse integer vectors {index: value}, as the
-    rows of a symmetric matrix with its cancelled entries dropped. Every
-    diagonal entry is a sum of squares of the vectors touching it, so no
-    row ends up empty."""
-    rows: dict = {}
-    for v in vectors:
-        for i, a in v.items():
-            row = rows.setdefault(i, {})
-            for j, b in v.items():
-                row[j] = row.get(j, 0) + a * b
-    return {i: {j: w for j, w in row.items() if w} for i, row in rows.items()}
-
-
 def dirac_columns(d: GradedIntMatrix):
     """The columns of D = d + d^T on each grade p, as a matrix M_p with n_p
     columns whose rows are the rows of d_p (shared, not copied) and the
@@ -166,35 +157,27 @@ def dirac_columns(d: GradedIntMatrix):
 
 
 class DiracLaplacian:
-    """D = d + d^T on the full graded space and the blocks of L = D^2. The
-    blocks are built at once; D is built when it is first read (only the
-    wave and Lax flows read it)."""
+    """D = d + d^T on the full graded space and the blocks of L = D^2, read
+    off the stacked derivatives M_p, self.columns. The blocks are built at
+    once; D is built when it is first read (only the wave and Lax flows
+    read it)."""
 
     def __init__(self, derivative: GradedIntMatrix):
         self.derivative = derivative
         self.grade_sizes = derivative.grade_sizes
         *self.offsets, self.size = accumulate(self.grade_sizes, initial=0)
-        # L_p = d_p^T d_p + d_(p-1) d_(p-1)^T is the sum of v v^T over the
-        # rows v of M_p
-        self.laplacian_blocks = [SparseIntMatrix(n, n, _gram(m.rows.values()))
-                                 for m, n in zip(dirac_columns(derivative),
-                                                 self.grade_sizes)]
+        self.columns = dirac_columns(derivative)
+        # L_p = d_p^T d_p + d_(p-1) d_(p-1)^T
+        self.laplacian_blocks = [transpose(m).matmul(m) for m in self.columns]
 
     @cached_property
     def dirac(self) -> SparseIntMatrix:
         dirac: dict = {}
-        for m, co in zip(dirac_columns(self.derivative), self.offsets):
+        for m, co in zip(self.columns, self.offsets):
             for i, row in m.rows.items():
                 dirac.setdefault(i, {}).update(
                     (co + j, v) for j, v in row.items())
         return SparseIntMatrix(self.size, self.size, dirac)
-
-    def grading(self):
-        """Grade label per coordinate of the full space."""
-        out = []
-        for p, n in enumerate(self.grade_sizes):
-            out.extend([p] * n)
-        return out
 
     def __repr__(self):
         return (f"DiracLaplacian(size={self.size}, "

@@ -156,7 +156,7 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     steps = lax_steps(dl.size, t_max, dt)
     import numpy
 
-    grades = numpy.asarray(dl.grading())
+    grades = numpy.repeat(numpy.arange(len(dl.grade_sizes)), dl.grade_sizes)
     # entries from grade q to grade q + 1, and within one grade
     raising_mask = grades[:, None] == grades[None, :] + 1
     diagonal_mask = None

@@ -17,7 +17,7 @@ from itertools import product as iter_product
 
 from .basis import wu_characteristic
 from .cohomology import cohomology_data
-from .simplicial import MAX_SIMPLICES, Complex, leibniz_boundary
+from .simplicial import MAX_SIMPLICES, Complex
 
 
 class ProductComplex:
@@ -46,8 +46,18 @@ class ProductComplex:
 
     @staticmethod
     def cell_boundary(cell):
-        """Leibniz rule over the factor simplices, as in leibniz_boundary."""
-        return leibniz_boundary((Complex,) * len(cell), cell)
+        """Signed codimension-1 faces by the Leibniz rule: a face of part j
+        carries its Complex.cell_boundary sign times (-1)^(dims of the parts
+        before j). Returns (face cell, sign) pairs with the faces of part 0
+        first, each part's faces in Complex.cell_boundary order."""
+        out = []
+        pre = 0
+        for j, part in enumerate(cell):
+            sign_j = -1 if pre % 2 else 1
+            for face, fsign in Complex.cell_boundary(part):
+                out.append((cell[:j] + (face,) + cell[j + 1:], sign_j * fsign))
+            pre += len(part) - 1
+        return out
 
     @staticmethod
     def cell_support(cell):

@@ -63,8 +63,9 @@ class Complex:
         """Signed codimension-1 faces, sign (-1)^m for the m-th vertex removed.
 
         This is the package's one simplex face-sign rule; product cells
-        combine it through leibniz_boundary, and the interaction derivative
-        reads it through the face table of each complex."""
+        combine it by the Leibniz rule (ring.ProductComplex.cell_boundary),
+        and the interaction derivative reads it through the face table of
+        each complex."""
         if len(cell) == 1:
             return []
         out = []
@@ -108,22 +109,6 @@ class Complex:
 
     def skeleton_graph(self) -> "Graph":
         return Graph(self.vertex_set, [s for s in self.cells if len(s) == 2])
-
-
-def leibniz_boundary(systems, parts):
-    """Signed codimension-1 faces of a tuple of cells, part j from systems[j].
-
-    Leibniz rule: a face of part j carries its own face sign times
-    (-1)^(dims of the parts before j). Returns (face tuple, sign) pairs with
-    the faces of part 0 first, each part's faces in cell_boundary order."""
-    out = []
-    pre = 0
-    for j, (sys, part) in enumerate(zip(systems, parts)):
-        sign_j = -1 if pre % 2 else 1
-        for face, fsign in sys.cell_boundary(part):
-            out.append((parts[:j] + (face,) + parts[j + 1:], sign_j * fsign))
-        pre += sys.cell_dim(part)
-    return out
 
 
 class Graph:

@@ -506,7 +506,7 @@ def laplacian_is_block_diagonal(dl) -> bool:
     """Cross-check that D^2 has no entries between different grades and that
     its diagonal blocks equal the assembled L_p."""
     sq = dl.dirac.matmul(dl.dirac)
-    grading = dl.grading()
+    grading = [p for p, n in enumerate(dl.grade_sizes) for _ in range(n)]
     for i, row in sq.rows.items():
         for j in row:
             if grading[i] != grading[j]:

@@ -350,6 +350,26 @@ def test_betti_never_builds_the_whole_derivative():
     assert "derivative" not in vars(data)
 
 
+def test_an_input_over_the_tuple_budget_is_refused_before_the_basis(
+        monkeypatch):
+    # euler_poincare_check (behind wucalc betti and fixtures) reads the Wu
+    # characteristic first: its profile walk counts tuples and stores none,
+    # so the refusal comes before build_basis stores a code
+    from wucalc import basis
+    monkeypatch.setattr(basis, "MAX_TUPLES", 100)
+    calls = []
+    monkeypatch.setattr(cohomology, "build_basis",
+                        lambda cs: calls.append(cs) or build_basis(cs))
+    cohomology_data.cache_clear()
+    with pytest.raises(ValueError, match="tuple budget"):
+        euler_poincare_check(path_complex(40), 2)
+    assert calls == []
+    # the spy is live: an input under the budget reaches it
+    assert euler_poincare_check(path_complex(3), 2)["euler_poincare_ok"]
+    assert len(calls) == 1
+    cohomology_data.cache_clear()
+
+
 def test_a_pass_builds_each_face_table_once(monkeypatch):
     # one face table per distinct complex, per streamed Betti pass and per
     # built derivative, not one per block

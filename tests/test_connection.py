@@ -43,6 +43,19 @@ def test_the_connection_graph_does_not_build_the_matrix(monkeypatch):
         assert g.edges == frozenset(edges)
 
 
+def test_the_connection_graph_walks_once(monkeypatch):
+    # the edges are listed in the walk that checks the budget
+    walks = []
+    walk = connection._walk
+    monkeypatch.setattr(connection, "_walk",
+                        lambda ctx: walks.append(ctx) or walk(ctx))
+    for c in (path_complex(3), octahedron(), path_complex(200)):
+        walks.clear()
+        g = connection_graph(c)
+        assert len(walks) == 1
+        assert len(g.vertices) == len(c)
+
+
 def test_connection_matrix_is_the_intersection_indicator():
     rng = random.Random(11)
     for _ in range(10):

@@ -5,6 +5,7 @@ import numpy as np
 
 from wucalc.basis import build_basis
 from wucalc.catalog import generate_complex, path_complex
+from wucalc.cohomology import harmonic_basis
 from wucalc.differential import (
     DiracLaplacian, dirac_and_laplacian, dirac_columns, interaction_derivative,
     verify_d_squared,
@@ -164,14 +165,18 @@ def test_dirac_is_symmetric_and_squares_to_the_laplacian():
 
 
 def test_the_dirac_matrix_is_built_on_first_read(monkeypatch):
+    # the stacked derivative M_p is built once, in the constructor, and
+    # the Laplacian blocks, the harmonic forms and D all read it
     calls = []
     monkeypatch.setattr("wucalc.differential.dirac_columns",
                         lambda d: calls.append(d) or dirac_columns(d))
     c = generate_complex([(1, 2, 3), (3, 4)])
     dl = DiracLaplacian(interaction_derivative(build_basis((c, c))))
     assert len(calls) == 1 and "dirac" not in vars(dl)
+    harmonic_basis(dl)
+    assert "dirac" not in vars(dl)
     assert dl.dirac is dl.dirac
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _dense(m):
