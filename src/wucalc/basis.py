@@ -2,52 +2,49 @@
 
 The interaction basis of complexes (G_1, ..., G_k) consists of all ordered
 k-tuples (x_1, ..., x_k), x_j a cell of G_j, whose members share a common
-point: x_1 cap ... cap x_k is non-empty. For k = 2 that is the same as
-pairwise intersection, for k >= 3 it is strictly stronger (three edges of a
-triangle meet pairwise but have empty common intersection). Tuples are
-graded by total dimension.
+point: x_1 cap ... cap x_k is non-empty, which for k >= 3 is stronger than
+pairwise intersection. Tuples are graded by total dimension.
 
-Enumeration works on integer bitsets. Every cell has one support, a set
-of atoms: its vertices for a simplex, the vertex tuples of x_1 x ... x x_m
-for a product cell, so that product cells meet exactly when every factor
-meets, since (x_1 x y_1) cap (x_2 x y_2) = (x_1 cap x_2) x (y_1 cap y_2).
-One walk, _walk, chooses the cells of the first k-1 slots one part at a
-time while carrying the running intersection of the parts chosen so far,
-as one bitset of atoms; the candidates for the next slot are the cells
-that meet that running set, obtained by OR-ing per-atom incidence bitsets.
-The walk works on cell ids and hands each prefix to its consumer together
-with the candidate bitset of the last slot. build_basis expands the last
-slot into integer codes: a tuple is stored as the mixed-radix number whose
-digit j is the position of x_j in systems[j].cells, so the derivative can
-find a face tuple by swapping one digit (see differential). Each grade is
-kept in walk order, ascending codes, which the Betti numbers are ranked
-in, since a rank over Q does not depend on the order of the basis; the
-pinned layout order, which fixes every matrix shown, is derived only for
-the routes that read it (InteractionBasis). An automorphism acts on the
-codes digit by digit too (see lefschetz), so no route decodes a whole
-basis into tuples of cells.
-The dimension-profile counts, and the Wu characteristic which is their
-signed sum, never materialize tuples: their innermost sum is a popcount.
+The tuples are counted, not walked. A tuple with common intersection T is
+counted once by sum over the non-empty faces S of T of (-1)^dim S = 1, and
+those S are the faces common to all k cells, so exchanging the sums
+(Moebius inversion on the face poset, Rota 1964) gives
 
-Everything accepts any object implementing the small cell interface of
-simplicial.Complex (cells, cell_dim, cell_boundary, cell_support,
-flat_key), which is how ring.ProductComplex reuses this machinery; the
-complexes of one call are all of one kind.
+    count[d_1, ..., d_k] = sum over common faces S of (-1)^dim S
+                           * prod_j #{x in G_j : x >= S, dim x = d_j}.
+
+One star table per distinct complex, over the common faces only, gives the
+dimension profile, the tuples per grade, the Wu characteristic and the
+exact count that build_basis checks against MAX_TUPLES. Product cells meet
+when every factor meets, so their common faces are the tuples of the
+factors' common faces. build_basis walks the tuples on bitsets of atoms,
+the vertices of a simplex or the vertex tuples of a product cell (_walk),
+and stores each as one integer code (InteractionBasis).
+
+Everything accepts the small cell interface of simplicial.Complex (cells,
+cell_dim, cell_boundary, cell_support, flat_key), which is how
+ring.ProductComplex reuses this machinery; the counts also read the
+simplices of a Complex and the factors of a product. The complexes of one
+call are all of one kind.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations, groupby, repeat
+from itertools import product as iter_product
+from math import prod
 from operator import mul
 
 from .simplicial import Complex, f_vector
 
-# A walk over more intersecting k-tuples than this is refused, since its
-# time grows with the count and a basis stores every tuple: on a 2-vCPU host
-# the Wu characteristic of two triangles sharing an edge walks at least 6**9
-# (about 10**7) tuples at k = 9 in 8.6 s. The star bound of
-# _IntersectionContext refuses most such walks before they start, and _walk
-# the rest once its count passes the budget.
+# A basis stores every intersecting k-tuple, so an input with more of them
+# than this is refused: on a 2-vCPU host build_basis lists the 3,482,721
+# 8-tuples of two triangles sharing an edge in 3.7 s and about 140 MB, so a
+# basis at the budget would take about 18 s and 700 MB before any rank. The
+# count compared is exact (_face_terms), and every command compares it
+# before it builds a bitset table or stores a code.
 MAX_TUPLES = 2 ** 24
 
 
@@ -55,13 +52,6 @@ def _check_budget(count, k):
     if count > MAX_TUPLES:
         raise ValueError(f"at least {count} intersecting {k}-tuples, more "
                          f"than the tuple budget of {MAX_TUPLES}")
-
-
-def _find(root, a):
-    """The root of atom a in the union-find forest root, halving its path."""
-    while root.setdefault(a, a) != a:
-        root[a] = a = root[root[a]]
-    return a
 
 
 def _bits(m):
@@ -80,28 +70,17 @@ def _bits(m):
 
 
 class _IntersectionContext:
-    """Bitset tables for common-intersection queries across k complexes.
-
-    Raises ValueError when the star bound, summed over the components of
-    the first complex, shows that the walk would yield more than
-    MAX_TUPLES tuples, before any tuple is enumerated."""
+    """Bitset tables for common-intersection queries across k complexes."""
 
     def __init__(self, systems):
-        if not systems:
-            raise ValueError("need at least one complex")
-        if len({type(s) for s in systems}) > 1:
-            raise ValueError("cannot mix simplicial complexes and cell products")
         self.systems = list(systems)
-        self.cell_lists = [list(s.cells) for s in systems]
-
         atom_ids: dict = {}
         self.dims = []       # per system: list of cell dimensions
         self.sup_bits = []   # per system: per cell, atom bitset of its support
-        self.dim_masks = []  # per system: {dim: cell bitset}
         self.inc = []        # per system: {atom id: cell bitset}
-        for sys, cells in zip(self.systems, self.cell_lists):
-            dims, sups, dmask, inc = [], [], {}, {}
-            for ci, cell in enumerate(cells):
+        for sys in self.systems:
+            dims, sups, inc = [], [], {}
+            for ci, cell in enumerate(sys.cells):
                 bit = 1 << ci
                 mask = 0
                 for a in sys.cell_support(cell):
@@ -109,34 +88,12 @@ class _IntersectionContext:
                     mask |= 1 << aid
                     inc[aid] = inc.get(aid, 0) | bit
                 sups.append(mask)
-                d = sys.cell_dim(cell)
-                dims.append(d)
-                dmask[d] = dmask.get(d, 0) | bit
+                dims.append(sys.cell_dim(cell))
             self.dims.append(dims)
             self.sup_bits.append(sups)
-            self.dim_masks.append(dmask)
             self.inc.append(inc)
         # the running set before the first slot: every cell meets it
         self.all_atoms = (1 << len(atom_ids)) - 1
-
-        # the cells of each system that contain one atom all meet there, so
-        # there are at least prod_j |star of the atom in system j| tuples;
-        # tuples counted at atoms in two components of the first system's
-        # cells differ in their first cell, so the components' maxima add up
-        root: dict = {}
-        for mask in self.sup_bits[0]:
-            ids = _bits(mask)
-            top = _find(root, next(ids))
-            for aid in ids:
-                root[_find(root, aid)] = top
-        least: dict = {}
-        for a, cells in self.inc[0].items():
-            n = cells.bit_count()
-            for inc in self.inc[1:]:
-                n *= inc.get(a, 0).bit_count()
-            r = _find(root, a)
-            least[r] = max(least.get(r, 0), n)
-        _check_budget(sum(least.values()), len(systems))
 
     def candidates(self, t, running):
         """Bitset of cells of system t whose support meets the atom bitset
@@ -206,41 +163,34 @@ def _walk(ctx):
     """Yield (ids, dsum, last) for every tuple ids of cell ids for the first
     k-1 slots whose cells have a non-empty common intersection: dsum is
     their total dimension and last the candidate bitset of the final
-    system. Prefixes come in depth-first order over ascending cell ids.
-    Raises ValueError once the tuples yielded so far pass MAX_TUPLES."""
+    system, the cells that meet the running intersection, one OR of
+    per-atom incidence bitsets. Prefixes come in depth-first order over
+    ascending cell ids. rec is passed to itself, not closed over, so no
+    reference cycle keeps ctx alive after the walk."""
     k = len(ctx.systems)
     dims, sup_bits = ctx.dims, ctx.sup_bits
-    count = 0
 
-    def rec(j, ids, running, dsum):
-        nonlocal count
+    def rec(rec, j, ids, running, dsum):
         cand = ctx.candidates(j, running)
         if j == k - 1:
-            count += cand.bit_count()
-            _check_budget(count, k)
             yield ids, dsum, cand
             return
         for idx in _bits(cand):
-            sup = sup_bits[j][idx]
-            yield from rec(j + 1, ids + (idx,), running & sup,
-                           dsum + dims[j][idx])
+            yield from rec(rec, j + 1, ids + (idx,),
+                           running & sup_bits[j][idx], dsum + dims[j][idx])
 
-    return rec(0, (), ctx.all_atoms, 0)
+    return rec(rec, 0, (), ctx.all_atoms, 0)
 
 
 def build_basis(complexes) -> InteractionBasis:
-    """Enumerate all ordered k-tuples with common intersection, graded.
-
-    k=1 gives all cells graded by dimension. One walk lists the codes of
-    each grade in walk order, ascending, and builds no sort key: the Betti
-    route ranks that order, and only the routes that show a matrix read the
-    pinned order, InteractionBasis.layout, derived on first read.
-    """
+    """Enumerate all ordered k-tuples with common intersection, graded,
+    once their exact count is within MAX_TUPLES. k=1 gives all cells graded
+    by dimension. Each grade lists its codes in walk order, ascending."""
     systems = list(complexes)
+    _counted_terms(systems)
     ctx = _IntersectionContext(systems)
-    radices = [1] * len(systems)
-    for j in range(len(systems) - 1, 0, -1):
-        radices[j - 1] = radices[j] * len(ctx.cell_lists[j])
+    radices = [prod(len(s.cells) for s in systems[j + 1:])
+               for j in range(len(systems))]
     last_dims = ctx.dims[-1]
     by_grade: dict = {}
     for ids, dsum, last in _walk(ctx):
@@ -251,6 +201,116 @@ def build_basis(complexes) -> InteractionBasis:
     return InteractionBasis(systems, radices, codes)
 
 
+def _faces(x, common):
+    """The non-empty faces of the simplex x in common, a downward-closed set
+    of simplices (all of them when common is None), grown one vertex at a
+    time so that no face outside common is extended."""
+    if common is None:
+        return [f for r in range(1, len(x) + 1) for f in combinations(x, r)]
+    faces, level = [], [((v,), i) for i, v in enumerate(x) if (v,) in common]
+    while level:
+        faces += [f for f, _ in level]
+        level = [(g, j) for f, i in level for j in range(i + 1, len(x))
+                 if (g := f + (x[j],)) in common]
+    return faces
+
+
+@lru_cache(maxsize=1)  # CohomologyData counts, then build_basis checks
+def _face_terms(systems: tuple) -> tuple:
+    """The profile counts of systems as terms (c, vecs), one vector of
+    counts by dimension per slot: count[d_1, ..., d_k] sums
+    c * prod_j vecs[j][d_j] over the terms; common faces with the same stars
+    share a term. A cell x and a common face S < x make the distinct tuple
+    with x in one slot and S in the others, as does (S, ..., S), so
+    ValueError is raised once these pairs pass MAX_TUPLES."""
+    if not systems:
+        raise ValueError("need at least one complex")
+    if len({type(s) for s in systems}) > 1:
+        raise ValueError("cannot mix simplicial complexes and cell products")
+    k, distinct = len(systems), list(dict.fromkeys(systems))
+    if k == 1:
+        return ((1, (f_vector(systems[0]),)),)
+    is_product = hasattr(systems[0], "factors")
+    factors = [s.factors if is_product else (s,) for s in distinct]
+    if len(set(map(len, factors))) > 1:
+        return ()  # product cells of different arity never meet
+    if len(distinct) == 1:  # every face is common: count the pairs first
+        commons, order = [None] * len(factors[0]), systems[0].cells
+        _check_budget(sum(prod(2 ** len(p) - 1 for p in x) for x in order)
+                      if is_product else sum(2 ** len(x) - 1 for x in order),
+                      k)
+    else:
+        commons = [frozenset.intersection(*(f[i].simplices for f in factors))
+                   for i in range(len(factors[0]))]
+        order = list(iter_product(*commons) if is_product else commons[0])
+    pairs, stars = len(order), []
+    for s in distinct:
+        pairs -= len(order)
+        stars.append([])  # [d][S]: the d-cells of s that contain S
+        for _, cells in groupby(s.cells, s.cell_dim):  # d = 0, 1, 2, ...
+            star = Counter()
+            for x in cells:
+                faces = (list(iter_product(*map(_faces, x, commons)))
+                         if is_product else _faces(x, commons[0]))
+                pairs += len(faces)
+                if pairs > MAX_TUPLES:
+                    _check_budget(pairs, k)
+                star.update(faces)
+            stars[-1].append(star)
+    sigs = zip(*(zip(*(map(n.get, order, repeat(0)) for n in star))
+                 for star in stars))
+    terms: Counter = Counter()
+    for (dim, sig), n in Counter(zip(map(systems[0].cell_dim, order),
+                                     sigs)).items():
+        terms[sig] += -n if dim % 2 else n
+    slot = [distinct.index(s) for s in systems]
+    return tuple((c, tuple(sig[i] for i in slot))
+                 for sig, c in terms.items() if c)
+
+
+def _counted_terms(complexes):
+    """_face_terms of the complexes once their tuple count, the terms at
+    t = 1, is within MAX_TUPLES."""
+    systems = tuple(complexes)
+    terms = _face_terms(systems)
+    _check_budget(sum(c * prod(map(sum, v)) for c, v in terms), len(systems))
+    return terms
+
+
+def profile_counts(complexes) -> dict:
+    """Counts of commonly intersecting tuples keyed by dimension profile,
+    expanded from the face terms once their total is within the budget."""
+    counts: Counter = Counter()
+    for c, vecs in _counted_terms(complexes):
+        part = {(): c}
+        for v in vecs:
+            part = {key + (d,): m * n for key, m in part.items()
+                    for d, n in enumerate(v) if n}
+        counts.update(part)
+    return dict(+counts)
+
+
+def grade_counts(complexes) -> list:
+    """Counts of commonly intersecting tuples by total dimension, the grade
+    sizes of build_basis: a term's vectors multiply as polynomials in one
+    variable, so the (d+1)^k profile is never expanded."""
+    sizes: Counter = Counter()
+    for c, vecs in _counted_terms(complexes):
+        sizes.update(dict(enumerate(reduce(poly_mul, vecs, [c]))))
+    return [sizes[p] for p in range(max(+sizes, default=-1) + 1)]
+
+
+def poly_mul(a, b):
+    """The coefficient list of the product of two coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def wu_characteristic(complexes) -> int:
     """Signed count of ordered k-tuples with non-empty common intersection.
 
@@ -258,27 +318,8 @@ def wu_characteristic(complexes) -> int:
     the multivariate Euler polynomial at t_1 = ... = t_k = -1; k=1 is the
     Euler characteristic.
     """
-    return sum(-n if sum(profile) % 2 else n
-               for profile, n in _profile_counts(list(complexes)).items())
-
-
-def _profile_counts(systems) -> dict:
-    """Counts of commonly intersecting tuples keyed by dimension profile.
-
-    Tuples are never materialized: the last slot is counted by popcounts of
-    its candidate bitset against the per-dimension cell bitsets."""
-    ctx = _IntersectionContext(systems)
-    dmasks = ctx.dim_masks[-1]
-    dims = ctx.dims
-    counts: dict = {}
-    for ids, _, last in _walk(ctx):
-        profile = tuple(d[c] for d, c in zip(dims, ids))
-        for d, mask in dmasks.items():
-            n = (last & mask).bit_count()
-            if n:
-                key = profile + (d,)
-                counts[key] = counts.get(key, 0) + n
-    return counts
+    return sum(-n if p % 2 else n
+               for p, n in enumerate(grade_counts(complexes)))
 
 
 def f_matrix(c: Complex):
@@ -294,7 +335,7 @@ def f_tensor(c: Complex, k: int):
     """
     if k < 1:
         raise ValueError("order k must be at least 1")
-    counts = _profile_counts([c] * k)
+    counts = profile_counts([c] * k)
     if not counts:
         return []
     top = max(max(p) for p in counts)
@@ -321,7 +362,7 @@ def multivariate_euler_polynomial(c: Complex, k: int) -> dict:
     """
     if k < 1:
         raise ValueError("order k must be at least 1")
-    return _profile_counts([c] * k)
+    return profile_counts([c] * k)
 
 
 def polynomial_string(poly: dict) -> str:
@@ -337,21 +378,10 @@ def polynomial_string(poly: dict) -> str:
         coeff = poly[expo]
         if coeff == 0:
             continue
-        factors = []
-        for name, e in zip(varnames, expo):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        if not body:
-            terms.append(str(coeff))
-        elif coeff == 1:
-            terms.append(body)
-        elif coeff == -1:
-            terms.append(f"-{body}")
-        else:
-            terms.append(f"{coeff}*{body}")
+        body = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(varnames, expo) if e > 0)
+        terms.append(str(coeff) if not body else body if coeff == 1
+                     else f"-{body}" if coeff == -1 else f"{coeff}*{body}")
     out = terms[0]
     for t in terms[1:]:
         out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"

@@ -107,12 +107,11 @@ def positive_int(text: str) -> int:
 
 
 # The highest interaction order -k accepts, checked before k copies of
-# anything are made. The tuple budget already refuses an order of 25 or more
-# on a complex with an edge (an edge and one of its vertices give 2**k
-# tuples), so only 0-dimensional complexes reach this bound. It sits below
-# the first recursion failure under the default limit of 1,000 frames: at
-# order 495 in fmatrix, whose output nests k lists deep (two frames per
-# level), and at 985 in the tuple walk.
+# anything are made. The exact tuple count refuses an order of 25 or more on
+# a complex with an edge (2**k tuples meet at one of its vertices), so only
+# 0-dimensional complexes reach this bound, which sits below the first
+# recursion failure under the default limit of 1,000 frames: order 495 in
+# fmatrix's nested output, about 990 in the walk of build_basis behind betti.
 MAX_ORDER = 256
 
 
@@ -403,8 +402,8 @@ def cmd_fredholm(args):
 def cmd_spectrum(args):
     c = load_complex(args.file)
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
-    n = max(data.basis.grade_sizes(), default=0)
-    check_dense(n, n)  # the largest L_p, before any is built
+    n = max(data.grade_counts, default=0)
+    check_dense(n, n)  # the largest L_p, counted before the basis is built
     spectra = block_spectra(data.dirac, args.tol)
     gap = supersymmetry_gap(spectra, tol=args.tol)
     payload = {
@@ -426,8 +425,8 @@ def cmd_deform(args):
     c = load_complex(args.file)
     data = cohomology_data(tuple(normalize_complexes(c, args.k)))
     mode = "complex" if args.complex else "real"
-    # D is as large as the basis: its budget is checked before D is built
-    lax_steps(sum(data.basis.grade_sizes()), args.tmax, args.dt)
+    # D is as large as the basis; its budget is checked before either exists
+    lax_steps(sum(data.grade_counts), args.tmax, args.dt)
     try:
         _, report = lax_deform(data.dirac, mode=mode,
                                t_max=args.tmax, dt=args.dt)

@@ -1,25 +1,19 @@
 """Exact Betti vectors, harmonic representatives, and the Euler-Poincare check.
 
-All ranks are computed over the rationals with exact integer elimination,
-except that a Laplacian nullity takes the count of exact.rank_mod, the order
-of a principal submatrix of L_p that is non-singular mod q, when the
-derivative ranks certify it. The derivative ranks are cleared from grade 0
-up, in the cohomology direction (de Silva, Morozov and Vejdemo-Johansson,
-Dualities in persistent (co)homology, 2011; Bauer, Ripser, 2021): each
-block is ranked as d_p^T, whose rows are the coboundaries of the grade-p
-tuples, and (d_(p+1) d_p)^T = 0 makes every row of d_(p+1)^T at a pivot
-column of d_p^T redundant, so d_(p+1)^T is ranked without those rows.
-Each block is ranked by the left-looking standard reduction (Bauer,
-Kerber, Reininghaus and Wagner, PHAT, 2017) of exact.pivot_rows, and in
-this direction almost every row left is an apparent pivot. So the Betti
-vector streams, as Ripser does: each row of d_p^T enters as its code, in
-walk order (a rank does not depend on the order of the basis, so this
-route never sorts the pinned layout), with its leading column, the least
-coface code, and its entries are built only when a reduction reads them,
-for one row in thirteen on the catalog. No position map is made, and only
-the pivot columns, as codes, pass up to the next grade. This is the one
-rank route: the Laplacian nullities and the harmonic forms of a built
-derivative read their ranks from its basis the same way.
+All ranks are exact over the rationals, except that a Laplacian nullity
+takes the count of exact.rank_mod when the derivative ranks certify it
+(laplacian_nullities). The derivative ranks are cleared from grade 0 up,
+in the cohomology direction (de Silva, Morozov and Vejdemo-Johansson,
+Dualities in persistent (co)homology, 2011; Bauer, Ripser, 2021; see
+incident_ranks), by the left-looking standard reduction of
+exact.pivot_rows (PHAT, 2017). So the Betti vector streams, as Ripser
+does: each row of d_p^T enters as its code, in walk order, with its least
+coface code as its leading column, and is built only when a reduction
+reads it, for one row in thirteen on the catalog. This is the one rank
+route: the Laplacian nullities and the harmonic forms read their ranks
+from the basis the same way. A basis is checked grade by grade against
+the exact face count of basis.grade_counts, which the Wu characteristic
+reads too, so the Euler-Poincare check has one side with no tuple walk.
 Betti vectors are reported with length equal to the number of grades of the
 basis (trailing zeros kept), which is how the reference tables print them.
 """
@@ -29,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from . import exact
-from .basis import InteractionBasis, build_basis, wu_characteristic
+from .basis import InteractionBasis, build_basis, grade_counts
 from .differential import (DiracLaplacian, GradedIntMatrix, coboundary,
                            dirac_and_laplacian, interaction_derivative)
 from .exact import SparseIntMatrix
@@ -72,17 +66,14 @@ def harmonic_basis(dl: DiracLaplacian):
     """Exact rational kernel bases of the Laplacian blocks, one list per grade.
 
     ker L_p is taken as ker M_p, the rows of d_p and the columns of d_(p-1)
-    stacked (dl.columns, built once by differential.dirac_columns):
-    L_p = M_p^T M_p, so x^T L_p x = |M_p x|^2 and the two share their
-    kernel over Q, hence their row space and their reduced-echelon kernel
-    basis; M_p has +-1 entries and none of the Gram fill-in. Taking the
-    DiracLaplacian keeps the d^2 = 0 check of dirac_and_laplacian in front
-    of every caller. With d^2 = 0, im d_(p-1) lies in ker d_p, orthogonal to
-    the rows of d_p, so dim ker M_p = b_p: a grade whose Betti number
-    (betti_vector, streamed from the basis) is 0 gets [] and no
-    elimination. Vectors are primitive integer vectors. The rows go to the
-    elimination last to first: on the catalog surfaces at k=2 that takes a
-    third to a half fewer eliminations.
+    stacked (dl.columns): L_p = M_p^T M_p, so x^T L_p x = |M_p x|^2 and the
+    two share their kernel over Q and its reduced-echelon basis, while M_p
+    has +-1 entries and no Gram fill-in. Taking the DiracLaplacian keeps
+    its d^2 = 0 check in front of every caller, and with d^2 = 0,
+    dim ker M_p = b_p, so a grade with b_p = 0 gets [] and no elimination.
+    Vectors are primitive integer vectors. The rows go to the elimination
+    last to first: on the catalog surfaces at k=2 that takes a third to a
+    half fewer eliminations.
     """
     betti = betti_vector(dl.derivative.basis)
     return [exact.kernel_basis(SparseIntMatrix(
@@ -93,15 +84,12 @@ def harmonic_basis(dl: DiracLaplacian):
 def laplacian_nullities(dl: DiracLaplacian):
     """dim ker L_p for each grade p, exact.
 
-    Each rank is sandwiched. exact.rank_mod(L_p) is the order of a principal
-    submatrix that is non-singular mod q, so it is at most rank_Q(L_p) for
-    any symmetric L_p; L_p = d_p^T d_p + d_(p-1) d_(p-1)^T, as assembled by
-    DiracLaplacian, gives rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by
-    subadditivity alone, no Hodge theorem used. When the two meet, as they
-    do on the positive-semidefinite L_p unless q divides a pivot, the rank
-    is proven and the nullity is n_p minus it; otherwise, and for blocks of
-    more than exact.MAX_DENSE_ENTRIES entries, the block takes the exact
-    route, exact.nullity(L_p).
+    Each rank is sandwiched: exact.rank_mod(L_p) is at most rank_Q(L_p) for
+    any symmetric L_p, and L_p = d_p^T d_p + d_(p-1) d_(p-1)^T gives
+    rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by subadditivity alone. When
+    the two meet, as they do on the positive-semidefinite L_p unless q
+    divides a pivot, the nullity is n_p minus that rank; otherwise, and for
+    blocks of more than exact.MAX_DENSE_ENTRIES entries, exact.nullity(L_p).
     """
     out, bounds = [], incident_ranks(dl.derivative.basis)
     for lp, bound in zip(dl.laplacian_blocks, bounds):
@@ -136,8 +124,19 @@ class CohomologyData:
         self.complexes = complexes
 
     @cached_property
+    def grade_counts(self):
+        # the exact tuple count of each grade, summed over common faces with
+        # no walk: an input over the tuple budget is refused here
+        return grade_counts(self.complexes)
+
+    @cached_property
     def basis(self) -> InteractionBasis:
-        return build_basis(self.complexes)
+        sizes = self.grade_counts
+        b = build_basis(self.complexes)
+        if b.grade_sizes() != sizes:
+            raise ArithmeticError(f"basis grade sizes {b.grade_sizes()} "
+                                  f"differ from the face count {sizes}")
+        return b
 
     @cached_property
     def derivative(self) -> GradedIntMatrix:
@@ -159,18 +158,15 @@ class CohomologyData:
 
     @cached_property
     def wu(self) -> int:
-        return wu_characteristic(self.complexes)
+        return sum(-n if p % 2 else n for p, n in enumerate(self.grade_counts))
 
 
 # Sized from measured traffic (perfbench/run.py, every workload): a reused
-# key is looked up again with at most one other key in between (cylinder
-# k=2 around its k=1 Lefschetz sweep in the Hodge pass, 4 keys in all),
-# except in wucalc fixtures, whose 93 lookups hit once: star5 at k=2, again
-# 14 keys later for the star_star pair, which takes about 1 ms to rebuild.
-# An entry of the Betti route keeps only its basis alive (its derivative is
-# streamed and dropped); one of the Hodge, spectrum or Lefschetz routes also
-# keeps its derivative and Laplacian, so a bound of 64 would hold up to 64
-# of them for that one hit.
+# key comes back with at most one other key in between (cylinder k=2 around
+# its k=1 Lefschetz sweep), except for one hit in wucalc fixtures (star5 at
+# k=2, 14 keys later, about 1 ms to rebuild). A Betti entry keeps only its
+# basis alive; a Hodge, spectrum or Lefschetz entry also keeps its
+# derivative and Laplacian, which a larger bound would hold for that hit.
 @lru_cache(maxsize=4)
 def cohomology_data(complexes: tuple) -> CohomologyData:
     return CohomologyData(complexes)
@@ -180,8 +176,8 @@ def euler_poincare_check(complexes, k=None) -> dict:
     """Compare the alternating Betti sum with the Wu characteristic."""
     complexes = normalize_complexes(complexes, k)
     data = cohomology_data(complexes)
-    # the profile walk counts tuples and stores none, so an input over the
-    # tuple budget is refused before build_basis stores a code
+    # the face count behind the Wu characteristic refuses an input over the
+    # tuple budget before build_basis runs, and checks the basis it builds
     wu = data.wu
     betti = data.betti
     alternating = sum((-1) ** p * b for p, b in enumerate(betti))

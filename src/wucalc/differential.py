@@ -11,14 +11,10 @@ part keeps the common point), so every coface code is a basis code; and a
 tuple between two basis tuples is itself in the basis, which is why the
 restricted d still squares to 0.
 
-coboundary holds that one assembly loop, the coboundary row of one code,
-keyed by code. interaction_derivative writes each d_p in one pass over
-its rows in the layout order of the basis, for the routes that read a
-matrix: the Laplacian, Dirac, spectrum and harmonic routes. Every rank
-is streamed (cohomology.incident_ranks): it takes each row's leading
-column, its least coface code, from the first coface of each digit, and a
-reduction builds a row only when it reads it, so most rows are never
-built, no position map is made and the layout is never sorted.
+coboundary holds that one assembly loop, keyed by code; every rank
+streams from it (cohomology.incident_ranks), and interaction_derivative
+writes each d_p in the layout order of the basis for the routes that read
+a matrix: the Laplacian, Dirac, spectrum and harmonic routes.
 
 A DiracLaplacian stacks the derivative of each grade p once, as M_p
 (dirac_columns: the rows of d_p and the columns of d_(p-1)), and every

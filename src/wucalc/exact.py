@@ -2,26 +2,17 @@
 
 Everything in this module but rank_mod() and dense_array() runs on
 arbitrary-precision integers, so ranks, determinants and kernels come out
-exact; the numeric side of the package lives in dynamics.py. Those two
-functions import numpy in their own bodies, and nothing else in the package
-imports it at module level: Betti vectors, Wu characteristics, Lefschetz
-numbers and Kuenneth checks never touch a float, and loading numpy takes a
-one-shot command longer than all of its mathematics.
+exact. Those two import numpy in their own bodies and nothing else in the
+package imports it at module level, so the exact routes never touch a
+float nor pay numpy's load time.
 
 One sparse elimination, pivot_rows(), the left-looking "standard reduction"
 of Bauer, Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves the
 streamed derivative ranks of cohomology.incident_ranks, rank(), nullity()
-and kernel_basis(). Rows come with their leading columns and are stored by
-key as they came, a matrix row by reference and a streamed row by its code;
-a row is built only when a collision reads it, so no matrix is copied or
-indexed by column. Its traffic has +-1 entries: the coboundary blocks
-d_p^T, which after clearing in the cohomology direction (see cohomology)
-hold almost only apparent pivots, most of them never built, and the
-stacked derivative whose kernel is the harmonic forms (see
-cohomology.harmonic_basis). The stored rows are an echelon basis of the row
-space, so their leading columns are the Gauss-Jordan pivot columns and
-back-substitution through them yields the unique reduced-echelon kernel
-basis.
+and kernel_basis(). A row is built only when a collision reads it, so no
+matrix is copied or indexed by column. The stored rows are an echelon
+basis of the row space, so back-substitution through their leading
+columns yields the unique reduced-echelon kernel basis.
 
 det_bareiss() stays a separate fraction-free elimination without any row
 scaling: the determinant value itself is the result, and gcd rescaling
@@ -29,18 +20,15 @@ would change it.
 
 rank_mod() stays separate because it gives only a lower bound on the
 rational rank, fast, for the symmetric Laplacian blocks: a blocked LDL^T
-over GF(q) in numpy with no pivoting, whose count of non-zero pivots is the
-order of a principal submatrix that is non-singular mod q, a lower bound on
-the rank of any symmetric input. A positive-semidefinite Schur complement
-over Q, as of a Gram block L_p, has a zero row wherever its diagonal is
-zero, so on L_p the count is the rational rank unless q divides a pivot.
-Its reverse Cuthill-McKee order, which only the rank sees, keeps the fill
-in a band (bandwidth 1,167 -> 387 on the 1,376-column block of
-three_sphere at k=2). Entries are residues below q/2 + 1 in magnitude, and
-a trailing entry is reduced before it gathers more than _TERMS products of
-two, so every sum is an integer below 2**53, exact in any BLAS summation
-order. A caller trusts the count only under a certificate that closes the
-gap from above, as cohomology.laplacian_nullities does.
+over GF(q) in numpy with no pivoting counts the order of a principal
+submatrix that is non-singular mod q. A positive-semidefinite Schur
+complement over Q, as of a Gram block L_p, has a zero row wherever its
+diagonal is zero, so on L_p the count is the rational rank unless q
+divides a pivot. Its reverse Cuthill-McKee order keeps the fill in a band
+(bandwidth 1,167 -> 387 on the 1,376-column block of three_sphere at
+k=2). Every sum of residues is an integer below 2**53 (see _TERMS), exact
+in any BLAS order. A caller trusts the count only under a certificate
+that closes the gap from above, as cohomology.laplacian_nullities does.
 """
 
 from __future__ import annotations

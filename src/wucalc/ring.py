@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from itertools import product as iter_product
 
-from .basis import wu_characteristic
+from .basis import poly_mul, wu_characteristic
 from .cohomology import cohomology_data
 from .simplicial import MAX_SIMPLICES, Complex
 
@@ -161,16 +161,6 @@ def ring_betti(e, k: int):
     if any(coeff < 0 for coeff, _ in _terms(e)):
         raise ValueError("cohomology of a negative combination is undefined")
     return _term_sum(e, lambda c: cohomology_data(tuple([c] * k)).betti)
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _trim(poly):

@@ -13,7 +13,9 @@ its last caller there, the rank of a built derivative. tuple_grades and
 tuple_index decode the codes of an InteractionBasis into tuples of cells,
 and _signed_permutation maps every decoded tuple under an automorphism:
 lefschetz_trace takes its trace on the harmonic forms by the definition,
-which wucalc.lefschetz, acting on codes, is checked against. The six
+which wucalc.lefschetz, acting on codes, is checked against.
+walk_profile_counts counts tuples by the package's own walk: it is the
+route that the face count of basis.profile_counts replaced. The six
 helpers after laplacian_is_block_diagonal (graph_from_edges to heat_trace)
 left the library because only tests call them; all but eval_multivariate
 wrap package types too: Graph, the catalog, the DiracLaplacian and
@@ -28,6 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 from wucalc import exact
+from wucalc.basis import _IntersectionContext, _walk
 from wucalc.catalog import cycle_complex
 from wucalc.exact import SparseIntMatrix
 from wucalc.simplicial import Graph, generate_complex
@@ -338,6 +341,28 @@ def tuple_grades(basis):
 def tuple_index(basis):
     """Tuple of cells -> its position in its grade of tuple_grades."""
     return {t: pos for g in tuple_grades(basis) for pos, t in enumerate(g)}
+
+
+def walk_profile_counts(systems) -> dict:
+    """Counts of commonly intersecting tuples keyed by dimension profile,
+    by the package's tuple walk: the counting route that basis.
+    profile_counts replaced, kept as its oracle. Tuples are never
+    materialized: the last slot is counted by popcounts of its candidate
+    bitset against the per-dimension cell bitsets."""
+    ctx = _IntersectionContext(systems)
+    dmasks = {}
+    for ci, d in enumerate(ctx.dims[-1]):
+        dmasks[d] = dmasks.get(d, 0) | 1 << ci
+    dims = ctx.dims
+    counts: dict = {}
+    for ids, _, last in _walk(ctx):
+        profile = tuple(d[c] for d, c in zip(dims, ids))
+        for d, mask in dmasks.items():
+            n = (last & mask).bit_count()
+            if n:
+                key = profile + (d,)
+                counts[key] = counts.get(key, 0) + n
+    return counts
 
 
 def _signed_permutation(t, basis):

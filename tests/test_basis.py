@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
 from wucalc import basis, catalog
+from wucalc.connection import connection_graph
 from wucalc.basis import (
     build_basis, euler_polynomial, f_matrix, f_tensor,
     multivariate_euler_polynomial, polynomial_string, wu_characteristic,
@@ -17,7 +20,7 @@ from wucalc.simplicial import Complex, Graph, whitney_complex, zagreb_index
 
 from oracles import (
     common_product_tuples, common_tuples, eval_multivariate, naive_wu,
-    random_facets, tuple_grades, tuple_index,
+    random_facets, tuple_grades, tuple_index, walk_profile_counts,
 )
 
 
@@ -86,8 +89,19 @@ def test_mixing_a_complex_with_a_product_is_refused():
             wu_characteristic(systems)
 
 
+def _contexts_built(monkeypatch):
+    """A list that grows by one for every _IntersectionContext built."""
+    built = []
+    init = basis._IntersectionContext.__init__
+    monkeypatch.setattr(basis._IntersectionContext, "__init__",
+                        lambda self, systems: built.append(len(systems))
+                        or init(self, systems))
+    return built
+
+
 def test_the_tuple_budget_is_a_lower_bound_on_the_walk(monkeypatch):
-    # with the budget set to the true tuple count, nothing is refused
+    # the count checked against the budget is the walk's own count: at a
+    # budget of that count nothing is refused, one below it everything is
     rng = random.Random(3301)
     cases = []
     for _ in range(15):
@@ -97,53 +111,119 @@ def test_the_tuple_budget_is_a_lower_bound_on_the_walk(monkeypatch):
         pc = ProductComplex([c, d])
         cases += [[pc], [pc, pc]]
     for systems in cases:
-        count = sum(basis._profile_counts(systems).values())
+        count = sum(walk_profile_counts(systems).values())
         monkeypatch.setattr(basis, "MAX_TUPLES", count)
-        basis._IntersectionContext(systems)
+        assert sum(build_basis(systems).grade_sizes()) == count
+        monkeypatch.setattr(basis, "MAX_TUPLES", count - 1)
+        for walk in (build_basis, wu_characteristic):
+            with pytest.raises(ValueError, match="tuple budget"):
+                walk(systems)
         monkeypatch.undo()
 
 
-def test_walks_over_the_tuple_budget_are_refused_before_they_start():
-    # a vertex of two triangles sharing an edge lies in 6 simplices, so at
-    # least 6**k k-tuples meet there: 6**9 < 2**24 < 6**10
+def test_walks_over_the_tuple_budget_are_refused_before_they_start(
+        monkeypatch):
+    # two triangles sharing an edge: 3,482,721 8-tuples meet, within the
+    # budget, and 20,657,951 9-tuples, over it (6**k of them meet at a
+    # vertex that lies in 6 simplices); no tuple table is built for them
     two = generate_complex([(0, 1, 2), (1, 2, 3)])
-    basis._IntersectionContext([two] * 9)
-    for k in (10, 40):
+    assert sum(basis.grade_counts([two] * 8)) == 3_482_721
+    built = _contexts_built(monkeypatch)
+    for k in (9, 10, 40):
         for walk in (build_basis, wu_characteristic):
             with pytest.raises(ValueError, match="tuple budget"):
                 walk([two] * k)
+    assert built == []
 
 
 def test_walks_past_the_tuple_budget_are_refused_as_they_count(monkeypatch):
-    # three disjoint edges: a vertex lies in 2 simplices, so the star bound
-    # is 2**4 = 16 at k = 4, but each edge carries 2 * 2**4 - 1 = 31 tuples
+    # three disjoint edges: a vertex lies in 2 simplices, so only 2**4 = 16
+    # 4-tuples meet at one vertex, but each edge carries 2 * 2**4 - 1 = 31
+    # tuples; the exact count of all three is checked before any walk
     three = generate_complex([(1, 2), (3, 4), (5, 6)])
     systems = [three] * 4
-    assert sum(basis._profile_counts(systems).values()) == 93
+    assert sum(walk_profile_counts(systems).values()) == 93
     monkeypatch.setattr(basis, "MAX_TUPLES", 93)
     assert sum(build_basis(systems).grade_sizes()) == 93
     monkeypatch.setattr(basis, "MAX_TUPLES", 50)
-    basis._IntersectionContext(systems)
+    built = _contexts_built(monkeypatch)
     for walk in (build_basis, wu_characteristic):
-        with pytest.raises(ValueError, match="tuple budget"):
+        with pytest.raises(ValueError, match="at least 93 intersecting"):
             walk(systems)
+    assert built == []
 
 
-def test_disconnected_inputs_are_refused_by_their_component_sum():
-    # 500 disjoint edges: each vertex lies in 2 simplices, so every atom's
-    # star bound is 2**16 at k = 16, within the budget, but the edges are
-    # 500 components and together carry at least 500 * 2**16 > 2**24 tuples
+def test_disconnected_inputs_are_refused_by_their_component_sum(monkeypatch):
+    # 500 disjoint edges: each vertex lies in 2 simplices, so 2**16 16-tuples
+    # meet at one vertex, within the budget, but the 500 components together
+    # carry 1000 * 2**16 - 500 > 2**24 tuples
     edges500 = generate_complex([(2 * i, 2 * i + 1) for i in range(500)])
     assert 2 ** 16 < basis.MAX_TUPLES < 500 * 2 ** 16
-    with pytest.raises(ValueError, match="tuple budget"):
-        basis._IntersectionContext([edges500] * 16)
+    built = _contexts_built(monkeypatch)
+    for walk in (build_basis, wu_characteristic):
+        with pytest.raises(ValueError,
+                           match=f"at least {1000 * 2 ** 16 - 500} "):
+            walk([edges500] * 16)
+    assert built == []
 
 
 def test_every_catalog_row_is_under_the_tuple_budget():
     for name, k in catalog.MAIN_TABLE:
-        basis._IntersectionContext([catalog.NAMED[name]()] * k)
+        assert sum(basis.grade_counts([catalog.NAMED[name]()] * k)) \
+            <= basis.MAX_TUPLES
     for _, g, h, *_ in catalog.pair_fixtures():
-        basis._IntersectionContext([g, h])
+        assert sum(basis.grade_counts([g, h])) <= basis.MAX_TUPLES
+
+
+def test_face_counts_match_the_walk_oracle():
+    # one complex at k = 1..3, mixed pairs and triples, products at k = 1
+    # and 2 (with a product of another arity, which no cell meets); the
+    # grade sizes of the basis are the counts summed by total dimension
+    rng = random.Random(2626)
+    cases = []
+    for _ in range(60):
+        c = generate_complex(random_facets(rng))
+        cases += [[c] * k for k in (1, 2, 3)]
+    for _ in range(50):
+        cs = [generate_complex(random_facets(rng)) for _ in range(3)]
+        cases += [cs[:2], [cs[0], cs[1], cs[0]], cs]
+    for _ in range(15):
+        a, b = (generate_complex(random_facets(rng, max_vertices=4,
+                                               max_facets=3))
+                for _ in range(2))
+        pc, pd = ProductComplex([a, b]), ProductComplex([b, a])
+        cases += [[pc], [pc, pc], [pc, pd]]
+    cases.append([pc, ProductComplex([a, b, a])])
+    assert len(cases) >= 200
+    for systems in cases:
+        counts = basis.profile_counts(systems)
+        assert counts == walk_profile_counts(systems), systems
+        by_grade = [0] * (max(map(sum, counts), default=-1) + 1)
+        for profile, n in counts.items():
+            by_grade[sum(profile)] += n
+        assert build_basis(systems).grade_sizes() == by_grade
+        assert basis.grade_counts(systems) == by_grade
+
+
+def test_a_walk_frees_its_context_without_a_collection(monkeypatch):
+    # the walk makes no reference cycle, so its bitset tables are freed
+    # when the call returns, not at the next full collection
+    contexts = []
+    init = basis._IntersectionContext.__init__
+    monkeypatch.setattr(basis._IntersectionContext, "__init__",
+                        lambda self, systems: contexts.append(
+                            weakref.ref(self)) or init(self, systems))
+    c = generate_complex([(1, 2, 3), (3, 4), (4, 5, 6)])
+    gc.disable()
+    try:
+        for call in (lambda: build_basis([c, c]),
+                     lambda: build_basis([c, c, c]),
+                     lambda: connection_graph(c)):
+            contexts.clear()
+            call()
+            assert len(contexts) == 1 and contexts[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_grades_are_indexed_by_total_dimension():

@@ -231,6 +231,40 @@ def test_connection_builds_one_intersection_context(tmp_path, capsys,
         }, indent=2) + "\n"
 
 
+def test_refusals_come_before_any_tuple_work(tmp_path, capsys,
+                                            monkeypatch):
+    # every command behind the tuple budget refuses from the face count,
+    # before it builds bitset tables or enters build_basis
+    from wucalc import basis, cohomology
+
+    contexts, walks = [], []
+    init = basis._IntersectionContext.__init__
+    monkeypatch.setattr(basis._IntersectionContext, "__init__",
+                        lambda self, systems: contexts.append(len(systems))
+                        or init(self, systems))
+    build_basis = cohomology.build_basis
+    monkeypatch.setattr(cohomology, "build_basis",
+                        lambda cs: walks.append(len(cs)) or build_basis(cs))
+    monkeypatch.setattr(basis, "MAX_TUPLES", 100)
+    path = write_json(tmp_path, "path.json",
+                      [[i, i + 1] for i in range(40)])
+    small = write_json(tmp_path, "small.json", [[1, 2]])
+    for argv in (["betti", path, "-k", "2"], ["wu", path, "-k", "2"],
+                 ["fmatrix", path, "-k", "2"], ["euler-poly", path, "-k", "2"],
+                 ["spectrum", path, "-k", "2"], ["deform", path, "-k", "2"],
+                 ["kuenneth", path, small, "-k", "2"],
+                 ["lefschetz", path, "-k", "2", "--aut",
+                  str(list(range(41)))]):
+        cohomology_data.cache_clear()
+        code, out, err = run(capsys, *argv)
+        assert (code, out, contexts, walks) == (1, "", [], []), argv
+        assert "tuple budget" in err
+    # the spies are live: an input under the budget reaches both
+    code, _, _ = run(capsys, "betti", small, "-k", "2")
+    assert (code, contexts, walks) == (0, [2], [2])
+    cohomology_data.cache_clear()
+
+
 def test_fredholm_command(triangle, capsys):
     code, out, _ = run(capsys, "fredholm", triangle)
     assert code == 0
