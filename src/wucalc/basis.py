@@ -17,9 +17,11 @@ One star table per distinct complex, over the common faces only, gives the
 dimension profile, the tuples per grade, the Wu characteristic and the
 exact count that build_basis checks against MAX_TUPLES. Product cells meet
 when every factor meets, so their common faces are the tuples of the
-factors' common faces. build_basis walks the tuples on bitsets of atoms,
-the vertices of a simplex or the vertex tuples of a product cell (_walk),
-and stores each as one integer code (InteractionBasis).
+factors' common faces. build_basis walks the tuples on star lists (_walk):
+per distinct complex, each cell's support, its atoms (the vertices of a
+simplex or the vertex tuples of a product cell), and each atom's star, the
+ascending ids of the cells that contain it. It stores each tuple as one
+integer code (InteractionBasis).
 
 Everything accepts the small cell interface of simplicial.Complex (cells,
 cell_dim, cell_boundary, cell_support, flat_key), which is how
@@ -44,7 +46,7 @@ from .simplicial import Complex, f_vector
 # 8-tuples of two triangles sharing an edge in 3.7 s and about 140 MB, so a
 # basis at the budget would take about 18 s and 700 MB before any rank. The
 # count compared is exact (_face_terms), and every command compares it
-# before it builds a bitset table or stores a code.
+# before it builds a walk table or stores a code.
 MAX_TUPLES = 2 ** 24
 
 
@@ -52,57 +54,6 @@ def _check_budget(count, k):
     if count > MAX_TUPLES:
         raise ValueError(f"at least {count} intersecting {k}-tuples, more "
                          f"than the tuple budget of {MAX_TUPLES}")
-
-
-def _bits(m):
-    """The positions of the set bits of m >= 0, ascending. Each step takes
-    the 64-bit word that starts at the lowest set bit left, so a dense mask
-    of n bits costs n/64 big-int steps, not n."""
-    while m:
-        base = (m & -m).bit_length() - 1
-        w = m >> base & 0xFFFF_FFFF_FFFF_FFFF
-        m ^= w << base
-        base -= 1
-        while w:
-            lsb = w & -w
-            yield base + lsb.bit_length()
-            w ^= lsb
-
-
-class _IntersectionContext:
-    """Bitset tables for common-intersection queries across k complexes."""
-
-    def __init__(self, systems):
-        self.systems = list(systems)
-        atom_ids: dict = {}
-        self.dims = []       # per system: list of cell dimensions
-        self.sup_bits = []   # per system: per cell, atom bitset of its support
-        self.inc = []        # per system: {atom id: cell bitset}
-        for sys in self.systems:
-            dims, sups, inc = [], [], {}
-            for ci, cell in enumerate(sys.cells):
-                bit = 1 << ci
-                mask = 0
-                for a in sys.cell_support(cell):
-                    aid = atom_ids.setdefault(a, len(atom_ids))
-                    mask |= 1 << aid
-                    inc[aid] = inc.get(aid, 0) | bit
-                sups.append(mask)
-                dims.append(sys.cell_dim(cell))
-            self.dims.append(dims)
-            self.sup_bits.append(sups)
-            self.inc.append(inc)
-        # the running set before the first slot: every cell meets it
-        self.all_atoms = (1 << len(atom_ids)) - 1
-
-    def candidates(self, t, running):
-        """Bitset of cells of system t whose support meets the atom bitset
-        running."""
-        u = 0
-        inc = self.inc[t]
-        for a in _bits(running):
-            u |= inc.get(a, 0)
-        return u
 
 
 class InteractionBasis:
@@ -159,27 +110,42 @@ class InteractionBasis:
                 f"grade_sizes={self.grade_sizes()})")
 
 
-def _walk(ctx):
+def _table(system):
+    """The walk's table of one complex: per cell its dimension and its
+    support as a frozenset of atoms, and per atom the ascending ids of the
+    cells that contain it, its star."""
+    dims, sups, stars = [], [], {}
+    for ci, cell in enumerate(system.cells):
+        sup = frozenset(system.cell_support(cell))
+        for a in sup:
+            stars.setdefault(a, []).append(ci)
+        dims.append(system.cell_dim(cell))
+        sups.append(sup)
+    return dims, sups, stars
+
+
+def _tables(systems):
+    """One _table per distinct complex, listed slot by slot."""
+    made = {s: _table(s) for s in dict.fromkeys(systems)}
+    return [made[s] for s in systems]
+
+
+def _walk(tables, j=0, ids=(), running=None, dsum=0):
     """Yield (ids, dsum, last) for every tuple ids of cell ids for the first
     k-1 slots whose cells have a non-empty common intersection: dsum is
-    their total dimension and last the candidate bitset of the final
-    system, the cells that meet the running intersection, one OR of
-    per-atom incidence bitsets. Prefixes come in depth-first order over
-    ascending cell ids. rec is passed to itself, not closed over, so no
-    reference cycle keeps ctx alive after the walk."""
-    k = len(ctx.systems)
-    dims, sup_bits = ctx.dims, ctx.sup_bits
-
-    def rec(rec, j, ids, running, dsum):
-        cand = ctx.candidates(j, running)
-        if j == k - 1:
-            yield ids, dsum, cand
-            return
-        for idx in _bits(cand):
-            yield from rec(rec, j + 1, ids + (idx,),
-                           running & sup_bits[j][idx], dsum + dims[j][idx])
-
-    return rec(rec, 0, (), ctx.all_atoms, 0)
+    their total dimension and last the ascending ids of the cells of the
+    final slot that meet it. Slot j takes every cell when j = 0, else the
+    union of the stars of the atoms in running, the common intersection so
+    far. Prefixes come in depth-first order over ascending cell ids."""
+    dims, sups, stars = tables[j]
+    cand = (range(len(dims)) if running is None
+            else sorted({c for a in running for c in stars.get(a, ())}))
+    if j == len(tables) - 1:
+        yield ids, dsum, cand
+        return
+    for idx in cand:
+        sup = sups[idx] if running is None else running & sups[idx]
+        yield from _walk(tables, j + 1, ids + (idx,), sup, dsum + dims[idx])
 
 
 def build_basis(complexes) -> InteractionBasis:
@@ -188,14 +154,14 @@ def build_basis(complexes) -> InteractionBasis:
     by dimension. Each grade lists its codes in walk order, ascending."""
     systems = list(complexes)
     _counted_terms(systems)
-    ctx = _IntersectionContext(systems)
+    tables = _tables(systems)
     radices = [prod(len(s.cells) for s in systems[j + 1:])
                for j in range(len(systems))]
-    last_dims = ctx.dims[-1]
+    last_dims = tables[-1][0]
     by_grade: dict = {}
-    for ids, dsum, last in _walk(ctx):
+    for ids, dsum, last in _walk(tables):
         base = sum(map(mul, ids, radices))
-        for idx in _bits(last):
+        for idx in last:
             by_grade.setdefault(dsum + last_dims[idx], []).append(base + idx)
     codes = [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
     return InteractionBasis(systems, radices, codes)
@@ -279,9 +245,18 @@ def _counted_terms(complexes):
 
 def profile_counts(complexes) -> dict:
     """Counts of commonly intersecting tuples keyed by dimension profile,
-    expanded from the face terms once their total is within the budget."""
+    expanded from the face terms once their total is within the budget and
+    so are the k entries of each profile the expansion can hold."""
+    systems = tuple(complexes)
+    terms = _counted_terms(systems)
+    size = len(systems) * sum(prod(sum(map(bool, v)) for v in vecs)
+                              for _, vecs in terms)
+    if size > MAX_TUPLES:
+        raise ValueError(f"the {len(systems)}-tuple dimension profile may "
+                         f"hold {size} entries, more than the tuple budget "
+                         f"of {MAX_TUPLES}")
     counts: Counter = Counter()
-    for c, vecs in _counted_terms(complexes):
+    for c, vecs in terms:
         part = {(): c}
         for v in vecs:
             part = {key + (d,): m * n for key, m in part.items()
@@ -338,14 +313,11 @@ def f_tensor(c: Complex, k: int):
     counts = profile_counts([c] * k)
     if not counts:
         return []
-    top = max(max(p) for p in counts)
-
-    def build(prefix):
-        if len(prefix) == k:
-            return counts.get(prefix, 0)
-        return [build(prefix + (d,)) for d in range(top + 1)]
-
-    return build(())
+    side = max(map(max, counts)) + 1
+    cube = [counts.get(p, 0) for p in iter_product(range(side), repeat=k)]
+    for _ in range(k - 1):  # nest the flat cube one axis at a time
+        cube = [cube[i:i + side] for i in range(0, len(cube), side)]
+    return cube
 
 
 def euler_polynomial(c):

@@ -9,7 +9,7 @@ vector recovers the order-2 Wu characteristic.
 
 from __future__ import annotations
 
-from .basis import _IntersectionContext, _bits, _walk
+from .basis import _tables, _walk
 from .exact import det_bareiss
 from .simplicial import (MAX_SIMPLICES, OVER_BUDGET, Complex, Graph,
                          simplex_weight, whitney_complex)
@@ -30,17 +30,16 @@ def connection_graph(c: Complex) -> Graph:
     """Vertices are simplex indices in the global cell order; two indices
     are adjacent when the simplices intersect: the upper triangle of the
     connection matrix, read from one order-2 tuple walk, whose prefix (i,)
-    comes with the bitset of the cells that meet cell i. Raises ValueError
-    as soon as the n vertices and the edges listed so far would pass
-    MAX_SIMPLICES simplices of the connection complex, so no more than that
-    many edges are ever held."""
-    ctx = _IntersectionContext([c, c])
+    comes with the ascending ids of the cells that meet cell i. Raises
+    ValueError as soon as the n vertices and the edges listed so far would
+    pass MAX_SIMPLICES simplices of the connection complex, so no more than
+    that many edges are ever held."""
     n, edges = len(c), []
-    for (i,), _, meets in _walk(ctx):
-        later = meets >> (i + 1) << (i + 1)
-        if n + len(edges) + later.bit_count() > MAX_SIMPLICES:
+    for (i,), _, meets in _walk(_tables([c, c])):
+        later = [j for j in meets if j > i]
+        if n + len(edges) + len(later) > MAX_SIMPLICES:
             raise ValueError(OVER_BUDGET)
-        edges.extend((i, j) for j in _bits(later))
+        edges.extend((i, j) for j in later)
     return Graph(range(n), edges)
 
 

@@ -1,7 +1,7 @@
 """Independent reference implementations used to validate the package.
 
 Everything here is written against the definitions directly, with none of
-the package's bitset or sparse-elimination machinery: tuples come from
+the package's star-list or sparse-elimination machinery: tuples come from
 itertools, derivatives are dense sign sums, ranks come from Gaussian
 elimination over GF(p) for two 31-bit primes (which must agree), and the
 small dense helpers work over Fractions. Slow on purpose.
@@ -14,8 +14,10 @@ tuple_index decode the codes of an InteractionBasis into tuples of cells,
 and _signed_permutation maps every decoded tuple under an automorphism:
 lefschetz_trace takes its trace on the harmonic forms by the definition,
 which wucalc.lefschetz, acting on codes, is checked against.
-walk_profile_counts counts tuples by the package's own walk: it is the
-route that the face count of basis.profile_counts replaced. The six
+_bits, _IntersectionContext and _walk are the bitset tuple walk that
+build_basis ran before its star lists, kept unchanged: walk_codes gives
+the basis codes by it, and walk_profile_counts the counts that the face
+count of basis.profile_counts replaced. The six
 helpers after laplacian_is_block_diagonal (graph_from_edges to heat_trace)
 left the library because only tests call them; all but eval_multivariate
 wrap package types too: Graph, the catalog, the DiracLaplacian and
@@ -27,10 +29,10 @@ command-line benchmark imports it in its timed set-up.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
 from wucalc import exact
-from wucalc.basis import _IntersectionContext, _walk
 from wucalc.catalog import cycle_complex
 from wucalc.exact import SparseIntMatrix
 from wucalc.simplicial import Graph, generate_complex
@@ -343,10 +345,99 @@ def tuple_index(basis):
     return {t: pos for g in tuple_grades(basis) for pos, t in enumerate(g)}
 
 
+def _bits(m):
+    """The positions of the set bits of m >= 0, ascending. Each step takes
+    the 64-bit word that starts at the lowest set bit left, so a dense mask
+    of n bits costs n/64 big-int steps, not n."""
+    while m:
+        base = (m & -m).bit_length() - 1
+        w = m >> base & 0xFFFF_FFFF_FFFF_FFFF
+        m ^= w << base
+        base -= 1
+        while w:
+            lsb = w & -w
+            yield base + lsb.bit_length()
+            w ^= lsb
+
+
+class _IntersectionContext:
+    """Bitset tables for common-intersection queries across k complexes."""
+
+    def __init__(self, systems):
+        self.systems = list(systems)
+        atom_ids: dict = {}
+        self.dims = []       # per system: list of cell dimensions
+        self.sup_bits = []   # per system: per cell, atom bitset of its support
+        self.inc = []        # per system: {atom id: cell bitset}
+        for sys in self.systems:
+            dims, sups, inc = [], [], {}
+            for ci, cell in enumerate(sys.cells):
+                bit = 1 << ci
+                mask = 0
+                for a in sys.cell_support(cell):
+                    aid = atom_ids.setdefault(a, len(atom_ids))
+                    mask |= 1 << aid
+                    inc[aid] = inc.get(aid, 0) | bit
+                sups.append(mask)
+                dims.append(sys.cell_dim(cell))
+            self.dims.append(dims)
+            self.sup_bits.append(sups)
+            self.inc.append(inc)
+        # the running set before the first slot: every cell meets it
+        self.all_atoms = (1 << len(atom_ids)) - 1
+
+    def candidates(self, t, running):
+        """Bitset of cells of system t whose support meets the atom bitset
+        running."""
+        u = 0
+        inc = self.inc[t]
+        for a in _bits(running):
+            u |= inc.get(a, 0)
+        return u
+
+
+def _walk(ctx):
+    """Yield (ids, dsum, last) for every tuple ids of cell ids for the first
+    k-1 slots whose cells have a non-empty common intersection: dsum is
+    their total dimension and last the candidate bitset of the final
+    system, the cells that meet the running intersection, one OR of
+    per-atom incidence bitsets. Prefixes come in depth-first order over
+    ascending cell ids. rec is passed to itself, not closed over, so no
+    reference cycle keeps ctx alive after the walk."""
+    k = len(ctx.systems)
+    dims, sup_bits = ctx.dims, ctx.sup_bits
+
+    def rec(rec, j, ids, running, dsum):
+        cand = ctx.candidates(j, running)
+        if j == k - 1:
+            yield ids, dsum, cand
+            return
+        for idx in _bits(cand):
+            yield from rec(rec, j + 1, ids + (idx,),
+                           running & sup_bits[j][idx], dsum + dims[j][idx])
+
+    return rec(rec, 0, (), ctx.all_atoms, 0)
+
+
+def walk_codes(systems):
+    """The codes of build_basis, grade by grade in walk order, by the
+    bitset walk it replaced, with no tuple budget."""
+    ctx = _IntersectionContext(systems)
+    radices = [prod(len(s.cells) for s in ctx.systems[j + 1:])
+               for j in range(len(ctx.systems))]
+    by_grade: dict = {}
+    for ids, dsum, last in _walk(ctx):
+        base = sum(map(mul, ids, radices))
+        for idx in _bits(last):
+            by_grade.setdefault(dsum + ctx.dims[-1][idx], []).append(
+                base + idx)
+    return [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
+
+
 def walk_profile_counts(systems) -> dict:
     """Counts of commonly intersecting tuples keyed by dimension profile,
-    by the package's tuple walk: the counting route that basis.
-    profile_counts replaced, kept as its oracle. Tuples are never
+    by the bitset tuple walk: the counting route that basis.profile_counts
+    replaced, kept as its oracle. Tuples are never
     materialized: the last slot is counted by popcounts of its candidate
     bitset against the per-dimension cell bitsets."""
     ctx = _IntersectionContext(systems)

@@ -1,6 +1,6 @@
 import gc
 import random
-import weakref
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -19,8 +19,9 @@ from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex, Graph, whitney_complex, zagreb_index
 
 from oracles import (
-    common_product_tuples, common_tuples, eval_multivariate, naive_wu,
-    random_facets, tuple_grades, tuple_index, walk_profile_counts,
+    _bits, common_product_tuples, common_tuples, eval_multivariate,
+    naive_wu, random_facets, tuple_grades, tuple_index, walk_codes,
+    walk_profile_counts,
 )
 
 
@@ -89,13 +90,13 @@ def test_mixing_a_complex_with_a_product_is_refused():
             wu_characteristic(systems)
 
 
-def _contexts_built(monkeypatch):
-    """A list that grows by one for every _IntersectionContext built."""
+def _tables_built(monkeypatch):
+    """A list that grows by one for every walk table built, one per
+    distinct complex of a walk."""
     built = []
-    init = basis._IntersectionContext.__init__
-    monkeypatch.setattr(basis._IntersectionContext, "__init__",
-                        lambda self, systems: built.append(len(systems))
-                        or init(self, systems))
+    table = basis._table
+    monkeypatch.setattr(basis, "_table",
+                        lambda system: built.append(system) or table(system))
     return built
 
 
@@ -128,7 +129,7 @@ def test_walks_over_the_tuple_budget_are_refused_before_they_start(
     # vertex that lies in 6 simplices); no tuple table is built for them
     two = generate_complex([(0, 1, 2), (1, 2, 3)])
     assert sum(basis.grade_counts([two] * 8)) == 3_482_721
-    built = _contexts_built(monkeypatch)
+    built = _tables_built(monkeypatch)
     for k in (9, 10, 40):
         for walk in (build_basis, wu_characteristic):
             with pytest.raises(ValueError, match="tuple budget"):
@@ -146,7 +147,7 @@ def test_walks_past_the_tuple_budget_are_refused_as_they_count(monkeypatch):
     monkeypatch.setattr(basis, "MAX_TUPLES", 93)
     assert sum(build_basis(systems).grade_sizes()) == 93
     monkeypatch.setattr(basis, "MAX_TUPLES", 50)
-    built = _contexts_built(monkeypatch)
+    built = _tables_built(monkeypatch)
     for walk in (build_basis, wu_characteristic):
         with pytest.raises(ValueError, match="at least 93 intersecting"):
             walk(systems)
@@ -159,7 +160,7 @@ def test_disconnected_inputs_are_refused_by_their_component_sum(monkeypatch):
     # carry 1000 * 2**16 - 500 > 2**24 tuples
     edges500 = generate_complex([(2 * i, 2 * i + 1) for i in range(500)])
     assert 2 ** 16 < basis.MAX_TUPLES < 500 * 2 ** 16
-    built = _contexts_built(monkeypatch)
+    built = _tables_built(monkeypatch)
     for walk in (build_basis, wu_characteristic):
         with pytest.raises(ValueError,
                            match=f"at least {1000 * 2 ** 16 - 500} "):
@@ -206,24 +207,65 @@ def test_face_counts_match_the_walk_oracle():
 
 
 def test_a_walk_frees_its_context_without_a_collection(monkeypatch):
-    # the walk makes no reference cycle, so its bitset tables are freed
-    # when the call returns, not at the next full collection
-    contexts = []
-    init = basis._IntersectionContext.__init__
-    monkeypatch.setattr(basis._IntersectionContext, "__init__",
-                        lambda self, systems: contexts.append(
-                            weakref.ref(self)) or init(self, systems))
+    # the walk makes no reference cycle, so its tables are freed when the
+    # call returns, not at the next full collection: with the collector
+    # off, a collection after each call finds nothing to free
+    built = _tables_built(monkeypatch)
     c = generate_complex([(1, 2, 3), (3, 4), (4, 5, 6)])
+    gc.collect()
     gc.disable()
     try:
         for call in (lambda: build_basis([c, c]),
                      lambda: build_basis([c, c, c]),
                      lambda: connection_graph(c)):
-            contexts.clear()
+            built.clear()
             call()
-            assert len(contexts) == 1 and contexts[0]() is None
+            assert built == [c] and gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_star_walk_codes_match_the_bitset_oracle():
+    # one complex at k = 1..3, mixed pairs and triples (some sharing no
+    # vertex), products at k = 1 and 2 and the empty complex: the codes
+    # of every grade, in walk order, are those of the bitset walk
+    rng = random.Random(2727)
+    cases = []
+    for _ in range(40):
+        c = generate_complex(random_facets(rng))
+        cases += [[c] * k for k in (1, 2, 3)]
+    for _ in range(40):
+        cs = [generate_complex(random_facets(rng)) for _ in range(3)]
+        cases += [cs[:2], [cs[0], cs[1], cs[0]], cs]
+    for _ in range(10):
+        c = generate_complex(random_facets(rng))
+        far = generate_complex([[v + 100 for v in f]
+                                for f in random_facets(rng)])
+        cases += [[c, far], [far, c, c]]
+    for _ in range(15):
+        a, b = (generate_complex(random_facets(rng, max_vertices=4,
+                                               max_facets=3))
+                for _ in range(2))
+        pc, pd = ProductComplex([a, b]), ProductComplex([b, a])
+        cases += [[pc], [pc, pc], [pc, pd]]
+    cases += [[Complex([])] * k for k in (1, 2, 3)]
+    assert len(cases) >= 200
+    for systems in cases:
+        assert build_basis(systems).codes == walk_codes(systems), systems
+
+
+def test_basis_memory_grows_with_the_path_not_its_square():
+    # the walk holds per-cell supports and per-vertex stars, so the peak of
+    # a pair basis on a path grows about linearly with its length
+    peaks = []
+    for n in (2000, 4000):
+        path = path_complex(n)
+        basis._face_terms.cache_clear()
+        tracemalloc.start()
+        build_basis([path, path])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0], peaks
 
 
 def test_grades_are_indexed_by_total_dimension():
@@ -319,7 +361,7 @@ def test_bits_lists_the_set_bits_as_the_one_bit_loop_does():
         masks += [sum(1 << rng.randrange(width) for _ in range(3))
                   for _ in range(20) if width]
         for m in masks:
-            assert list(basis._bits(m)) == list(one_bit_at_a_time(m)), m
+            assert list(_bits(m)) == list(one_bit_at_a_time(m)), m
 
 
 def test_the_complex_with_no_cells_has_no_tuples():

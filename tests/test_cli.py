@@ -199,27 +199,28 @@ def test_connection_command(triangle, capsys):
 
 def test_connection_builds_one_intersection_context(tmp_path, capsys,
                                                    monkeypatch):
-    # the budget count and the edge list share one set of bitset tables;
-    # the payload is read off the connection matrix, built independently
+    # the budget count and the edge list share one walk table, built once
+    # for the complex in both slots; the payload is read off the connection
+    # matrix, built independently
     from wucalc import basis
     from wucalc.connection import connection_matrix
     from wucalc.simplicial import Graph, f_vector, whitney_complex
 
     inits = []
-    real = basis._IntersectionContext.__init__
+    real = basis._table
 
-    def spy(self, systems):
-        inits.append(len(systems))
-        real(self, systems)
+    def spy(system):
+        inits.append(len(system))
+        return real(system)
 
-    monkeypatch.setattr(basis._IntersectionContext, "__init__", spy)
+    monkeypatch.setattr(basis, "_table", spy)
     for facets in ([[1, 2, 3]], [[1, 2, 3], [3, 4], [4, 5, 6], [7]],
                    [[1, 2], [2, 3], [3, 1], [1, 4, 5]]):
         path = write_json(tmp_path, "c.json", facets)
         inits.clear()
         code, out, _ = run(capsys, "connection", path)
-        assert (code, inits) == (0, [2])
         m = connection_matrix(cli.load_complex(path))
+        assert (code, inits) == (0, [len(m)])
         edges = [(i, j) for i, row in enumerate(m)
                  for j in range(i + 1, len(row)) if row[j]]
         conn = whitney_complex(Graph(range(len(m)), edges))
@@ -234,14 +235,14 @@ def test_connection_builds_one_intersection_context(tmp_path, capsys,
 def test_refusals_come_before_any_tuple_work(tmp_path, capsys,
                                             monkeypatch):
     # every command behind the tuple budget refuses from the face count,
-    # before it builds bitset tables or enters build_basis
+    # before it builds a walk table or enters build_basis
     from wucalc import basis, cohomology
 
     contexts, walks = [], []
-    init = basis._IntersectionContext.__init__
-    monkeypatch.setattr(basis._IntersectionContext, "__init__",
-                        lambda self, systems: contexts.append(len(systems))
-                        or init(self, systems))
+    table = basis._table
+    monkeypatch.setattr(basis, "_table",
+                        lambda system: contexts.append(len(system))
+                        or table(system))
     build_basis = cohomology.build_basis
     monkeypatch.setattr(cohomology, "build_basis",
                         lambda cs: walks.append(len(cs)) or build_basis(cs))
@@ -261,8 +262,27 @@ def test_refusals_come_before_any_tuple_work(tmp_path, capsys,
         assert "tuple budget" in err
     # the spies are live: an input under the budget reaches both
     code, _, _ = run(capsys, "betti", small, "-k", "2")
-    assert (code, contexts, walks) == (0, [2], [2])
+    assert (code, contexts, walks) == (0, [3], [2])
     cohomology_data.cache_clear()
+
+
+def test_profiles_over_the_budget_are_refused_before_they_expand(
+        tmp_path, capsys, monkeypatch):
+    # one edge: 2**(k+1) - 1 k-tuples meet, within the tuple budget at
+    # k = 20, but its profile expands to 2**20 + 1 entries of 20 dimensions
+    # each, over it; at k = 3 the bound is 3 * (2**3 + 1) = 27 entries
+    from wucalc import basis
+
+    edge = write_json(tmp_path, "edge.json", [[1, 2]])
+    for cmd in ("fmatrix", "euler-poly"):
+        code, out, err = run(capsys, cmd, edge, "-k", "20")
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert "20971540 entries" in err and "tuple budget" in err
+        monkeypatch.setattr(basis, "MAX_TUPLES", 27)
+        assert run(capsys, cmd, edge, "-k", "3")[0] == 0
+        monkeypatch.setattr(basis, "MAX_TUPLES", 26)
+        assert run(capsys, cmd, edge, "-k", "3")[:2] == (1, "")
+        monkeypatch.undo()
 
 
 def test_fredholm_command(triangle, capsys):
