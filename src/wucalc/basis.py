@@ -188,7 +188,9 @@ def _face_terms(systems: tuple) -> tuple:
     c * prod_j vecs[j][d_j] over the terms; common faces with the same stars
     share a term. A cell x and a common face S < x make the distinct tuple
     with x in one slot and S in the others, as does (S, ..., S), so
-    ValueError is raised once these pairs pass MAX_TUPLES."""
+    ValueError is raised once these pairs pass MAX_TUPLES; for one complex
+    also once 2^(k dim) does, with dim that of its last cell, whose 2^dim
+    faces through one of its atoms all meet there, any k of them."""
     if not systems:
         raise ValueError("need at least one complex")
     if len({type(s) for s in systems}) > 1:
@@ -202,9 +204,10 @@ def _face_terms(systems: tuple) -> tuple:
         return ()  # product cells of different arity never meet
     if len(distinct) == 1:  # every face is common: count the pairs first
         commons, order = [None] * len(factors[0]), systems[0].cells
-        _check_budget(sum(prod(2 ** len(p) - 1 for p in x) for x in order)
-                      if is_product else sum(2 ** len(x) - 1 for x in order),
-                      k)
+        pairs = (sum(prod(2 ** len(p) - 1 for p in x) for x in order)
+                 if is_product else sum(2 ** len(x) - 1 for x in order))
+        top = 2 ** (k * systems[0].cell_dim(order[-1])) if order else 0
+        _check_budget(max(top, pairs), k)
     else:
         commons = [frozenset.intersection(*(f[i].simplices for f in factors))
                    for i in range(len(factors[0]))]

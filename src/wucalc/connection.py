@@ -21,7 +21,13 @@ MAX_FREDHOLM_SIMPLICES = 2 ** 10
 
 
 def connection_matrix(c: Complex):
-    """L[i][j] = 1 when simplices i and j of the global cell order meet."""
+    """L[i][j] = 1 when simplices i and j of the global cell order meet.
+    Raises ValueError, before any row is built, on a complex of more than
+    MAX_FREDHOLM_SIMPLICES simplices."""
+    if len(c) > MAX_FREDHOLM_SIMPLICES:
+        raise ValueError(f"the connection matrix takes at most "
+                         f"{MAX_FREDHOLM_SIMPLICES} simplices, "
+                         f"the complex has {len(c)}")
     sets = [frozenset(s) for s in c.cells]
     return [[1 if si & sj else 0 for sj in sets] for si in sets]
 
@@ -55,13 +61,7 @@ def fermi_characteristic(c: Complex) -> int:
 
 
 def fredholm_characteristic(c: Complex) -> int:
-    """Determinant of the connection matrix, exact. Raises ValueError,
-    before the matrix is built, on a complex of more than
-    MAX_FREDHOLM_SIMPLICES simplices."""
-    if len(c) > MAX_FREDHOLM_SIMPLICES:
-        raise ValueError(f"the Fredholm determinant takes at most "
-                         f"{MAX_FREDHOLM_SIMPLICES} simplices, "
-                         f"the complex has {len(c)}")
+    """Determinant of the connection matrix, exact."""
     det = det_bareiss(connection_matrix(c))
     if det not in (1, -1):
         raise ArithmeticError(

@@ -18,11 +18,11 @@ from .exact import check_dense, dense_array
 
 log = logging.getLogger(__name__)
 
-# RK4 budgets of lax_deform: each step evaluates the bracket four times on
-# dense n x n matrices, so a flow with more steps, or with more work
-# (steps x n**3), is an input error to reject before the first step; 100
-# steps of cylinder at k = 2 (n = 416, work 7.2e9) take 4 s on a 2-vCPU
-# host, so the work budget is about a minute there
+# RK4 budgets of lax_deform: each step takes four n x n products, so a
+# flow with more steps, or with more work (steps x n**3), is an input error
+# to reject before the first step; 100 steps of cylinder at k = 2 (n = 416,
+# work 7.2e9) take about 2 s on a 2-vCPU host with one BLAS thread, so the
+# work budget is about half a minute there
 MAX_LAX_STEPS = 100_000
 MAX_LAX_WORK = 10 ** 11
 
@@ -108,18 +108,6 @@ def wave_evolve(dl: DiracLaplacian, u0, v0, t: float):
     return q @ (cos_part + sin_part)
 
 
-def _bracket_rhs(d, raising_mask, diagonal_mask):
-    """[B(D), D] for B = d - d^T built from the raising part of D, minus
-    i times its diagonal part when a diagonal mask is given."""
-    import numpy
-
-    raising = numpy.where(raising_mask, d, 0.0)
-    b = raising - raising.conj().T
-    if diagonal_mask is not None:
-        b = b - 1j * numpy.where(diagonal_mask, d, 0.0)
-    return b @ d - d @ b
-
-
 def lax_steps(size: int, t_max: float, dt: float) -> int:
     """The RK4 steps of lax_deform on a size x size Dirac matrix, where size
     is the basis size; ValueError when t_max / dt exceeds MAX_LAX_STEPS or
@@ -143,7 +131,10 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
 
     In real mode B = d - d^T built from the current raising part; the flow
     is isospectral and pushes D toward block diagonal form. Complex mode
-    adds -i b and makes the operator genuinely complex. Raises ValueError
+    adds -i b and makes the operator genuinely complex. B(D) is sign * D
+    entry by entry, with sign fixed by the grades, and B is anti-Hermitian,
+    so each RK4 stage takes one product X = B D and the bracket is
+    X + X^H: D stays exactly Hermitian by construction. Raises ValueError
     before the dense copy when lax_steps refuses the flow, and
     ArithmeticError on spectral drift beyond ten times the allowed
     tolerance.
@@ -157,31 +148,33 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     import numpy
 
     grades = numpy.repeat(numpy.arange(len(dl.grade_sizes)), dl.grade_sizes)
-    # entries from grade q to grade q + 1, and within one grade
+    # entries from grade q to grade q + 1 give +1 in sign, their transposes
+    # -1, and in complex mode the entries within one grade -i
     raising_mask = grades[:, None] == grades[None, :] + 1
-    diagonal_mask = None
+    sign = raising_mask.astype(float) - raising_mask.T
     d = dense_array(dl.dirac)
     if mode == "complex":
         d = d.astype(complex)
-        diagonal_mask = grades[:, None] == grades[None, :]
+        sign = sign - 1j * (grades[:, None] == grades[None, :])
     norm0 = numpy.linalg.norm(d) or 1.0
     spec0 = numpy.linalg.eigvalsh(d)
     tol = 1e-6 * norm0
 
+    def bracket(x):
+        bx = (sign * x) @ x
+        return bx + bx.conj().T
+
     h = t_max / steps
-    t = 0.0
-    for _ in range(steps):
-        with numpy.errstate(over="ignore", invalid="ignore"):
-            k1 = _bracket_rhs(d, raising_mask, diagonal_mask)
-            k2 = _bracket_rhs(d + 0.5 * h * k1, raising_mask, diagonal_mask)
-            k3 = _bracket_rhs(d + 0.5 * h * k2, raising_mask, diagonal_mask)
-            k4 = _bracket_rhs(d + h * k3, raising_mask, diagonal_mask)
+    with numpy.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            k1 = bracket(d)
+            k2 = bracket(d + 0.5 * h * k1)
+            k3 = bracket(d + 0.5 * h * k2)
+            k4 = bracket(d + h * k3)
             d = d + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            d = 0.5 * (d + d.conj().T)
-        if not numpy.isfinite(d).all():
-            raise ArithmeticError(
-                f"flow diverged at t={t + h:.4g}; reduce dt")
-        t += h
+            if not numpy.isfinite(d).all():
+                raise ArithmeticError(
+                    f"flow diverged at t={step * h:.4g}; reduce dt")
 
     spec1 = numpy.linalg.eigvalsh(d)
     drift = float(numpy.abs(spec0 - spec1).max(initial=0.0))

@@ -266,6 +266,28 @@ def test_refusals_come_before_any_tuple_work(tmp_path, capsys,
     cohomology_data.cache_clear()
 
 
+def test_a_large_facet_is_refused_before_its_faces_are_listed(
+        tmp_path, capsys, monkeypatch):
+    # the 2**13 faces of a 13-simplex through one vertex give 2**26 pairs
+    # that meet there, over the tuple budget of 2**24 at k = 2, though its
+    # 3**14 - 2**14 face pairs are not
+    from wucalc import basis
+
+    listed = []
+    faces = basis._faces
+    monkeypatch.setattr(basis, "_faces",
+                        lambda x, common: listed.append(x) or faces(x, common))
+    for n in (14, 15):
+        path = write_json(tmp_path, f"facet{n}.json", [list(range(n))])
+        code, out, err = run(capsys, "wu", path, "-k", "2")
+        assert (code, out, listed) == (1, "", []), n
+        assert err.count("\n") == 1 and "tuple budget" in err
+    # the spy is live: a small facet lists its faces
+    code, _, _ = run(capsys, "wu", write_json(tmp_path, "t.json", [[1, 2, 3]]),
+                     "-k", "2")
+    assert code == 0 and listed
+
+
 def test_profiles_over_the_budget_are_refused_before_they_expand(
         tmp_path, capsys, monkeypatch):
     # one edge: 2**(k+1) - 1 k-tuples meet, within the tuple budget at

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wucalc import connection
 from wucalc.basis import wu_characteristic
 from wucalc.catalog import (
@@ -127,3 +129,13 @@ def test_inclusion_edges_sit_inside_the_connection_graph():
 def test_octahedron_connection_complex_f_vector():
     cc = connection_complex(octahedron())
     assert list(f_vector(cc)) == [26, 180, 556, 918, 900, 560, 224, 54, 6]
+
+
+def test_the_connection_trace_refuses_a_complex_over_the_matrix_cap():
+    # a 10-simplex has 2,047 faces, over MAX_FREDHOLM_SIMPLICES: both
+    # readers of the connection matrix refuse it before the matrix is built
+    facet = generate_complex([tuple(range(11))])
+    assert len(facet) == 2047 > connection.MAX_FREDHOLM_SIMPLICES
+    for route in (wu_via_connection_trace, fredholm_characteristic):
+        with pytest.raises(ValueError, match="at most 1024 simplices"):
+            route(facet)

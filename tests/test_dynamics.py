@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from wucalc.dynamics import (
     wave_evolve,
 )
 
-from oracles import dirac_spectrum, supertrace_power
+from oracles import (
+    dirac_spectrum, random_facets, supertrace_power, two_product_lax_deform,
+)
 
 SMALL_FIXTURES = [
     (path_complex(3), 2),
@@ -81,6 +84,27 @@ def test_lax_flow_stays_isospectral_in_both_modes():
             assert report["d_squared"] < 1e-8
             n = data.dirac.size
             assert d.shape == (n, n)
+            assert np.array_equal(d, d.conj().T)
+
+
+def test_the_one_product_flow_matches_the_two_product_oracle():
+    # B(D) read off the fixed sign pattern, one product per RK4 stage and
+    # no re-symmetrization, against the route it replaced: two products per
+    # stage and a re-symmetrization per step
+    rng = random.Random(28)
+    cases = [(generate_complex(random_facets(
+        rng, max_vertices=7 if k == 1 else 5, max_facets=4)), k, 0.5, 0.01)
+        for k in (1, 2) * 16]
+    cases.append((cylinder(), 2, 0.1, 0.05))
+    for c, k, t_max, dt in cases:
+        dl = _data(c, k).dirac
+        for mode in ("real", "complex"):
+            d, report = lax_deform(dl, mode=mode, t_max=t_max, dt=dt)
+            want, expected = two_product_lax_deform(dl, mode=mode,
+                                                    t_max=t_max, dt=dt)
+            assert np.abs(d - want).max(initial=0.0) <= 1e-12
+            for key in ("steps", "isospectral", "nilpotent"):
+                assert report[key] == expected[key], (k, mode, key)
             assert np.array_equal(d, d.conj().T)
 
 
