@@ -189,8 +189,8 @@ def _face_terms(systems: tuple) -> tuple:
     share a term. A cell x and a common face S < x make the distinct tuple
     with x in one slot and S in the others, as does (S, ..., S), so
     ValueError is raised once these pairs pass MAX_TUPLES; for one complex
-    also once 2^(k dim) does, with dim that of its last cell, whose 2^dim
-    faces through one of its atoms all meet there, any k of them."""
+    also once the k-tuples of faces of its last cell that meet do: m^n -
+    (m-1)^n for n vertices and m = 2^k, multiplied over a product's parts."""
     if not systems:
         raise ValueError("need at least one complex")
     if len({type(s) for s in systems}) > 1:
@@ -206,7 +206,8 @@ def _face_terms(systems: tuple) -> tuple:
         commons, order = [None] * len(factors[0]), systems[0].cells
         pairs = (sum(prod(2 ** len(p) - 1 for p in x) for x in order)
                  if is_product else sum(2 ** len(x) - 1 for x in order))
-        top = 2 ** (k * systems[0].cell_dim(order[-1])) if order else 0
+        top = prod((2 ** k) ** len(p) - (2 ** k - 1) ** len(p) for p in (
+            order[-1] if is_product else order[-1:])) if order else 0
         _check_budget(max(top, pairs), k)
     else:
         commons = [frozenset.intersection(*(f[i].simplices for f in factors))

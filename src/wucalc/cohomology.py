@@ -2,8 +2,9 @@
 
 All ranks are exact over the rationals, except that a Laplacian nullity
 takes the count of exact.rank_mod when the derivative ranks certify it
-(laplacian_nullities). The derivative ranks are cleared from grade 0 up,
-in the cohomology direction (de Silva, Morozov and Vejdemo-Johansson,
+(laplacian_nullities), and every exact Hodge elimination reads the stacked
+derivative M_p, never L_p. The derivative ranks are cleared from grade 0
+up, in the cohomology direction (de Silva, Morozov and Vejdemo-Johansson,
 Dualities in persistent (co)homology, 2011; Bauer, Ripser, 2021; see
 incident_ranks), by the left-looking standard reduction of
 exact.pivot_rows (PHAT, 2017). So the Betti vector streams, as Ripser
@@ -26,7 +27,6 @@ from . import exact
 from .basis import InteractionBasis, build_basis, grade_counts
 from .differential import (DiracLaplacian, GradedIntMatrix, coboundary,
                            dirac_and_laplacian, interaction_derivative)
-from .exact import SparseIntMatrix
 
 
 def incident_ranks(b: InteractionBasis):
@@ -71,14 +71,11 @@ def harmonic_basis(dl: DiracLaplacian):
     has +-1 entries and no Gram fill-in. Taking the DiracLaplacian keeps
     its d^2 = 0 check in front of every caller, and with d^2 = 0,
     dim ker M_p = b_p, so a grade with b_p = 0 gets [] and no elimination.
-    Vectors are primitive integer vectors. The rows go to the elimination
-    last to first: on the catalog surfaces at k=2 that takes a third to a
-    half fewer eliminations.
+    Vectors are primitive integer vectors.
     """
     betti = betti_vector(dl.derivative.basis)
-    return [exact.kernel_basis(SparseIntMatrix(
-        m.nrows, m.ncols, dict(reversed(m.rows.items())))) if b else []
-        for m, b in zip(dl.columns, betti)]
+    return [exact.kernel_basis(m) if b else []
+            for m, b in zip(dl.columns, betti)]
 
 
 def laplacian_nullities(dl: DiracLaplacian):
@@ -89,15 +86,17 @@ def laplacian_nullities(dl: DiracLaplacian):
     rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by subadditivity alone. When
     the two meet, as they do on the positive-semidefinite L_p unless q
     divides a pivot, the nullity is n_p minus that rank; otherwise, and for
-    blocks of more than exact.MAX_DENSE_ENTRIES entries, exact.nullity(L_p).
+    blocks of more than exact.MAX_DENSE_ENTRIES entries, exact.nullity(M_p),
+    which shares its kernel with L_p (harmonic_basis): an elimination of
+    other rows than the streamed ranks, so still an independent check.
     """
     out, bounds = [], incident_ranks(dl.derivative.basis)
-    for lp, bound in zip(dl.laplacian_blocks, bounds):
-        if (lp.nrows * lp.ncols <= exact.MAX_DENSE_ENTRIES
-                and exact.rank_mod(lp) == bound):
-            out.append(lp.ncols - bound)
+    for p, (m, bound) in enumerate(zip(dl.columns, bounds)):
+        if (m.ncols ** 2 <= exact.MAX_DENSE_ENTRIES
+                and exact.rank_mod(dl.laplacian_blocks[p]) == bound):
+            out.append(m.ncols - bound)
         else:
-            out.append(exact.nullity(lp))
+            out.append(exact.nullity(m))
     return out
 
 
@@ -165,8 +164,8 @@ class CohomologyData:
 # key comes back with at most one other key in between (cylinder k=2 around
 # its k=1 Lefschetz sweep), except for one hit in wucalc fixtures (star5 at
 # k=2, 14 keys later, about 1 ms to rebuild). A Betti entry keeps only its
-# basis alive; a Hodge, spectrum or Lefschetz entry also keeps its
-# derivative and Laplacian, which a larger bound would hold for that hit.
+# basis alive; a Hodge, spectrum or Lefschetz entry keeps its derivative,
+# M_p and any L_p read too, which a larger bound would hold for that hit.
 @lru_cache(maxsize=4)
 def cohomology_data(complexes: tuple) -> CohomologyData:
     return CohomologyData(complexes)

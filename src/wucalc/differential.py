@@ -19,7 +19,8 @@ a matrix: the Laplacian, Dirac, spectrum and harmonic routes.
 A DiracLaplacian stacks the derivative of each grade p once, as M_p
 (dirac_columns: the rows of d_p and the columns of d_(p-1)), and every
 Hodge object is read off those M_p: D is their sum, L_p = M_p^T M_p is
-one SparseIntMatrix.matmul, and the harmonic forms are ker M_p.
+one SparseIntMatrix.matmul built on first read, and the harmonic forms
+and every exact Laplacian nullity are ker M_p.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
@@ -138,33 +139,37 @@ def dirac_columns(d: GradedIntMatrix):
     columns whose rows are the rows of d_p (shared, not copied) and the
     columns of d_(p-1), keyed by their coordinate in the full graded space.
     So D is the sum of the M_p placed at their column offsets, and
-    L_p = M_p^T M_p."""
+    L_p = M_p^T M_p. The rows are stored last to first, the order that on
+    the catalog surfaces at k=2 takes a third to a half fewer eliminations."""
     offsets = list(accumulate(d.grade_sizes, initial=0))
     out = []
     for p, n in enumerate(d.grade_sizes):
         rows: dict = {}
-        if p < len(d.blocks):
-            rows = {offsets[p + 1] + i: r for i, r in d.blocks[p].rows.items()}
         if p > 0:
-            rows.update((offsets[p - 1] + j, r)
-                        for j, r in transpose(d.blocks[p - 1]).rows.items())
+            rows = {offsets[p - 1] + j: r for j, r in
+                    reversed(transpose(d.blocks[p - 1]).rows.items())}
+        if p < len(d.blocks):
+            rows.update((offsets[p + 1] + i, r)
+                        for i, r in reversed(d.blocks[p].rows.items()))
         out.append(SparseIntMatrix(offsets[-1], n, rows))
     return out
 
 
 class DiracLaplacian:
     """D = d + d^T on the full graded space and the blocks of L = D^2, read
-    off the stacked derivatives M_p, self.columns. The blocks are built at
-    once; D is built when it is first read (only the wave and Lax flows
-    read it)."""
+    off the stacked derivatives M_p, self.columns, built at once; D (for the
+    flows) and the L_p (for the certificate and spectra) on first read."""
 
     def __init__(self, derivative: GradedIntMatrix):
         self.derivative = derivative
         self.grade_sizes = derivative.grade_sizes
         *self.offsets, self.size = accumulate(self.grade_sizes, initial=0)
         self.columns = dirac_columns(derivative)
+
+    @cached_property
+    def laplacian_blocks(self) -> list:
         # L_p = d_p^T d_p + d_(p-1) d_(p-1)^T
-        self.laplacian_blocks = [transpose(m).matmul(m) for m in self.columns]
+        return [transpose(m).matmul(m) for m in self.columns]
 
     @cached_property
     def dirac(self) -> SparseIntMatrix:
@@ -176,8 +181,7 @@ class DiracLaplacian:
         return SparseIntMatrix(self.size, self.size, dirac)
 
     def __repr__(self):
-        return (f"DiracLaplacian(size={self.size}, "
-                f"blocks={[b.nrows for b in self.laplacian_blocks]})")
+        return f"DiracLaplacian(size={self.size}, blocks={self.grade_sizes})"
 
 
 def dirac_and_laplacian(d: GradedIntMatrix) -> DiracLaplacian:

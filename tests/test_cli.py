@@ -268,16 +268,16 @@ def test_refusals_come_before_any_tuple_work(tmp_path, capsys,
 
 def test_a_large_facet_is_refused_before_its_faces_are_listed(
         tmp_path, capsys, monkeypatch):
-    # the 2**13 faces of a 13-simplex through one vertex give 2**26 pairs
-    # that meet there, over the tuple budget of 2**24 at k = 2, though its
-    # 3**14 - 2**14 face pairs are not
+    # the 4**n - 3**n pairs of faces of an n-vertex facet that meet (some
+    # vertex lies in both) pass the tuple budget of 2**24 at k = 2 from
+    # n = 13 on, though its 3**n - 2**n face pairs do not
     from wucalc import basis
 
     listed = []
     faces = basis._faces
     monkeypatch.setattr(basis, "_faces",
                         lambda x, common: listed.append(x) or faces(x, common))
-    for n in (14, 15):
+    for n in (13, 14, 15):
         path = write_json(tmp_path, f"facet{n}.json", [list(range(n))])
         code, out, err = run(capsys, "wu", path, "-k", "2")
         assert (code, out, listed) == (1, "", []), n

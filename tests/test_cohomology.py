@@ -8,8 +8,8 @@ from wucalc.basis import (
     InteractionBasis, build_basis, multivariate_euler_polynomial,
 )
 from wucalc.catalog import (
-    cycle_complex, cylinder, figure_eight, generate_complex, moebius,
-    path_complex, rabbit,
+    cycle_complex, cylinder, figure_eight, generate_complex, klein_bottle,
+    moebius, path_complex, projective_plane, rabbit,
 )
 from wucalc.cohomology import (
     CohomologyData, betti_vector, cohomology_data, euler_poincare_check,
@@ -129,14 +129,34 @@ def test_laplacian_nullities_certify_every_block(make, monkeypatch):
     assert exact_calls == []
 
 
-@pytest.mark.parametrize("make", [cylinder, moebius])
+@pytest.mark.parametrize("make", [cylinder, moebius, klein_bottle,
+                                  projective_plane])
 def test_a_failed_certificate_takes_the_exact_route(make, monkeypatch):
+    # the exact route eliminates the stacked derivative M_p, not L_p: at
+    # k=2, eliminating the Gram blocks takes 25 s on klein_bottle and
+    # minutes on projective_plane
     c = make()
     data = cohomology_data((c, c))
     count_calls(monkeypatch, "rank_mod", wrap=lambda r: r - 1)
     exact_calls = count_calls(monkeypatch, "nullity")
     assert laplacian_nullities(data.dirac) == data.betti
-    assert exact_calls == data.dirac.laplacian_blocks
+    assert exact_calls == data.dirac.columns
+
+
+def test_the_exact_nullity_route_matches_the_gram_route(monkeypatch):
+    # with every certificate missed, the nullity of M_p equals that of the
+    # L_p it replaced, eliminated here, and the streamed Betti vector
+    rng = random.Random(2929)
+    cases = [(generate_complex(random_facets(rng)),) * k
+             for _ in range(40) for k in (1, 2)]
+    cases += [(p,) for p in small_products(rng, 8)]
+    count_calls(monkeypatch, "rank_mod", wrap=lambda r: r - 1)
+    for complexes in cases:
+        data = CohomologyData(complexes)
+        dl = data.dirac
+        got = laplacian_nullities(dl)
+        assert got == [exact.nullity(lp) for lp in dl.laplacian_blocks]
+        assert got == betti_vector(data.basis), complexes
 
 
 def test_an_oversized_block_skips_the_modular_rank(monkeypatch):
@@ -148,7 +168,7 @@ def test_an_oversized_block_skips_the_modular_rank(monkeypatch):
     exact_calls = count_calls(monkeypatch, "nullity")
     assert laplacian_nullities(data.dirac) == data.betti
     assert mod_calls == []
-    assert exact_calls == data.dirac.laplacian_blocks
+    assert exact_calls == data.dirac.columns
 
 
 def test_three_sphere_pair_nullities_are_certified(monkeypatch):

@@ -4,13 +4,15 @@ import random
 import numpy as np
 
 from wucalc.basis import build_basis
-from wucalc.catalog import generate_complex, path_complex
-from wucalc.cohomology import harmonic_basis
+from wucalc.catalog import cylinder, generate_complex, path_complex
+from wucalc.cohomology import cohomology_data, harmonic_basis
 from wucalc.differential import (
     DiracLaplacian, dirac_and_laplacian, dirac_columns, interaction_derivative,
     verify_d_squared,
 )
+from wucalc.dynamics import lax_deform
 from wucalc.exact import SparseIntMatrix
+from wucalc.lefschetz import complex_automorphisms, lefschetz_fixed_point_check
 from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
@@ -166,7 +168,8 @@ def test_dirac_is_symmetric_and_squares_to_the_laplacian():
 
 def test_the_dirac_matrix_is_built_on_first_read(monkeypatch):
     # the stacked derivative M_p is built once, in the constructor, and
-    # the Laplacian blocks, the harmonic forms and D all read it
+    # the Laplacian blocks, the harmonic forms and D all read it; D and the
+    # L_p are built only when read
     calls = []
     monkeypatch.setattr("wucalc.differential.dirac_columns",
                         lambda d: calls.append(d) or dirac_columns(d))
@@ -174,9 +177,18 @@ def test_the_dirac_matrix_is_built_on_first_read(monkeypatch):
     dl = DiracLaplacian(interaction_derivative(build_basis((c, c))))
     assert len(calls) == 1 and "dirac" not in vars(dl)
     harmonic_basis(dl)
-    assert "dirac" not in vars(dl)
+    repr(dl)
+    assert "dirac" not in vars(dl) and "laplacian_blocks" not in vars(dl)
     assert dl.dirac is dl.dirac
+    lax_deform(dl, t_max=0.02)
+    assert "laplacian_blocks" not in vars(dl)
+    assert dl.laplacian_blocks is dl.laplacian_blocks
     assert len(calls) == 1
+    # the Lefschetz check reads the harmonic forms of a fresh entry only
+    cohomology_data.cache_clear()
+    cyl = cylinder()
+    lefschetz_fixed_point_check(complex_automorphisms(cyl)[1], cyl, 2)
+    assert "laplacian_blocks" not in vars(cohomology_data((cyl, cyl)).dirac)
 
 
 def _dense(m):
