@@ -85,15 +85,19 @@ def laplacian_nullities(dl: DiracLaplacian):
     any symmetric L_p, and L_p = d_p^T d_p + d_(p-1) d_(p-1)^T gives
     rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by subadditivity alone. When
     the two meet, as they do on the positive-semidefinite L_p unless q
-    divides a pivot, the nullity is n_p minus that rank; otherwise, and for
-    blocks of more than exact.MAX_DENSE_ENTRIES entries, exact.nullity(M_p),
-    which shares its kernel with L_p (harmonic_basis): an elimination of
-    other rows than the streamed ranks, so still an independent check.
+    divides a pivot, the nullity is n_p minus that rank; otherwise, and
+    when the window rank_mod slides down L_p (its side read from
+    exact.envelope before any allocation) would exceed
+    exact.MAX_DENSE_ENTRIES, exact.nullity(M_p), which shares its kernel
+    with L_p (harmonic_basis): an elimination of other rows than the
+    streamed ranks, so still an independent check.
     """
     out, bounds = [], incident_ranks(dl.derivative.basis)
     for p, (m, bound) in enumerate(zip(dl.columns, bounds)):
-        if (m.ncols ** 2 <= exact.MAX_DENSE_ENTRIES
-                and exact.rank_mod(dl.laplacian_blocks[p]) == bound):
+        lp = dl.laplacian_blocks[p]
+        env = exact.envelope(lp)
+        if (env[0] ** 2 <= exact.MAX_DENSE_ENTRIES
+                and exact.rank_mod(lp, env) == bound):
             out.append(m.ncols - bound)
         else:
             out.append(exact.nullity(m))

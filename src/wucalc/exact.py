@@ -26,9 +26,12 @@ complement over Q, as of a Gram block L_p, has a zero row wherever its
 diagonal is zero, so on L_p the count is the rational rank unless q
 divides a pivot. Its reverse Cuthill-McKee order keeps the fill in a band
 (bandwidth 1,167 -> 387 on the 1,376-column block of three_sphere at
-k=2). Every sum of residues is an integer below 2**53 (see _TERMS), exact
-in any BLAS order. A caller trusts the count only under a certificate
-that closes the gap from above, as cohomology.laplacian_nullities does.
+k=2); an LDL^T with no pivoting fills nothing outside that envelope
+(George and Liu, 1981), so only a window of it (side 478 there) is
+stored, sliding down the diagonal. Every sum of residues is an integer
+below 2**53 (see _TERMS), exact in any BLAS order. A caller trusts the
+count only under a certificate that closes the gap from above, as
+cohomology.laplacian_nullities does.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ _HALF = _MODULUS // 2 + 1
 _TERMS = 2048
 assert _HALF + _TERMS * _HALF ** 2 < 2 ** 53
 
-# the most entries of a dense float64 copy of one block (1 GiB) that
-# dense_array() makes and that a caller may hand to rank_mod()
+# the most entries (1 GiB of float64) of the dense copy of a block that
+# dense_array() makes and of the window of one that a caller hands rank_mod()
 MAX_DENSE_ENTRIES = 2 ** 27
 
 
@@ -236,15 +239,12 @@ def _rcm(rows, n):
     return order[::-1]
 
 
-def rank_mod(m: SparseIntMatrix) -> int:
-    """The order of a principal submatrix of the symmetric integer matrix m
-    that is non-singular mod _MODULUS (see the module docstring); raises
-    ValueError unless m is square and symmetric.
-
-    One panel of _PANEL indices at a time: factor its diagonal block in
-    int64 beside an identity, which becomes L11^-1 on the kept indices, form
-    U12 = L11^-1 A12 with one product, and update A22 -= U12^T D^-1 U12 in
-    place, on the band that the envelope of the panel's rows spans.
+def envelope(m: SparseIntMatrix):
+    """(side of rank_mod's window, panels) for the square symmetric m, or
+    ValueError. A panel [c0, c0 + _PANEL) reaches to hi, one past the last
+    column of its rows and all before; the side is the widest hi - c0 plus
+    2 _PANEL, at most n. Each panel is (hi, rows, columns, residues) of the
+    entries, in RCM positions, whose larger index the window takes in there.
     """
     n, rows = m.nrows, m.rows
     if m.ncols != n or any(rows.get(j, {}).get(i, 0) != v
@@ -252,22 +252,61 @@ def rank_mod(m: SparseIntMatrix) -> int:
         raise ValueError(f"rank_mod needs a square symmetric matrix, not {m}")
     import numpy
 
-    rint = numpy.rint
-    q, h = _MODULUS, _MODULUS // 2
-    pos = {i: k for k, i in enumerate(_rcm(rows, n))}
-    a = numpy.zeros((n, n))
-    ii, jj = [], []
-    for i, row in rows.items():
-        ii += [pos[i]] * len(row)
-        jj += map(pos.__getitem__, row)
-    a[ii, jj] = [(v + h) % q - h for row in rows.values() for v in row.values()]
+    q, h, nnz = _MODULUS, _MODULUS // 2, m.nnz()
+    pos = numpy.empty(n, dtype=numpy.int64)
+    pos[_rcm(rows, n)] = numpy.arange(n)
+    ii = pos[numpy.fromiter((i for i, row in rows.items() for _ in row),
+                            numpy.int64, nnz)]
+    jj = pos[numpy.fromiter((j for row in rows.values() for j in row),
+                            numpy.int64, nnz)]
+    vals = numpy.fromiter(((v + h) % q - h for row in rows.values()
+                           for v in row.values()), float, nnz)
     last = numpy.zeros(n, dtype=numpy.int64)  # each row's last column
     numpy.maximum.at(last, ii, jj)
-    reach = numpy.maximum.accumulate(last).tolist()
-    rank = terms = 0
-    for c0 in range(0, n, _PANEL):
-        c1 = min(c0 + _PANEL, n)
-        w, hi = c1 - c0, max(reach[c1 - 1] + 1, c1)
+    c0 = numpy.arange(0, n, _PANEL)
+    c1 = numpy.minimum(c0 + _PANEL, n)
+    his = numpy.maximum(numpy.maximum.accumulate(last)[c1 - 1] + 1, c1)
+    key = numpy.maximum(ii, jj)
+    order = numpy.argsort(key)
+    cuts = numpy.searchsorted(key[order], his[:-1])
+    return (min(n, int((his - c0).max(initial=0)) + 2 * _PANEL),
+            list(zip(his.tolist(), *(numpy.split(x[order], cuts)
+                                     for x in (ii, jj, vals)))))
+
+
+def rank_mod(m: SparseIntMatrix, env=None) -> int:
+    """The order of a principal submatrix of the symmetric integer matrix m
+    that is non-singular mod _MODULUS (see the module docstring); env is
+    envelope(m), which a caller that has read its side passes.
+
+    One panel of _PANEL indices at a time: factor its diagonal block in
+    int64 beside an identity, which becomes L11^-1 on the kept indices, form
+    U12 = L11^-1 A12 with one product, and update A22 -= U12^T D^-1 U12 in
+    place, on the band that the envelope of the panel's rows spans. The band
+    lives in the window a, index x standing for base + x, which moves down
+    in row blocks no taller than the move, so it is never copied whole.
+    """
+    side, panels = envelope(m) if env is None else env
+    import numpy
+
+    rint = numpy.rint
+    q, n = _MODULUS, m.nrows
+    a = numpy.zeros((side, side))
+    base = top = rank = terms = 0
+    for c0, (hi, ri, ci, vals) in zip(range(0, n, _PANEL), panels):
+        if hi > base + side:
+            d, k = c0 - base, top - c0
+            for r in range(0, k, d):
+                e = min(r + d, k)
+                a[r:e, :k] = a[r + d:e + d, d:d + k]
+            a[k:] = 0
+            a[:k, k:] = 0
+            base = c0
+        a[ri - base, ci - base] = vals
+        top = hi
+        # from here on c0, c1 and hi are window indices
+        c0, c1, hi = c0 - base, min(c0 + _PANEL, n) - base, hi - base
+        w = c1 - c0
         band = _reduce(a[c0:c1, c0:hi], rint)
         fac = numpy.hstack([band[:, :w], numpy.eye(w)]).astype(numpy.int64)
         piv, invs = [], []

@@ -126,6 +126,35 @@ def rank_mod(entries, p):
     return rank
 
 
+def pivot_count_mod(entries, order, p):
+    """The non-zero pivots of a symmetric elimination over GF(p) with no
+    pivoting and no blocking, taking the indices in the given order: an
+    index whose Schur complement diagonal is zero is skipped and eliminates
+    nothing. entries is {(row, col): value} of a symmetric matrix."""
+    pos = {i: k for k, i in enumerate(order)}
+    rows = {}
+    for (r, c), v in entries.items():
+        if v % p:
+            rows.setdefault(pos[r], {})[pos[c]] = v % p
+    count = 0
+    for k in range(len(order)):
+        row = rows.get(k, {})
+        if not row.get(k):
+            continue
+        count += 1
+        inv = pow(row[k], -1, p)
+        later = [(j, v) for j, v in row.items() if j > k]
+        for i, u in later:
+            f, target = u * inv % p, rows.setdefault(i, {})
+            for j, v in later:
+                nv = (target.get(j, 0) - f * v) % p
+                if nv:
+                    target[j] = nv
+                else:
+                    target.pop(j, None)
+    return count
+
+
 def simplex_dim(x):
     return len(x) - 1
 

@@ -112,9 +112,9 @@ def count_calls(monkeypatch, name, wrap=lambda out: out):
     real = getattr(exact, name)
     calls = []
 
-    def spy(m):
+    def spy(m, *rest):
         calls.append(m)
-        return wrap(real(m))
+        return wrap(real(m, *rest))
 
     monkeypatch.setattr(exact, name, spy)
     return calls

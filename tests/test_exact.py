@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 
 from oracles import (
     PRIMES, charpoly, coboundary_assembler, fraction_det, fraction_kernel, fraction_rank,
-    fraction_rref, pivot_columns, rank_mod, random_facets, sparse_from_dense,
+    fraction_rref, pivot_columns, pivot_count_mod, rank_mod, random_facets,
+    sparse_from_dense,
 )
 
 
@@ -291,6 +293,95 @@ def test_rank_mod_does_not_depend_on_when_the_trailing_block_is_reduced(
     monkeypatch.setattr(exact, "_PANEL", 4)
     assert [exact.rank_mod(m) for m in grams] == want
     assert [exact.rank_mod(m) for m in others] == counts
+
+
+def banded(n, band, entry, rng):
+    """A symmetric n x n matrix with entry(i, j) at |i - j| < band, i <= j,
+    its indices relabelled by a seeded permutation, so that only the RCM
+    order recovers the band."""
+    label = rng.sample(range(n), n)
+    rows = {}
+    for i in range(n):
+        for j in range(i, min(i + band, n)):
+            v = entry(i, j)
+            if v:
+                rows.setdefault(label[i], {})[label[j]] = v
+                rows.setdefault(label[j], {})[label[i]] = v
+    return SparseIntMatrix(n, n, rows)
+
+
+def banded_gram(n, band, rng, big=False):
+    """A^T A for an n x n upper-banded A whose rows have band entries from
+    the diagonal on, with one row in five cleared: a Gram matrix of
+    bandwidth band - 1 and of rational rank the number of rows kept. With
+    big, some entries of A are beyond the modulus."""
+    hi = 5 * exact._MODULUS if big else 3
+    a = [{} for _ in range(n)]
+    kept = 0
+    for r in range(n):
+        if rng.random() < 0.2:
+            continue
+        kept += 1
+        a[r][r] = rng.choice([-1, 1]) * rng.randint(1, 3)
+        for c in range(r + 1, min(r + band, n)):
+            a[r][c] = rng.randint(-hi, hi) if rng.random() < 0.6 else 0
+    return banded(n, band, lambda i, j: sum(
+        a[r].get(i, 0) * a[r].get(j, 0)
+        for r in range(max(0, j - band + 1), i + 1)), rng), kept
+
+
+@functools.lru_cache(maxsize=None)
+def banded_cases(seed):
+    """Seeded banded matrices of several hundred rows and bandwidth under
+    10, on which the window of rank_mod slides: Gram matrices with their
+    rational ranks, and indefinite ones, two with zero diagonal entries so
+    that pivots are skipped, with the count of the unblocked elimination
+    in the RCM order."""
+    rng = random.Random(seed)
+    grams, ranks = [], []
+    for n, band, big in ((300, 4, False), (457, 10, False), (389, 6, True)):
+        m, r = banded_gram(n, band, rng, big)
+        grams.append(m)
+        ranks.append(r)
+    others = [banded(n, band, lambda i, j: 0 if zero and i == j and i % zero
+                     or rng.random() < sparse else rng.randint(-3, 3), rng)
+              for n, band, zero, sparse in ((350, 5, 2, 0.7), (411, 9, 3, 0.3),
+                                            (333, 3, None, 0))]
+    q = exact._MODULUS
+    counts = [pivot_count_mod({(i, j): v for i, j, v in m.triples()},
+                              exact._rcm(m.rows, m.nrows), q)
+              for m in others]
+    return grams, ranks, others, counts
+
+
+@pytest.mark.parametrize("terms", [0, 1, 40, exact._TERMS])
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 32])
+def test_rank_mod_slides_its_window_without_changing_the_count(
+        width, terms, monkeypatch):
+    grams, ranks, others, counts = banded_cases(51)
+    monkeypatch.setattr(exact, "_PANEL", width)
+    monkeypatch.setattr(exact, "_TERMS", terms)
+    for m, r in zip(grams, ranks):
+        assert exact.envelope(m)[0] < m.nrows
+        assert exact.rank_mod(m) == gf_rank(m) == r
+    for m, count in zip(others, counts):
+        assert exact.envelope(m)[0] < m.nrows
+        assert exact.rank_mod(m) == count
+
+
+def test_rank_mod_stores_a_window_not_the_block():
+    # the dense route filled n^2 float64 entries, 34 MB here
+    n = 2048
+    m, _ = banded_gram(n, 4, random.Random(52))
+    exact.rank_mod(m)  # numpy and its BLAS load outside the trace
+    tracemalloc.start()
+    try:
+        r = exact.rank_mod(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == gf_rank(m)
+    assert peak < n * n * 8 / 20, peak
 
 
 def test_rcm_does_not_depend_on_the_insertion_order_of_the_rows():
