@@ -79,25 +79,23 @@ def harmonic_basis(dl: DiracLaplacian):
 
 
 def laplacian_nullities(dl: DiracLaplacian):
-    """dim ker L_p for each grade p, exact.
+    """dim ker L_p for each grade p, exact; no L_p is built as a dict.
 
     Each rank is sandwiched: exact.rank_mod(L_p) is at most rank_Q(L_p) for
     any symmetric L_p, and L_p = d_p^T d_p + d_(p-1) d_(p-1)^T gives
     rank_Q(L_p) <= rank(d_p) + rank(d_(p-1)) by subadditivity alone. When
     the two meet, as they do on the positive-semidefinite L_p unless q
-    divides a pivot, the nullity is n_p minus that rank; otherwise, and
-    when the window rank_mod slides down L_p (its side read from
-    exact.envelope before any allocation) would exceed
-    exact.MAX_DENSE_ENTRIES, exact.nullity(M_p), which shares its kernel
-    with L_p (harmonic_basis): an elimination of other rows than the
-    streamed ranks, so still an independent check.
+    divides a pivot, the nullity is n_p minus that rank. rank_mod reads L_p
+    as exact.gram_entries(M_p), whose envelope gives the window side before
+    any allocation; over exact.MAX_DENSE_ENTRIES, or on a miss, the nullity
+    is exact.nullity(M_p), sharing its kernel with L_p (harmonic_basis): an
+    elimination of other rows than the streamed ranks, still independent.
     """
     out, bounds = [], incident_ranks(dl.derivative.basis)
-    for p, (m, bound) in enumerate(zip(dl.columns, bounds)):
-        lp = dl.laplacian_blocks[p]
-        env = exact.envelope(lp)
+    for m, bound in zip(dl.columns, bounds):
+        env = exact.envelope(exact.gram_entries(m))
         if (env[0] ** 2 <= exact.MAX_DENSE_ENTRIES
-                and exact.rank_mod(lp, env) == bound):
+                and exact.rank_mod(env) == bound):
             out.append(m.ncols - bound)
         else:
             out.append(exact.nullity(m))

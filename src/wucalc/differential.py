@@ -17,10 +17,10 @@ writes each d_p in the layout order of the basis for the routes that read
 a matrix: the Laplacian, Dirac, spectrum and harmonic routes.
 
 A DiracLaplacian stacks the derivative of each grade p once, as M_p
-(dirac_columns: the rows of d_p and the columns of d_(p-1)), and every
-Hodge object is read off those M_p: D is their sum, L_p = M_p^T M_p is
-one SparseIntMatrix.matmul built on first read, and the harmonic forms
-and every exact Laplacian nullity are ker M_p.
+(dirac_columns: the rows of d_p and the columns of d_(p-1)). D is their
+sum; L_p = M_p^T M_p, one SparseIntMatrix.matmul on first read, serves
+the spectra and exact readers, as the GF(q) certificate reads M_p through
+exact.gram_entries; the harmonic forms and exact nullities are ker M_p.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
@@ -158,7 +158,7 @@ def dirac_columns(d: GradedIntMatrix):
 class DiracLaplacian:
     """D = d + d^T on the full graded space and the blocks of L = D^2, read
     off the stacked derivatives M_p, self.columns, built at once; D (for the
-    flows) and the L_p (for the certificate and spectra) on first read."""
+    flows) and the L_p (for the spectra and exact readers) on first read."""
 
     def __init__(self, derivative: GradedIntMatrix):
         self.derivative = derivative

@@ -1,41 +1,35 @@
 """Exact integer and rational linear algebra.
 
-Everything in this module but rank_mod() and dense_array() runs on
-arbitrary-precision integers, so ranks, determinants and kernels come out
-exact. Those two import numpy in their own bodies and nothing else in the
-package imports it at module level, so the exact routes never touch a
-float nor pay numpy's load time.
+Everything in this module but dense_array() and the GF(q) certificate
+(gram_entries(), envelope(), rank_mod()) runs on arbitrary-precision
+integers, so ranks, determinants and kernels come out exact. Those import
+numpy in their own bodies, and nothing else in the package imports it at
+module level, so the exact routes never touch a float nor pay its load time.
 
 One sparse elimination, pivot_rows(), the left-looking "standard reduction"
 of Bauer, Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves the
 streamed derivative ranks of cohomology.incident_ranks, rank(), nullity()
-and kernel_basis(). A row is built only when a collision reads it, so no
-matrix is copied or indexed by column. The stored rows are an echelon
-basis of the row space, so back-substitution through their leading
-columns yields the unique reduced-echelon kernel basis.
+and kernel_basis(), whose back-substitution runs through its rows.
 
 det_bareiss() stays a separate fraction-free elimination without any row
 scaling: the determinant value itself is the result, and gcd rescaling
 would change it.
 
-rank_mod() stays separate because it gives only a lower bound on the
-rational rank, fast, for the symmetric Laplacian blocks: a blocked LDL^T
-over GF(q) in numpy with no pivoting counts the order of a principal
-submatrix that is non-singular mod q. A positive-semidefinite Schur
-complement over Q, as of a Gram block L_p, has a zero row wherever its
-diagonal is zero, so on L_p the count is the rational rank unless q
-divides a pivot. Its reverse Cuthill-McKee order keeps the fill in a band
-(bandwidth 1,167 -> 387 on the 1,376-column block of three_sphere at
-k=2); an LDL^T with no pivoting fills nothing outside that envelope
-(George and Liu, 1981), so only a window of it (side 478 there) is
-stored, sliding down the diagonal. Every sum of residues is an integer
-below 2**53 (see _TERMS), exact in any BLAS order. A caller trusts the
-count only under a certificate that closes the gap from above, as
-cohomology.laplacian_nullities does.
+rank_mod() stays separate: a blocked LDL^T over GF(q) with no pivoting,
+it gives only a lower bound on the rational rank, fast, which on a
+positive-semidefinite Gram block L_p = M_p^T M_p is the rank unless q
+divides a pivot. It reads L_p from gram_entries(M_p) and stores only a
+window of its reverse Cuthill-McKee band (envelope(); 478 for the 1,376
+columns of three_sphere's L_4 at k=2): an LDL^T with no pivoting fills
+nothing outside the envelope (George and Liu, 1981). Every sum of
+residues is an integer below 2**53 (see _TERMS), exact in any BLAS
+order. cohomology.laplacian_nullities trusts the count only under a
+certificate that closes the gap from above.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 # rank_mod() works over GF(_MODULUS), the largest prime below 2**22, one
@@ -197,6 +191,19 @@ def check_dense(nrows: int, ncols: int):
                          f"budget of {MAX_DENSE_ENTRIES} entries")
 
 
+def _coo(m: SparseIntMatrix, dtype):
+    """(row lengths, rows, columns, values of dtype) of m in m.rows order."""
+    import numpy
+
+    rows, i64 = m.rows, numpy.int64
+    lens = numpy.fromiter(map(len, rows.values()), i64, len(rows))
+    cols, vals = (chain.from_iterable(map(f, rows.values()))
+                  for f in (dict.keys, dict.values))
+    return (lens, numpy.repeat(numpy.fromiter(rows, i64, len(rows)), lens),
+            numpy.fromiter(cols, i64, lens.sum()),
+            numpy.fromiter(vals, dtype, lens.sum()))
+
+
 def dense_array(m: SparseIntMatrix):
     """m as a dense float64 numpy array, checked by check_dense() before
     any allocation."""
@@ -204,19 +211,47 @@ def dense_array(m: SparseIntMatrix):
 
     check_dense(m.nrows, m.ncols)
     a = numpy.zeros((m.nrows, m.ncols))
-    for i, row in m.rows.items():
-        a[i, list(row)] = list(row.values())
+    _, ii, jj, vals = _coo(m, float)
+    a[ii, jj] = vals
     return a
 
 
-def _reduce(x, rint):
-    """x mod _MODULUS as residues of magnitude at most _MODULUS / 2 + 1;
-    rint is numpy.rint, which rank_mod() hands over. For integers
-    |x| < 2**53, x * (1 / q) is within 2 / q of x / q, so its rounding k
-    leaves |x - k q| <= q / 2 + 1, all computed exactly. numpy.fmod runs a
-    long division whose cost grows with x / q, many times slower here.
-    """
-    return x - rint(x * (1.0 / _MODULUS)) * _MODULUS
+def gram_entries(m: SparseIntMatrix):
+    """The non-zero entries (n = m.ncols, rows, columns, values) of m^T m as
+    int64 arrays sorted by row then column: the products of each pair of
+    entries in a row of m, summed per (row, column); exact while the row
+    count times the largest |entry|^2 is below 2**63, else OverflowError."""
+    import numpy
+
+    lens, _, cols, vals = _coo(m, numpy.int64)
+    if vals.size and int(abs(vals).max()) ** 2 * len(lens) >= 2 ** 63:
+        raise OverflowError(f"the Gram entries of {m} may exceed int64")
+    # pair t joins entry a[t] with entry b[t] of its row
+    reps = numpy.repeat(lens, lens)
+    a = numpy.repeat(numpy.arange(cols.size), reps)
+    b = (numpy.repeat(numpy.cumsum(lens) - lens, lens) - numpy.cumsum(reps)
+         + reps)[a] + numpy.arange(a.size)
+    key, prod = cols[a] * m.ncols + cols[b], vals[a] * vals[b]
+    del a, b  # the pairs are the largest arrays here: free them first
+    order = key.argsort()
+    key, prod = key[order], prod[order]
+    cut = numpy.flatnonzero(numpy.diff(key, prepend=-1))  # each key's first
+    sums = numpy.add.reduceat(prod, cut)
+    key = key[cut[sums != 0]]
+    return m.ncols, key // m.ncols, key % m.ncols, sums[sums != 0]
+
+
+def _reduce(x, buf):
+    """x reduced in place mod q = _MODULUS to residues of magnitude at most
+    q / 2 + 1, buf's front as scratch: for integers |x| < 2**53, x * (1 / q)
+    is within 2 / q of x / q, so its rounding k leaves |x - k q| <= q / 2 + 1,
+    all exact. numpy.fmod's long division is many times slower here."""
+    import numpy
+
+    t = buf[:x.size].reshape(x.shape)
+    numpy.rint(numpy.multiply(x, 1.0 / _MODULUS, out=t), out=t)
+    x -= numpy.multiply(t, _MODULUS, out=t)
+    return x
 
 
 def _rcm(rows, n):
@@ -239,28 +274,31 @@ def _rcm(rows, n):
     return order[::-1]
 
 
-def envelope(m: SparseIntMatrix):
-    """(side of rank_mod's window, panels) for the square symmetric m, or
-    ValueError. A panel [c0, c0 + _PANEL) reaches to hi, one past the last
-    column of its rows and all before; the side is the widest hi - c0 plus
-    2 _PANEL, at most n. Each panel is (hi, rows, columns, residues) of the
-    entries, in RCM positions, whose larger index the window takes in there.
-    """
-    n, rows = m.nrows, m.rows
-    if m.ncols != n or any(rows.get(j, {}).get(i, 0) != v
-                           for i, row in rows.items() for j, v in row.items()):
-        raise ValueError(f"rank_mod needs a square symmetric matrix, not {m}")
+def envelope(m):
+    """(side of rank_mod's window, panels) for m, a square symmetric
+    SparseIntMatrix or its entries from gram_entries(), or ValueError. A
+    panel [c0, c0 + _PANEL) reaches to hi, one past the last column of its
+    rows and all before; the side is the widest hi - c0 plus 2 _PANEL, at
+    most n. Each panel is (c0, hi, rows, columns, residues) of the entries,
+    in RCM positions, whose larger index the window takes in there."""
     import numpy
 
-    q, h, nnz = _MODULUS, _MODULUS // 2, m.nnz()
-    pos = numpy.empty(n, dtype=numpy.int64)
-    pos[_rcm(rows, n)] = numpy.arange(n)
-    ii = pos[numpy.fromiter((i for i, row in rows.items() for _ in row),
-                            numpy.int64, nnz)]
-    jj = pos[numpy.fromiter((j for row in rows.values() for j in row),
-                            numpy.int64, nnz)]
-    vals = numpy.fromiter(((v + h) % q - h for row in rows.values()
-                           for v in row.values()), float, nnz)
+    if isinstance(m, SparseIntMatrix):
+        if m.ncols != m.nrows:
+            raise ValueError(f"rank_mod needs a square matrix, not {m}")
+        _, ii, jj, vals = _coo(m, object)
+        s = (ii * m.nrows + jj).argsort()
+        m = m.nrows, ii[s], jj[s], vals[s]
+    n, ii, jj, vals = m
+    key, back = ii * n + jj, jj * n + ii  # back: the transposed entries
+    at = numpy.minimum(key.searchsorted(back), key.size - 1)
+    if (key[at] != back).any() or (vals[at] != vals).any():
+        raise ValueError(f"rank_mod needs a symmetric {n} x {n} matrix")
+    q, h = _MODULUS, _MODULUS // 2
+    ptr, adj = ii.searchsorted(numpy.arange(n + 1)).tolist(), jj.tolist()
+    pos = numpy.argsort(_rcm({i: adj[ptr[i]:ptr[i + 1]] for i in range(n)},
+                             n))  # the RCM position of each index
+    ii, jj, vals = pos[ii], pos[jj], ((vals + h) % q - h).astype(float)
     last = numpy.zeros(n, dtype=numpy.int64)  # each row's last column
     numpy.maximum.at(last, ii, jj)
     c0 = numpy.arange(0, n, _PANEL)
@@ -270,30 +308,30 @@ def envelope(m: SparseIntMatrix):
     order = numpy.argsort(key)
     cuts = numpy.searchsorted(key[order], his[:-1])
     return (min(n, int((his - c0).max(initial=0)) + 2 * _PANEL),
-            list(zip(his.tolist(), *(numpy.split(x[order], cuts)
-                                     for x in (ii, jj, vals)))))
+            list(zip(c0.tolist(), his.tolist(), *(
+                numpy.split(x[order], cuts) for x in (ii, jj, vals)))))
 
 
-def rank_mod(m: SparseIntMatrix, env=None) -> int:
+def rank_mod(m) -> int:
     """The order of a principal submatrix of the symmetric integer matrix m
-    that is non-singular mod _MODULUS (see the module docstring); env is
-    envelope(m), which a caller that has read its side passes.
+    (a SparseIntMatrix, or its envelope() from a caller that has read the
+    side) that is non-singular mod _MODULUS; see the module docstring.
 
     One panel of _PANEL indices at a time: factor its diagonal block in
     int64 beside an identity, which becomes L11^-1 on the kept indices, form
     U12 = L11^-1 A12 with one product, and update A22 -= U12^T D^-1 U12 in
-    place, on the band that the envelope of the panel's rows spans. The band
-    lives in the window a, index x standing for base + x, which moves down
-    in row blocks no taller than the move, so it is never copied whole.
-    """
-    side, panels = envelope(m) if env is None else env
+    place on the band that the panel's envelope spans, through one buffer,
+    in row blocks that start at a panel start, from their first column on:
+    no row is read left of its panel start. The band lives in the window a,
+    index x standing for base + x, which moves down in row blocks no taller
+    than the move, so it is never copied whole."""
+    side, panels = envelope(m) if isinstance(m, SparseIntMatrix) else m
     import numpy
 
-    rint = numpy.rint
-    q, n = _MODULUS, m.nrows
-    a = numpy.zeros((side, side))
+    q, step = _MODULUS, _PANEL * max(1, 128 // _PANEL)
+    a, buf = numpy.zeros((side, side)), numpy.empty(step * side)
     base = top = rank = terms = 0
-    for c0, (hi, ri, ci, vals) in zip(range(0, n, _PANEL), panels):
+    for c0, hi, ri, ci, vals in panels:
         if hi > base + side:
             d, k = c0 - base, top - c0
             for r in range(0, k, d):
@@ -304,10 +342,10 @@ def rank_mod(m: SparseIntMatrix, env=None) -> int:
             base = c0
         a[ri - base, ci - base] = vals
         top = hi
-        # from here on c0, c1 and hi are window indices
-        c0, c1, hi = c0 - base, min(c0 + _PANEL, n) - base, hi - base
+        # from here on c0, c1 and hi are window indices; the last hi is n
+        c0, c1, hi = c0 - base, min(c0 + _PANEL, hi) - base, hi - base
         w = c1 - c0
-        band = _reduce(a[c0:c1, c0:hi], rint)
+        band = _reduce(a[c0:c1, c0:hi], buf)
         fac = numpy.hstack([band[:, :w], numpy.eye(w)]).astype(numpy.int64)
         piv, invs = [], []
         for j in range(w):
@@ -322,13 +360,16 @@ def rank_mod(m: SparseIntMatrix, env=None) -> int:
         rank += len(piv)
         if not piv or hi == c1:
             continue
-        u12 = _reduce(fac[piv, w:] @ band[:, w:], rint)
-        scaled = _reduce(u12 * numpy.array(invs)[:, None], rint)
-        if terms + len(piv) > _TERMS:
-            a[c1:hi, c1:hi] = _reduce(a[c1:hi, c1:hi], rint)
-            terms = 0
-        terms += len(piv)
-        a[c1:hi, c1:hi] -= u12.T @ scaled
+        u12 = _reduce(fac[piv, w:] @ band[:, w:], buf)
+        scaled = _reduce(u12 * numpy.array(invs)[:, None], buf)
+        reduce = terms + len(piv) > _TERMS
+        terms = (0 if reduce else terms) + len(piv)
+        for r in range(0, hi - c1, step):
+            x = a[c1:hi, c1:hi][r:r + step, r:]
+            if reduce:
+                _reduce(x, buf)
+            x -= numpy.matmul(u12[:, r:r + step].T, scaled[:, r:],
+                              out=buf[:x.size].reshape(x.shape))
     return rank
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from wucalc import catalog, cohomology, differential, exact
@@ -157,6 +158,38 @@ def test_the_exact_nullity_route_matches_the_gram_route(monkeypatch):
         got = laplacian_nullities(dl)
         assert got == [exact.nullity(lp) for lp in dl.laplacian_blocks]
         assert got == betti_vector(data.basis), complexes
+
+
+def test_gram_entries_are_the_laplacian_blocks():
+    # the certificate reads L_p = M_p^T M_p from the stacked derivative in
+    # numpy; the SparseIntMatrix product is the oracle, and both give
+    # rank_mod the same window and the same panels
+    rng = random.Random(3131)
+    cases = [(generate_complex(random_facets(rng)),) * k
+             for _ in range(12) for k in (1, 2)]
+    cases += [(p,) for p in small_products(rng, 6)]
+    for complexes in cases:
+        dl = CohomologyData(complexes).dirac
+        for m, lp in zip(dl.columns, dl.laplacian_blocks):
+            n, ii, jj, vals = g = exact.gram_entries(m)
+            assert n == lp.nrows
+            assert list(zip(ii.tolist(), jj.tolist(), vals.tolist())) == \
+                list(lp.triples()), complexes
+            (side, panels), (want_side, want) = (exact.envelope(g),
+                                                 exact.envelope(lp))
+            assert side == want_side and len(panels) == len(want)
+            for got, ref in zip(panels, want):
+                assert got[:2] == ref[:2]
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(got[2:], ref[2:]))
+
+
+@pytest.mark.parametrize("make", [cylinder, catalog.three_sphere])
+def test_laplacian_nullities_build_no_laplacian_block(make):
+    c = make()
+    data = CohomologyData((c, c))
+    assert laplacian_nullities(data.dirac) == data.betti
+    assert "laplacian_blocks" not in vars(data.dirac)
 
 
 def test_an_oversized_block_skips_the_modular_rank(monkeypatch):

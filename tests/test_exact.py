@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wucalc import exact
+from wucalc import catalog, exact
 from wucalc.basis import build_basis
 from wucalc.catalog import (
     cylinder, generate_complex, moebius, octahedron,
@@ -382,6 +382,45 @@ def test_rank_mod_stores_a_window_not_the_block():
         tracemalloc.stop()
     assert r == gf_rank(m)
     assert peak < n * n * 8 / 20, peak
+
+
+def test_rank_mod_updates_its_window_in_place():
+    # the trailing update and its reductions run row block by row block
+    # through one buffer: on three_sphere k=2 L_4 (window side 478) the
+    # traced peak was 1.88 windows when they made window-size temporaries
+    c = catalog.three_sphere()
+    env = exact.envelope(cohomology_data((c, c)).dirac.laplacian_blocks[4])
+    exact.rank_mod(env)
+    tracemalloc.start()
+    try:
+        exact.rank_mod(env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * env[0] ** 2 * 8, peak / (env[0] ** 2 * 8)
+
+
+def test_dense_array_matches_the_dense_rows():
+    cases = pivot_cases(random.Random(1316))
+    cases += [SparseIntMatrix(0, 0), SparseIntMatrix(0, 4),
+              SparseIntMatrix(4, 0), SparseIntMatrix(3, 5)]
+    for m in cases:
+        want = np.array(m.to_dense(), float).reshape(m.nrows, m.ncols)
+        got = exact.dense_array(m)
+        assert got.dtype == want.dtype and np.array_equal(got, want), m.rows
+
+
+def test_gram_entries_stay_exact_in_int64():
+    # one product per row of m: 2 * (2**31)**2 reaches 2**63, one does not
+    col = SparseIntMatrix(2, 1, {0: {0: 2 ** 31}, 1: {0: -2 ** 31}})
+    with pytest.raises(OverflowError):
+        exact.gram_entries(col)
+    col.rows.pop(1)
+    n, ii, jj, vals = exact.gram_entries(col)
+    assert (n, ii.tolist(), jj.tolist(), vals.tolist()) == (
+        1, [0], [0], [2 ** 62])
+    n, ii, jj, vals = exact.gram_entries(SparseIntMatrix(3, 2))
+    assert n == 2 and ii.size == jj.size == vals.size == 0
 
 
 def test_rcm_does_not_depend_on_the_insertion_order_of_the_rows():
