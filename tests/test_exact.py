@@ -11,13 +11,14 @@ from wucalc.catalog import (
     cylinder, generate_complex, moebius, octahedron,
 )
 from wucalc.cohomology import cohomology_data
+from wucalc.connection import connection_matrix
 from wucalc.differential import interaction_derivative
 from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 
 from oracles import (
-    PRIMES, charpoly, coboundary_assembler, fraction_det, fraction_kernel, fraction_rank,
-    fraction_rref, pivot_columns, pivot_count_mod, rank_mod, random_facets,
-    sparse_from_dense,
+    PRIMES, charpoly, coboundary_assembler, dense_det_bareiss, fraction_det,
+    fraction_kernel, fraction_rank, fraction_rref, pivot_columns,
+    pivot_count_mod, rank_mod, random_facets, sparse_from_dense,
 )
 
 
@@ -66,6 +67,101 @@ def test_det_bareiss_stays_exact_on_big_entries():
 def test_det_of_singular_matrix_is_zero():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert det_bareiss(rows) == 0
+
+
+def _det_cases(rng):
+    """Seeded square matrices of the shapes whose rows det_bareiss leaves
+    unscaled for several pivot steps: banded (tridiagonal at width 1, n up
+    to 60), block-diagonal, arrow-shaped and sparse random at densities 0.1
+    to 0.3. Every third is made singular by a late row that repeats or
+    combines earlier ones, and a quarter draw entries up to 10**12.
+    Then the Laplacian blocks of moebius and cylinder at k = 1 and 2, and
+    the connection matrices of random complexes."""
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(1, scale)
+
+    for case in range(460):
+        scale = 10 ** 12 if case % 16 >= 12 else 9
+        shape = case % 4
+        if shape == 0:
+            n = rng.randint(1, 60 if scale == 9 else 30)
+            width = rng.choice((1, 1, 2, 3, 4))
+            rows = [[entry() if abs(i - j) <= width else 0
+                     for j in range(n)] for i in range(n)]
+        elif shape == 1:
+            sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
+            n, rows, start = sum(sizes), [], 0
+            for size in sizes:
+                for _ in range(size):
+                    rows.append([entry() if start <= j < start + size
+                                 and rng.random() < 0.8 else 0
+                                 for j in range(n)])
+                start += size
+        elif shape == 2:
+            n = rng.randint(2, 25)
+            hub = rng.choice((0, n - 1))
+            rows = [[entry() if i == j or hub in (i, j) else 0
+                     for j in range(n)] for i in range(n)]
+        else:
+            n = rng.randint(2, 30)
+            density = rng.uniform(0.1, 0.3)
+            rows = [[entry() if rng.random() < density else 0
+                     for j in range(n)] for i in range(n)]
+        if case % 3 == 2 and n >= 3:
+            late = rng.randint(n - 1 - n // 4, n - 1)
+            i, j = rng.sample(range(late), 2)
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[late] = [x * u + y * v for u, v in zip(rows[i], rows[j])]
+        yield rows
+    for c in (moebius(), cylinder()):
+        for k in (1, 2):
+            for block in cohomology_data((c,) * k).dirac.laplacian_blocks:
+                yield block.to_dense()
+    for _ in range(40):
+        yield connection_matrix(generate_complex(random_facets(rng)))
+
+
+def test_lazy_det_bareiss_matches_the_dense_elimination():
+    count = 0
+    for rows in _det_cases(random.Random(32)):
+        det = det_bareiss(rows)
+        assert det == dense_det_bareiss(rows)
+        if len(rows) <= 10:
+            assert det == fraction_det(rows)
+        count += 1
+    assert count >= 500
+
+
+def test_det_bareiss_edge_cases_of_the_lazy_rows():
+    # upper triangular with non-unit pivots: no step touches a row below
+    # the pivot, so row k becomes the pivot after skipping k steps and the
+    # last row is read only by the final a * prev // base
+    upper = [[2, 1, -3, 4, 1],
+             [0, 3, 5, -1, 2],
+             [0, 0, 5, 2, -7],
+             [0, 0, 0, 7, 3],
+             [0, 0, 0, 0, 11]]
+    # row 3 skips steps 0 and 1 (its first entries are zero, and the first
+    # pivot is 3) and then wins the search at step 2, with the true entry 6
+    # against -18 in a row that both steps touched
+    skipped = [[3, 1, 2, 5],
+               [6, 5, 1, 1],
+               [9, 4, 7, 2],
+               [0, 0, 2, 9]]
+    # column 1 is twice column 0, so it is zero below the first pivot,
+    # which the search finds in rows 2 and 3, both left unscaled
+    late_zero = [[2, 4, 1, 0],
+                 [3, 6, 0, 1],
+                 [0, 0, 0, 5],
+                 [0, 0, 7, 0]]
+    for m, det in ((upper, 2310), (skipped, 342), (late_zero, 0)):
+        assert fraction_det(m) == det
+        assert det_bareiss(m) == det
+    assert det_bareiss([]) == 1
+    assert det_bareiss([[-7]]) == -7
+    assert det_bareiss([[0]]) == 0
+    with pytest.raises(ValueError, match="square"):
+        det_bareiss([[1, 2, 3], [4, 5, 6]])
 
 
 def test_kernel_basis_vectors_are_annihilated():
