@@ -18,9 +18,9 @@ a matrix: the Laplacian, Dirac, spectrum and harmonic routes.
 
 A DiracLaplacian stacks the derivative of each grade p once, as M_p
 (dirac_columns: the rows of d_p and the columns of d_(p-1)). D is their
-sum; L_p = M_p^T M_p, one SparseIntMatrix.matmul on first read, serves
-the spectra and exact readers, as the GF(q) certificate reads M_p through
-exact.gram_entries; the harmonic forms and exact nullities are ker M_p.
+sum; numeric code reads L_p = M_p^T M_p only as exact.gram_entries(M_p),
+exact readers as one SparseIntMatrix.matmul on first read; the harmonic
+forms and exact nullities are ker M_p.
 
 Matrices map grade-p coordinates to grade-(p+1) coordinates, so d_p has
 shape (n_(p+1), n_p), kernels are cocycles and d^2 = 0 reads d_(p+1) d_p = 0.
@@ -158,7 +158,7 @@ def dirac_columns(d: GradedIntMatrix):
 class DiracLaplacian:
     """D = d + d^T on the full graded space and the blocks of L = D^2, read
     off the stacked derivatives M_p, self.columns, built at once; D (for the
-    flows) and the L_p (for the spectra and exact readers) on first read."""
+    flows) and the exact L_p (for exact readers only) on first read."""
 
     def __init__(self, derivative: GradedIntMatrix):
         self.derivative = derivative

@@ -14,7 +14,7 @@ import logging
 import math
 
 from .differential import DiracLaplacian
-from .exact import check_dense, dense_array
+from .exact import check_dense, dense_array, gram_entries
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +29,8 @@ MAX_LAX_WORK = 10 ** 11
 
 def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
                   exact_nullities=None):
-    """Eigenvalues of each Laplacian block, ascending. Values with
+    """Eigenvalues of each Laplacian block, ascending, read from
+    gram_entries(M_p) as the certificate reads it. Values with
     |lambda| <= tol are zero modes and snapped to zero, the same rule as in
     supersymmetry_gap; when exact nullities are supplied, the snap count is
     checked against them and a mismatch logs a warning rather than raising,
@@ -40,12 +41,14 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
     for n in dl.grade_sizes:
         check_dense(n, n)
     out = []
-    for p, block in enumerate(dl.laplacian_blocks):
-        n = block.nrows
+    for p, m in enumerate(dl.columns):
+        n, ii, jj, vals = gram_entries(m)
         if n == 0:
             out.append(numpy.zeros(0))
             continue
-        evals = numpy.linalg.eigvalsh(dense_array(block))
+        # L_p as a dense float64 block: each (row, column) key comes once
+        evals = numpy.linalg.eigvalsh(
+            numpy.bincount(ii * n + jj, vals, n * n).reshape(n, n))
         snapped = numpy.where(numpy.abs(evals) <= tol, 0.0, evals)
         zero_count = int(numpy.sum(snapped == 0.0))
         if exact_nullities is not None and zero_count != exact_nullities[p]:

@@ -20,13 +20,13 @@ Bareiss entries a[i][j] * prev // base[i] are minors of the input
 rank_mod() stays separate: a blocked LDL^T over GF(q) with no pivoting,
 it gives only a lower bound on the rational rank, fast, which on a
 positive-semidefinite Gram block L_p = M_p^T M_p is the rank unless q
-divides a pivot. It reads L_p from gram_entries(M_p) and stores only a
-window of its reverse Cuthill-McKee band (envelope(); 478 for the 1,376
-columns of three_sphere's L_4 at k=2): an LDL^T with no pivoting fills
-nothing outside the envelope (George and Liu, 1981). Every sum of
-residues is an integer below 2**53 (see _TERMS), exact in any BLAS
-order. cohomology.laplacian_nullities trusts the count only under a
-certificate that closes the gap from above.
+divides a pivot. It reads L_p only as gram_entries(M_p), as the spectra
+do, and stores only a window of its reverse Cuthill-McKee band
+(envelope(); 478 for the 1,376 columns of three_sphere's L_4 at k=2): an
+LDL^T with no pivoting fills nothing outside the envelope (George and
+Liu, 1981). Every sum of residues is an integer below 2**53 (see _TERMS),
+exact in any BLAS order. cohomology.laplacian_nullities trusts the count
+only under a certificate that closes the gap from above.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ _HALF = _MODULUS // 2 + 1
 _TERMS = 2048
 assert _HALF + _TERMS * _HALF ** 2 < 2 ** 53
 
-# the most entries (1 GiB of float64) of the dense copy of a block that
-# dense_array() makes and of the window of one that a caller hands rank_mod()
+# the most entries (1 GiB of float64) of a dense block that check_dense()
+# admits and of the window of one that a caller hands rank_mod()
 MAX_DENSE_ENTRIES = 2 ** 27
 
 
@@ -256,50 +256,45 @@ def _reduce(x, buf):
     return x
 
 
-def _rcm(rows, n):
+def _rcm(ptr, adj):
     """The reverse Cuthill-McKee order (Cuthill and McKee, 1969) of the graph
-    of the symmetric rows: each component breadth first from a vertex of
-    least degree, unseen neighbours by ascending (degree, index), then
-    reversed; so the order depends on the matrix, not on its dict order."""
-    degree = [len(rows.get(i, ())) for i in range(n)]
-    order, seen, k = [], set(), 0
-    for s in sorted(range(n), key=degree.__getitem__):
-        if s not in seen:
-            seen.add(s)
+    with the ascending neighbours adj[ptr[i]:ptr[i + 1]] of each vertex i:
+    each component breadth first from a vertex of least degree, unseen
+    neighbours by ascending (degree, index), then reversed."""
+    degree = [b - a for a, b in zip(ptr, ptr[1:])]
+    order, seen, k = [], [False] * len(degree), 0
+    for s in sorted(range(len(degree)), key=degree.__getitem__):
+        if not seen[s]:
+            seen[s] = True
             order.append(s)
         while k < len(order):
-            near = sorted(j for j in rows.get(order[k], ()) if j not in seen)
+            v = order[k]
+            near = [j for j in adj[ptr[v]:ptr[v + 1]] if not seen[j]]
             near.sort(key=degree.__getitem__)  # stable: ties stay by index
-            seen.update(near)
+            for j in near:
+                seen[j] = True
             order += near
             k += 1
     return order[::-1]
 
 
-def envelope(m):
-    """(side of rank_mod's window, panels) for m, a square symmetric
-    SparseIntMatrix or its entries from gram_entries(), or ValueError. A
-    panel [c0, c0 + _PANEL) reaches to hi, one past the last column of its
-    rows and all before; the side is the widest hi - c0 plus 2 _PANEL, at
-    most n. Each panel is (c0, hi, rows, columns, residues) of the entries,
-    in RCM positions, whose larger index the window takes in there."""
+def envelope(entries):
+    """(side of rank_mod's window, panels) for the entries of a symmetric
+    matrix as gram_entries() gives them, or ValueError. A panel [c0, c0 +
+    _PANEL) reaches to hi, one past the last column of its rows and all
+    before; the side is the widest hi - c0 plus 2 _PANEL, at most n. Each
+    panel is (c0, hi, rows, columns, residues) of the entries, in RCM
+    positions, whose larger index the window takes in there."""
     import numpy
 
-    if isinstance(m, SparseIntMatrix):
-        if m.ncols != m.nrows:
-            raise ValueError(f"rank_mod needs a square matrix, not {m}")
-        _, ii, jj, vals = _coo(m, object)
-        s = (ii * m.nrows + jj).argsort()
-        m = m.nrows, ii[s], jj[s], vals[s]
-    n, ii, jj, vals = m
+    n, ii, jj, vals = entries
     key, back = ii * n + jj, jj * n + ii  # back: the transposed entries
     at = numpy.minimum(key.searchsorted(back), key.size - 1)
     if (key[at] != back).any() or (vals[at] != vals).any():
         raise ValueError(f"rank_mod needs a symmetric {n} x {n} matrix")
     q, h = _MODULUS, _MODULUS // 2
     ptr, adj = ii.searchsorted(numpy.arange(n + 1)).tolist(), jj.tolist()
-    pos = numpy.argsort(_rcm({i: adj[ptr[i]:ptr[i + 1]] for i in range(n)},
-                             n))  # the RCM position of each index
+    pos = numpy.argsort(_rcm(ptr, adj))  # the RCM position of each index
     ii, jj, vals = pos[ii], pos[jj], ((vals + h) % q - h).astype(float)
     last = numpy.zeros(n, dtype=numpy.int64)  # each row's last column
     numpy.maximum.at(last, ii, jj)
@@ -314,10 +309,10 @@ def envelope(m):
                 numpy.split(x[order], cuts) for x in (ii, jj, vals)))))
 
 
-def rank_mod(m) -> int:
-    """The order of a principal submatrix of the symmetric integer matrix m
-    (a SparseIntMatrix, or its envelope() from a caller that has read the
-    side) that is non-singular mod _MODULUS; see the module docstring.
+def rank_mod(env) -> int:
+    """The order of a principal submatrix of a symmetric integer matrix,
+    given as its envelope() (read by the caller for the window side), that
+    is non-singular mod _MODULUS; see the module docstring.
 
     One panel of _PANEL indices at a time: factor its diagonal block in
     int64 beside an identity, which becomes L11^-1 on the kept indices, form
@@ -327,7 +322,7 @@ def rank_mod(m) -> int:
     no row is read left of its panel start. The band lives in the window a,
     index x standing for base + x, which moves down in row blocks no taller
     than the move, so it is never copied whole."""
-    side, panels = envelope(m) if isinstance(m, SparseIntMatrix) else m
+    side, panels = env
     import numpy
 
     q, step = _MODULUS, _PANEL * max(1, 128 // _PANEL)

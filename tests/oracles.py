@@ -6,10 +6,12 @@ itertools, derivatives are dense sign sums, ranks come from Gaussian
 elimination over GF(p) for two 31-bit primes (which must agree), and the
 small dense helpers work over Fractions. Slow on purpose.
 
-sparse_from_dense, integer_rank, pivot_columns, uncleared_betti,
-coboundary_assembler and laplacian_is_block_diagonal wrap the package's own
-types for the tests that need them; pivot_columns left the library with
-its last caller there, the rank of a built derivative. tuple_grades and
+sparse_from_dense, matrix_entries, integer_rank, pivot_columns,
+uncleared_betti, coboundary_assembler and laplacian_is_block_diagonal wrap
+the package's own types for the tests that need them; pivot_columns left
+the library with its last caller there, the rank of a built derivative,
+and matrix_entries gives a SparseIntMatrix the one input form of
+exact.envelope. tuple_grades and
 tuple_index decode the codes of an InteractionBasis into tuples of cells,
 and _signed_permutation maps every decoded tuple under an automorphism:
 lefschetz_trace takes its trace on the harmonic forms by the definition,
@@ -23,11 +25,13 @@ before it read B off a fixed sign pattern, kept unchanged: two products
 per RK4 stage and a re-symmetrization of D after every step.
 dense_det_bareiss is the Bareiss determinant that exact.det_bareiss
 computed before it scaled its rows lazily, kept unchanged: every row is
-rescaled at every pivot step. The six helpers after
-laplacian_is_block_diagonal (graph_from_edges to heat_trace) left the
-library because only tests call them; all but eval_multivariate wrap
-package types too: Graph, the catalog, the DiracLaplacian and
-cohomology_data. numpy, wucalc.differential and wucalc.cohomology are
+rescaled at every pivot step. dict_rcm is the reverse Cuthill-McKee order
+that exact._rcm took from a dict of neighbour lists, sorting each, before
+it walked the ascending CSR lists of exact.envelope, kept unchanged. The
+six helpers after laplacian_is_block_diagonal (graph_from_edges to
+heat_trace) left the library because only tests call them; all but
+eval_multivariate wrap package types too: Graph, the catalog, the
+DiracLaplacian and cohomology_data. numpy, wucalc.differential and wucalc.cohomology are
 imported in the bodies of the helpers that use them, so importing this
 module loads no more than importing wucalc does, and no numpy: the
 command-line benchmark imports it in its timed set-up.
@@ -156,6 +160,26 @@ def pivot_count_mod(entries, order, p):
                 else:
                     target.pop(j, None)
     return count
+
+
+def dict_rcm(rows, n):
+    """The reverse Cuthill-McKee order (Cuthill and McKee, 1969) of the graph
+    of the symmetric rows: each component breadth first from a vertex of
+    least degree, unseen neighbours by ascending (degree, index), then
+    reversed; so the order depends on the matrix, not on its dict order."""
+    degree = [len(rows.get(i, ())) for i in range(n)]
+    order, seen, k = [], set(), 0
+    for s in sorted(range(n), key=degree.__getitem__):
+        if s not in seen:
+            seen.add(s)
+            order.append(s)
+        while k < len(order):
+            near = sorted(j for j in rows.get(order[k], ()) if j not in seen)
+            near.sort(key=degree.__getitem__)  # stable: ties stay by index
+            seen.update(near)
+            order += near
+            k += 1
+    return order[::-1]
 
 
 def simplex_dim(x):
@@ -653,6 +677,18 @@ def sparse_from_dense(dense):
             if v:
                 m.rows.setdefault(i, {})[j] = int(v)
     return m
+
+
+def matrix_entries(m):
+    """The entries (n, rows, columns, values) of a square SparseIntMatrix m,
+    its triples() as int64 arrays sorted by row then column: the form in
+    which exact.envelope reads a symmetric matrix from gram_entries()."""
+    import numpy
+
+    assert m.nrows == m.ncols, m
+    ii, jj, vals = numpy.array(list(m.triples()), numpy.int64).reshape(
+        -1, 3).T.copy()
+    return m.nrows, ii, jj, vals
 
 
 def integer_rank(m) -> int:

@@ -23,8 +23,9 @@ from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex
 
 from oracles import (PRIMES, coboundary_assembler, fraction_kernel,
-                     integer_rank, naive_interaction_data, pivot_columns,
-                     random_facets, rank_mod, tuple_grades, uncleared_betti)
+                     integer_rank, matrix_entries, naive_interaction_data,
+                     pivot_columns, random_facets, rank_mod, tuple_grades,
+                     uncleared_betti)
 
 
 def test_order_one_betti_matches_classical_homology():
@@ -175,8 +176,8 @@ def test_gram_entries_are_the_laplacian_blocks():
             assert n == lp.nrows
             assert list(zip(ii.tolist(), jj.tolist(), vals.tolist())) == \
                 list(lp.triples()), complexes
-            (side, panels), (want_side, want) = (exact.envelope(g),
-                                                 exact.envelope(lp))
+            (side, panels), (want_side, want) = (
+                exact.envelope(g), exact.envelope(matrix_entries(lp)))
             assert side == want_side and len(panels) == len(want)
             for got, ref in zip(panels, want):
                 assert got[:2] == ref[:2]

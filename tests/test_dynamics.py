@@ -9,7 +9,9 @@ from wucalc.catalog import (
     complete_complex, cylinder, generate_complex, house, octahedron,
     path_complex,
 )
-from wucalc.cohomology import cohomology_data, normalize_complexes
+from wucalc.cohomology import (
+    CohomologyData, cohomology_data, normalize_complexes,
+)
 from wucalc.dynamics import (
     block_spectra, lax_deform, mckean_singer_supertrace, supersymmetry_gap,
     wave_evolve,
@@ -63,6 +65,24 @@ def test_zero_mode_counts_match_the_betti_vector():
         spectra = block_spectra(data.dirac, exact_nullities=data.betti)
         zeros = [sum(1 for x in s if x == 0.0) for s in spectra]
         assert zeros == list(data.betti)
+
+
+def test_block_spectra_read_the_gram_entries_not_the_laplacian_blocks():
+    # the dense block is scattered from exact.gram_entries(M_p), as the
+    # GF(q) certificate reads it, so no dict L_p is built; its eigenvalues
+    # are those of the exact SparseIntMatrix blocks, float for float
+    rng = random.Random(3333)
+    cases = [(generate_complex(random_facets(rng)), k)
+             for _ in range(10) for k in (1, 2)]
+    for c, k in cases + [(cylinder(), 2)]:
+        # a fresh DiracLaplacian: a cached one may hold blocks read before
+        dl = CohomologyData(tuple(normalize_complexes(c, k))).dirac
+        spectra = block_spectra(dl)
+        assert "laplacian_blocks" not in vars(dl)
+        for got, lp in zip(spectra, dl.laplacian_blocks):
+            want = np.linalg.eigvalsh(exact.dense_array(lp))
+            want[np.abs(want) <= 1e-8] = 0.0
+            assert np.array_equal(got, want), (c, k)
 
 
 def test_dirac_spectrum_is_symmetric_around_zero():

@@ -16,9 +16,10 @@ from wucalc.differential import interaction_derivative
 from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 
 from oracles import (
-    PRIMES, charpoly, coboundary_assembler, dense_det_bareiss, fraction_det,
-    fraction_kernel, fraction_rank, fraction_rref, pivot_columns,
-    pivot_count_mod, rank_mod, random_facets, sparse_from_dense,
+    PRIMES, charpoly, coboundary_assembler, dense_det_bareiss, dict_rcm,
+    fraction_det, fraction_kernel, fraction_rank, fraction_rref,
+    matrix_entries, pivot_columns, pivot_count_mod, rank_mod, random_facets,
+    sparse_from_dense,
 )
 
 
@@ -322,6 +323,11 @@ def gf_rank(m):
     return rank_mod({(i, j): v for i, j, v in m.triples()}, exact._MODULUS)
 
 
+def certified(m):
+    """exact.rank_mod of the square SparseIntMatrix m, read as its entries."""
+    return exact.rank_mod(exact.envelope(matrix_entries(m)))
+
+
 def test_rank_mod_matches_the_oracles():
     # on a Gram matrix the order of the principal submatrix found is its
     # GF(q) rank and its rational rank, which is rank(A); on an indefinite
@@ -330,14 +336,14 @@ def test_rank_mod_matches_the_oracles():
     deficient = 0
     for rows in cases:
         m = to_sparse(gram(rows))
-        r = exact.rank_mod(m)
+        r = certified(m)
         assert r == gf_rank(m) == rank(to_sparse(rows)), rows
         deficient += r < m.nrows
     assert deficient > 10
     below = reached = 0
     for rows in indefinite(cases):
         m = to_sparse(rows)
-        r, want = exact.rank_mod(m), gf_rank(m)
+        r, want = certified(m), gf_rank(m)
         assert r <= want, rows
         below += r < want
         reached += 0 < r == want
@@ -346,17 +352,18 @@ def test_rank_mod_matches_the_oracles():
 
 def test_rank_mod_of_empty_shapes_is_zero():
     for n in (0, 7):
-        assert exact.rank_mod(SparseIntMatrix(n, n)) == 0
+        assert certified(SparseIntMatrix(n, n)) == 0
 
 
 def test_rank_mod_refuses_a_non_square_or_non_symmetric_matrix():
-    bad = [SparseIntMatrix(0, 7), SparseIntMatrix(7, 0),
-           to_sparse([[1, 2, 3], [2, 1, 0]]), to_sparse([[1, 2], [3, 1]]),
+    # the entries carry one n, so a non-square matrix has no entry form;
+    # a non-symmetric one is refused before its RCM order is taken
+    bad = [to_sparse([[1, 2], [3, 1]]),
            to_sparse([[0, 1], [1 + exact._MODULUS, 0]]),
            to_sparse([[1, 0, 5], [0, 1, 0], [0, 0, 1]])]
     for m in bad:
         with pytest.raises(ValueError):
-            exact.rank_mod(m)
+            certified(m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,21 +381,21 @@ def test_rank_mod_does_not_depend_on_the_panel_width(width, monkeypatch):
     # each index is kept or left out by its Schur complement pivot, whatever
     # the blocking, so indefinite inputs keep their count as well
     grams, want, others = symmetric_cases(50)
-    counts = [exact.rank_mod(m) for m in others]
+    counts = [certified(m) for m in others]
     monkeypatch.setattr(exact, "_PANEL", width)
-    assert [exact.rank_mod(m) for m in grams] == want
-    assert [exact.rank_mod(m) for m in others] == counts
+    assert [certified(m) for m in grams] == want
+    assert [certified(m) for m in others] == counts
 
 
 @pytest.mark.parametrize("terms", [0, 1, 40])
 def test_rank_mod_does_not_depend_on_when_the_trailing_block_is_reduced(
         terms, monkeypatch):
     grams, want, others = symmetric_cases(50)
-    counts = [exact.rank_mod(m) for m in others]
+    counts = [certified(m) for m in others]
     monkeypatch.setattr(exact, "_TERMS", terms)
     monkeypatch.setattr(exact, "_PANEL", 4)
-    assert [exact.rank_mod(m) for m in grams] == want
-    assert [exact.rank_mod(m) for m in others] == counts
+    assert [certified(m) for m in grams] == want
+    assert [certified(m) for m in others] == counts
 
 
 def banded(n, band, entry, rng):
@@ -445,7 +452,7 @@ def banded_cases(seed):
                                             (333, 3, None, 0))]
     q = exact._MODULUS
     counts = [pivot_count_mod({(i, j): v for i, j, v in m.triples()},
-                              exact._rcm(m.rows, m.nrows), q)
+                              dict_rcm(m.rows, m.nrows), q)
               for m in others]
     return grams, ranks, others, counts
 
@@ -458,21 +465,23 @@ def test_rank_mod_slides_its_window_without_changing_the_count(
     monkeypatch.setattr(exact, "_PANEL", width)
     monkeypatch.setattr(exact, "_TERMS", terms)
     for m, r in zip(grams, ranks):
-        assert exact.envelope(m)[0] < m.nrows
-        assert exact.rank_mod(m) == gf_rank(m) == r
+        assert exact.envelope(matrix_entries(m))[0] < m.nrows
+        assert certified(m) == gf_rank(m) == r
     for m, count in zip(others, counts):
-        assert exact.envelope(m)[0] < m.nrows
-        assert exact.rank_mod(m) == count
+        assert exact.envelope(matrix_entries(m))[0] < m.nrows
+        assert certified(m) == count
 
 
 def test_rank_mod_stores_a_window_not_the_block():
     # the dense route filled n^2 float64 entries, 34 MB here
     n = 2048
     m, _ = banded_gram(n, 4, random.Random(52))
-    exact.rank_mod(m)  # numpy and its BLAS load outside the trace
+    entries = matrix_entries(m)
+    # numpy and its BLAS load outside the trace
+    exact.rank_mod(exact.envelope(entries))
     tracemalloc.start()
     try:
-        r = exact.rank_mod(m)
+        r = exact.rank_mod(exact.envelope(entries))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -485,7 +494,8 @@ def test_rank_mod_updates_its_window_in_place():
     # through one buffer: on three_sphere k=2 L_4 (window side 478) the
     # traced peak was 1.88 windows when they made window-size temporaries
     c = catalog.three_sphere()
-    env = exact.envelope(cohomology_data((c, c)).dirac.laplacian_blocks[4])
+    env = exact.envelope(matrix_entries(
+        cohomology_data((c, c)).dirac.laplacian_blocks[4]))
     exact.rank_mod(env)
     tracemalloc.start()
     try:
@@ -521,28 +531,34 @@ def test_gram_entries_stay_exact_in_int64():
 
 def test_rcm_does_not_depend_on_the_insertion_order_of_the_rows():
     # ties of degree are broken by index, so the band is a function of the
-    # matrix: the Laplacian blocks of these complexes have many equal degrees
+    # matrix: the Laplacian blocks of these complexes have many equal degrees;
+    # exact._rcm walks the ascending CSR lists of the entries, and gives the
+    # order of the dict oracle, which sorts each neighbour list itself
     rng = random.Random(2121)
     grams, _, others = symmetric_cases(50)
-    cases = grams + others
+    banded_grams, _, banded_others, _ = banded_cases(51)
+    cases = grams + others + banded_grams + banded_others
     for c in [cylinder(), moebius(), octahedron()] + [
             generate_complex(random_facets(rng)) for _ in range(6)]:
         for k in (1, 2):
             data = cohomology_data((c,) * k)
             cases += data.dirac.laplacian_blocks
     for m in cases:
-        want = exact._rcm(m.rows, m.nrows)
+        want = dict_rcm(m.rows, m.nrows)
         assert sorted(want) == list(range(m.nrows))
+        n, ii, jj, _ = matrix_entries(m)
+        ptr = ii.searchsorted(np.arange(n + 1)).tolist()
+        assert exact._rcm(ptr, jj.tolist()) == want
         for _ in range(3):
             shuffled = {i: dict(rng.sample(list(m.rows[i].items()),
                                            len(m.rows[i])))
                         for i in rng.sample(list(m.rows), len(m.rows))}
-            assert exact._rcm(shuffled, m.nrows) == want
+            assert dict_rcm(shuffled, m.nrows) == want
 
 
 def test_rank_mod_is_only_a_lower_bound():
     m = to_sparse([[1, 0], [0, exact._MODULUS]])
-    assert exact.rank_mod(m) == 1
+    assert certified(m) == 1
     assert rank(m) == 2
 
 
