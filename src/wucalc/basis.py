@@ -32,8 +32,9 @@ call are all of one kind.
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import cached_property, lru_cache, reduce
+from array import array
+from collections import Counter, defaultdict
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations, groupby, repeat
 from itertools import product as iter_product
 from math import prod
@@ -61,10 +62,12 @@ class InteractionBasis:
 
     A tuple (x_1, ..., x_k) is stored as one mixed-radix integer code, the
     sum of c_j * radices[j] where c_j is the position of x_j in
-    systems[j].cells. codes[p] lists the codes of grade p in walk order,
-    ascending, which the Betti route ranks; layout[p] lists them in the
-    pinned order of every matrix shown, derived on first read. No tuple of
-    cells is stored: _parts decodes a code for the few readers of one."""
+    systems[j].cells. codes[p] holds the codes of grade p in walk order,
+    ascending, which the Betti route ranks: an array("Q"), 8 bytes a code,
+    when every code fits in 64 bits, else (0-dimensional complexes at high
+    k) a list of ints. layout[p] lists them in the pinned order of every
+    matrix shown, derived on first read. No tuple of cells is stored:
+    _parts decodes a code for the few readers of one."""
 
     def __init__(self, systems, radices, codes):
         self.systems = systems
@@ -136,9 +139,11 @@ def _walk(tables, j=0, ids=(), running=None, dsum=0):
     their total dimension and last the ascending ids of the cells of the
     final slot that meet it. Slot j takes every cell when j = 0, else the
     union of the stars of the atoms in running, the common intersection so
-    far. Prefixes come in depth-first order over ascending cell ids."""
+    far, sorted (a lone atom's star is already ascending). Prefixes come in
+    depth-first order over ascending cell ids."""
     dims, sups, stars = tables[j]
     cand = (range(len(dims)) if running is None
+            else stars.get(next(iter(running)), ()) if len(running) == 1
             else sorted({c for a in running for c in stars.get(a, ())}))
     if j == len(tables) - 1:
         yield ids, dsum, cand
@@ -158,12 +163,13 @@ def build_basis(complexes) -> InteractionBasis:
     radices = [prod(len(s.cells) for s in systems[j + 1:])
                for j in range(len(systems))]
     last_dims = tables[-1][0]
-    by_grade: dict = {}
+    fits = radices[0] * len(systems[0].cells) <= 2 ** 64
+    by_grade = defaultdict(partial(array, "Q") if fits else list)
     for ids, dsum, last in _walk(tables):
         base = sum(map(mul, ids, radices))
         for idx in last:
-            by_grade.setdefault(dsum + last_dims[idx], []).append(base + idx)
-    codes = [by_grade.get(p, []) for p in range(max(by_grade, default=-1) + 1)]
+            by_grade[dsum + last_dims[idx]].append(base + idx)
+    codes = [by_grade[p] for p in range(max(by_grade, default=-1) + 1)]
     return InteractionBasis(systems, radices, codes)
 
 

@@ -10,11 +10,13 @@ incident_ranks), by the left-looking standard reduction of
 exact.pivot_rows (PHAT, 2017). So the Betti vector streams, as Ripser
 does: each row of d_p^T enters as its code, in walk order, with its least
 coface code as its leading column, and is built only when a reduction
-reads it, for one row in thirteen on the catalog. This is the one rank
-route: the Laplacian nullities and the harmonic forms read their ranks
-from the basis the same way. A basis is checked grade by grade against
-the exact face count of basis.grade_counts, which the Wu characteristic
-reads too, so the Euler-Poincare check has one side with no tuple walk.
+reads it, for one row in thirteen on the catalog. The basis packs each
+grade's codes as unsigned 64-bit integers (a list of ints past 64 bits).
+This is the one rank route: the Laplacian nullities and the harmonic
+forms read their ranks from the basis the same way. A basis is checked
+grade by grade against the exact face count of basis.grade_counts, which
+the Wu characteristic reads too, so the Euler-Poincare check has one side
+with no tuple walk.
 Betti vectors are reported with length equal to the number of grades of the
 basis (trailing zeros kept), which is how the reference tables print them.
 """

@@ -20,14 +20,18 @@ from .simplicial import (MAX_SIMPLICES, OVER_BUDGET, Complex, Graph,
 MAX_FREDHOLM_SIMPLICES = 2 ** 10
 
 
-def connection_matrix(c: Complex):
-    """L[i][j] = 1 when simplices i and j of the global cell order meet.
-    Raises ValueError, before any row is built, on a complex of more than
-    MAX_FREDHOLM_SIMPLICES simplices."""
+def _check_matrix_cap(c: Complex):
     if len(c) > MAX_FREDHOLM_SIMPLICES:
         raise ValueError(f"the connection matrix takes at most "
                          f"{MAX_FREDHOLM_SIMPLICES} simplices, "
                          f"the complex has {len(c)}")
+
+
+def connection_matrix(c: Complex):
+    """L[i][j] = 1 when simplices i and j of the global cell order meet.
+    Raises ValueError, before any row is built, on a complex of more than
+    MAX_FREDHOLM_SIMPLICES simplices."""
+    _check_matrix_cap(c)
     sets = [frozenset(s) for s in c.cells]
     return [[1 if si & sj else 0 for sj in sets] for si in sets]
 
@@ -72,7 +76,9 @@ def fredholm_characteristic(c: Complex) -> int:
 def wu_via_connection_trace(c: Complex) -> int:
     """The quadratic form w^T L w of the connection matrix against the
     simplex weights: the sum of w(x) w(y) over all intersecting simplex
-    pairs, which equals the order-2 Wu characteristic."""
+    pairs, which equals the order-2 Wu characteristic, read from the
+    order-2 tuple walk as connection_graph is, under the matrix's cap."""
+    _check_matrix_cap(c)
     w = [simplex_weight(s) for s in c.cells]
-    return sum(wi * wj * lij for wi, row in zip(w, connection_matrix(c))
-               for wj, lij in zip(w, row))
+    return sum(w[i] * sum(w[j] for j in meets)
+               for (i,), _, meets in _walk(_tables([c, c])))

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -14,7 +15,8 @@ from wucalc.basis import (
 from wucalc.catalog import (
     complete_complex, generate_complex, path_complex, rabbit, star_complex,
 )
-from wucalc.cohomology import normalize_complexes
+from wucalc.cli import MAX_ORDER
+from wucalc.cohomology import betti_vector, normalize_complexes
 from wucalc.ring import ProductComplex
 from wucalc.simplicial import Complex, Graph, whitney_complex, zagreb_index
 
@@ -251,7 +253,40 @@ def test_star_walk_codes_match_the_bitset_oracle():
     cases += [[Complex([])] * k for k in (1, 2, 3)]
     assert len(cases) >= 200
     for systems in cases:
-        assert build_basis(systems).codes == walk_codes(systems), systems
+        codes = build_basis(systems).codes
+        assert [list(g) for g in codes] == walk_codes(systems), systems
+        # every code of these cases fits in 64 bits, so each grade is packed
+        assert all(type(g) is array and g.typecode == "Q" for g in codes)
+
+
+def test_a_basis_holds_a_packed_code_per_tuple():
+    # three_sphere at k = 3 has 140,816 tuples: packed, a code is 8 bytes
+    # and the walk's peak stays under 16 bytes per code, where a list of
+    # Python ints holds about 40
+    s = catalog.three_sphere()
+    basis._face_terms.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        b = build_basis([s] * 3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n = sum(b.grade_sizes())
+    assert n >= 100_000
+    assert peak <= 16 * n, peak / n
+
+
+@pytest.mark.parametrize("k", [64, 65, MAX_ORDER])
+def test_codes_past_64_bits_stay_exact_ints(k):
+    # two points at order k: the codes reach 2^k - 1, so they are packed up
+    # to k = 64 and kept as a list of exact ints beyond it
+    systems = [generate_complex([[1], [2]])] * k
+    b = build_basis(systems)
+    assert [list(g) for g in b.codes] == walk_codes(systems) == [[0, 2**k - 1]]
+    assert (type(b.codes[0]) is array) == (k <= 64)
+    assert betti_vector(b) == [2]
 
 
 def test_basis_memory_grows_with_the_path_not_its_square():
