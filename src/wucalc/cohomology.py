@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from . import exact
 from .basis import InteractionBasis, build_basis, grade_counts
 from .differential import (DiracLaplacian, GradedIntMatrix, coboundary,
-                           dirac_and_laplacian, interaction_derivative)
+                           interaction_derivative)
 
 
 def incident_ranks(b: InteractionBasis):
@@ -71,8 +71,9 @@ def harmonic_basis(dl: DiracLaplacian):
     stacked (dl.columns): L_p = M_p^T M_p, so x^T L_p x = |M_p x|^2 and the
     two share their kernel over Q and its reduced-echelon basis, while M_p
     has +-1 entries and no Gram fill-in. Taking the DiracLaplacian keeps
-    its d^2 = 0 check in front of every caller, and with d^2 = 0,
-    dim ker M_p = b_p, so a grade with b_p = 0 gets [] and no elimination.
+    its d^2 = 0 check, which its constructor runs, in front of every
+    caller, and with d^2 = 0, dim ker M_p = b_p, so a grade with b_p = 0
+    gets [] and no elimination.
     Vectors are primitive integer vectors.
     """
     betti = betti_vector(dl.derivative.basis)
@@ -147,7 +148,7 @@ class CohomologyData:
 
     @cached_property
     def dirac(self) -> DiracLaplacian:
-        return dirac_and_laplacian(self.derivative)
+        return DiracLaplacian(self.derivative)
 
     @cached_property
     def betti(self):

@@ -9,7 +9,7 @@ vector recovers the order-2 Wu characteristic.
 
 from __future__ import annotations
 
-from .basis import _tables, _walk
+from .basis import _counted_terms, _tables, _walk
 from .exact import det_bareiss
 from .simplicial import (MAX_SIMPLICES, OVER_BUDGET, Complex, Graph,
                          simplex_weight, whitney_complex)
@@ -20,18 +20,14 @@ from .simplicial import (MAX_SIMPLICES, OVER_BUDGET, Complex, Graph,
 MAX_FREDHOLM_SIMPLICES = 2 ** 10
 
 
-def _check_matrix_cap(c: Complex):
-    if len(c) > MAX_FREDHOLM_SIMPLICES:
-        raise ValueError(f"the connection matrix takes at most "
-                         f"{MAX_FREDHOLM_SIMPLICES} simplices, "
-                         f"the complex has {len(c)}")
-
-
 def connection_matrix(c: Complex):
     """L[i][j] = 1 when simplices i and j of the global cell order meet.
     Raises ValueError, before any row is built, on a complex of more than
     MAX_FREDHOLM_SIMPLICES simplices."""
-    _check_matrix_cap(c)
+    if len(c) > MAX_FREDHOLM_SIMPLICES:
+        raise ValueError(f"the connection matrix takes at most "
+                         f"{MAX_FREDHOLM_SIMPLICES} simplices, "
+                         f"the complex has {len(c)}")
     sets = [frozenset(s) for s in c.cells]
     return [[1 if si & sj else 0 for sj in sets] for si in sets]
 
@@ -77,8 +73,8 @@ def wu_via_connection_trace(c: Complex) -> int:
     """The quadratic form w^T L w of the connection matrix against the
     simplex weights: the sum of w(x) w(y) over all intersecting simplex
     pairs, which equals the order-2 Wu characteristic, read from the
-    order-2 tuple walk as connection_graph is, under the matrix's cap."""
-    _check_matrix_cap(c)
+    order-2 tuple walk as connection_graph is, under the tuple budget."""
+    _counted_terms([c, c])
     w = [simplex_weight(s) for s in c.cells]
     return sum(w[i] * sum(w[j] for j in meets)
                for (i,), _, meets in _walk(_tables([c, c])))

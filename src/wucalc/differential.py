@@ -128,10 +128,7 @@ def interaction_derivative(b: InteractionBasis) -> GradedIntMatrix:
 
 
 def verify_d_squared(d: GradedIntMatrix) -> bool:
-    for p in range(len(d.blocks) - 1):
-        if not d.blocks[p + 1].matmul(d.blocks[p]).is_zero():
-            return False
-    return True
+    return not any(b.matmul(a).rows for a, b in zip(d.blocks, d.blocks[1:]))
 
 
 def dirac_columns(d: GradedIntMatrix):
@@ -158,9 +155,14 @@ def dirac_columns(d: GradedIntMatrix):
 class DiracLaplacian:
     """D = d + d^T on the full graded space and the blocks of L = D^2, read
     off the stacked derivatives M_p, self.columns, built at once; D (for the
-    flows) and the exact L_p (for exact readers only) on first read."""
+    flows) and the exact L_p (for exact readers only) on first read. The
+    constructor raises ArithmeticError unless d^2 = 0, which L = D^2 being
+    block diagonal and b_p = dim ker L_p both need."""
 
     def __init__(self, derivative: GradedIntMatrix):
+        if not verify_d_squared(derivative):
+            raise ArithmeticError(
+                "d^2 != 0: derivative blocks are inconsistent")
         self.derivative = derivative
         self.grade_sizes = derivative.grade_sizes
         *self.offsets, self.size = accumulate(self.grade_sizes, initial=0)
@@ -184,7 +186,4 @@ class DiracLaplacian:
         return f"DiracLaplacian(size={self.size}, blocks={self.grade_sizes})"
 
 
-def dirac_and_laplacian(d: GradedIntMatrix) -> DiracLaplacian:
-    if not verify_d_squared(d):
-        raise ArithmeticError("d^2 != 0: derivative blocks are inconsistent")
-    return DiracLaplacian(d)
+dirac_and_laplacian = DiracLaplacian

@@ -43,9 +43,6 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
     out = []
     for p, m in enumerate(dl.columns):
         n, ii, jj, vals = gram_entries(m)
-        if n == 0:
-            out.append(numpy.zeros(0))
-            continue
         # L_p as a dense float64 block: each (row, column) key comes once
         evals = numpy.linalg.eigvalsh(
             numpy.bincount(ii * n + jj, vals, n * n).reshape(n, n))

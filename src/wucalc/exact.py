@@ -9,13 +9,12 @@ module level, so the exact routes never touch a float nor pay its load time.
 One sparse elimination, pivot_rows(), the left-looking "standard reduction"
 of Bauer, Kerber, Reininghaus and Wagner (PHAT, JSC 2017), serves the
 streamed derivative ranks of cohomology.incident_ranks, rank(), nullity()
-and kernel_basis(), whose back-substitution runs through its rows.
+and kernel_basis(), whose back-substitution runs through its rows. Every
+row it is handed is its own to reduce: a new dict, or a key it builds one
+from.
 
 det_bareiss() stays a separate fraction-free elimination without any gcd
-rescaling: the determinant value itself is the result. A row that a pivot
-step leaves alone keeps the pivot it was last written under, base[i]; its
-Bareiss entries a[i][j] * prev // base[i] are minors of the input
-(Sylvester's identity, Bareiss 1968), so exact, and formed only when read.
+rescaling, because the determinant value itself is the result.
 
 rank_mod() stays separate: a blocked LDL^T over GF(q) with no pivoting,
 it gives only a lower bound on the rational rank, fast, which on a
@@ -66,9 +65,6 @@ class SparseIntMatrix:
 
     def nnz(self):
         return sum(len(r) for r in self.rows.values())
-
-    def is_zero(self):
-        return not self.rows
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
@@ -137,18 +133,17 @@ def pivot_rows(leads, build) -> dict:
     every entry of a row sits at or right of its leading column.
 
     leads yields (leading column, row) in reduction order, a row being a
-    dict {column: value} or a key whose row build(key) makes as a new dict.
-    Left-looking reduction: a row whose leading column is free is stored
-    there as it came; any other row is copied or built once and reduced by
+    new dict {column: value} or a key whose row build(key) makes as one;
+    either way the row is pivot_rows' own to change. Left-looking
+    reduction: a row whose leading column is free is stored there as it
+    came; any other row is built if it is a key and reduced in place by
     the stored pivots (a stored key is built in place on first use) until
     it vanishes or leads at a free column. When it has the smaller
-    (|leading entry|, length) it takes the stored row's place and a copy
-    of that row is reduced instead, so no dict of leads is ever changed;
-    nor may a caller change the rows returned.
+    (|leading entry|, length) it takes the stored row's place and that
+    row is reduced instead.
     """
     pivots: dict = {}
     for c, row in leads:
-        owned = False
         while True:
             prow = pivots.get(c)
             if prow is None:
@@ -157,12 +152,9 @@ def pivot_rows(leads, build) -> dict:
             if not isinstance(prow, dict):
                 pivots[c] = prow = build(prow)
             if not isinstance(row, dict):
-                row, owned = build(row), True
+                row = build(row)
             if (abs(row[c]), len(row)) < (abs(prow[c]), len(prow)):
                 pivots[c], row, prow = row, prow, row
-                owned = False
-            if not owned:
-                row, owned = dict(row), True
             _eliminate(row, prow, c)
             if not row:
                 break
@@ -171,8 +163,9 @@ def pivot_rows(leads, build) -> dict:
 
 
 def _leads(m: SparseIntMatrix):
-    """(leading column, row) for each non-empty row of m, in m.rows order."""
-    return ((min(row), row) for row in m.rows.values() if row)
+    """(leading column, a copy of row) for each non-empty row of m, in
+    m.rows order, so pivot_rows never changes a row of m."""
+    return ((min(row), dict(row)) for row in m.rows.values() if row)
 
 
 def rank(m: SparseIntMatrix) -> int:
@@ -373,10 +366,10 @@ def rank_mod(env) -> int:
 def det_bareiss(matrix) -> int:
     """Exact determinant of a square integer matrix.
 
-    Fraction-free Bareiss elimination: the pivot is the smallest-magnitude
-    non-zero entry of the current column (ties by row index), rows are
-    swapped with sign bookkeeping, and every 2x2 update is divided by the
-    previous pivot, which is an exact integer division.
+    Fraction-free Bareiss elimination (Bareiss 1968): the pivot is the
+    smallest-magnitude non-zero entry of the current column (ties by row
+    index), rows are swapped with sign bookkeeping, and every 2x2 update is
+    divided by the previous pivot, an exact division (Sylvester's identity).
 
     A row with a zero multiplier is not rescaled by pk / prev: it keeps the
     pivot base[i] it was last written under, and its Bareiss entries, each

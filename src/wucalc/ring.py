@@ -150,8 +150,8 @@ def _term_sum(e, value):
 
 
 def ring_wu(e, k: int) -> int:
-    """Wu characteristic of a ring element, computed on each product term by
-    direct enumeration of intersecting cell tuples."""
+    """Wu characteristic of a ring element, computed on each product term
+    from the exact face count of basis.wu_characteristic."""
     return sum(_term_sum(e, lambda c: [wu_characteristic([c] * k)]))
 
 

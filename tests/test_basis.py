@@ -170,6 +170,24 @@ def test_disconnected_inputs_are_refused_by_their_component_sum(monkeypatch):
     assert built == []
 
 
+def test_the_face_count_of_distinct_complexes_refuses_as_it_counts(
+        monkeypatch):
+    # g and h differ only by an isolated vertex, so every face of the
+    # 9-simplex is common: the (cell, common face) pairs of the count pass
+    # the budget of 10,000 while the stars are still being filled, and the
+    # refusal carries that partial count, not the total tuple count
+    g = generate_complex([tuple(range(10))])
+    h = generate_complex([tuple(range(10)), (10,)])
+    monkeypatch.setattr(basis, "MAX_TUPLES", 10_000)
+    basis._face_terms.cache_clear()
+    built = _tables_built(monkeypatch)
+    with pytest.raises(ValueError,
+                       match="at least 10025 intersecting 2-tuples"):
+        build_basis([g, h])
+    assert built == []
+    basis._face_terms.cache_clear()
+
+
 def test_every_catalog_row_is_under_the_tuple_budget():
     for name, k in catalog.MAIN_TABLE:
         assert sum(basis.grade_counts([catalog.NAMED[name]()] * k)) \

@@ -424,6 +424,21 @@ def test_an_input_over_the_tuple_budget_is_refused_before_the_basis(
     cohomology_data.cache_clear()
 
 
+def test_a_basis_that_differs_from_the_face_count_is_refused(monkeypatch):
+    # a walk that lost one code disagrees with the exact face count of its
+    # grade, and CohomologyData.basis raises rather than rank it
+    def lossy(cs):
+        b = build_basis(cs)
+        b.codes[1].pop()
+        return b
+
+    monkeypatch.setattr(cohomology, "build_basis", lossy)
+    c = path_complex(3)
+    data = CohomologyData((c, c))
+    with pytest.raises(ArithmeticError, match="differ from the face count"):
+        data.basis
+
+
 def test_a_pass_builds_each_face_table_once(monkeypatch):
     # one face table per distinct complex, per streamed Betti pass and per
     # built derivative, not one per block

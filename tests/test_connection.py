@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from wucalc import connection
+from wucalc import basis, connection
 from wucalc.basis import wu_characteristic
 from wucalc.catalog import (
     barycentric_refinement, generate_complex, octahedron, path_complex,
 )
+from wucalc.cohomology import normalize_complexes
 from wucalc.connection import (
     connection_complex, connection_graph, connection_matrix,
     fermi_characteristic, fredholm_characteristic, wu_via_connection_trace,
@@ -131,11 +132,28 @@ def test_octahedron_connection_complex_f_vector():
     assert list(f_vector(cc)) == [26, 180, 556, 918, 900, 560, 224, 54, 6]
 
 
-def test_the_connection_trace_refuses_a_complex_over_the_matrix_cap():
-    # a 10-simplex has 2,047 faces, over MAX_FREDHOLM_SIMPLICES: both
-    # readers of the connection matrix refuse it before the matrix is built
+def test_the_fredholm_determinant_refuses_a_complex_over_the_matrix_cap():
+    # a 10-simplex has 2,047 faces, over MAX_FREDHOLM_SIMPLICES: the
+    # determinant refuses it before the connection matrix is built
     facet = generate_complex([tuple(range(11))])
     assert len(facet) == 2047 > connection.MAX_FREDHOLM_SIMPLICES
-    for route in (wu_via_connection_trace, fredholm_characteristic):
-        with pytest.raises(ValueError, match="at most 1024 simplices"):
-            route(facet)
+    with pytest.raises(ValueError, match="at most 1024 simplices"):
+        fredholm_characteristic(facet)
+
+
+def test_the_connection_trace_runs_under_the_tuple_budget(monkeypatch):
+    # the trace builds no matrix, so the matrix's cap does not bind it: it
+    # reads the 2,047 simplices of the 10-simplex, and refuses only an
+    # input over the tuple budget, before it builds a walk table
+    facet = generate_complex([tuple(range(11))])
+    assert len(facet) > connection.MAX_FREDHOLM_SIMPLICES
+    assert wu_via_connection_trace(facet) == wu_characteristic(
+        normalize_complexes(facet, 2)) == 1
+    built = []
+    table = basis._table
+    monkeypatch.setattr(basis, "_table",
+                        lambda system: built.append(system) or table(system))
+    monkeypatch.setattr(basis, "MAX_TUPLES", 100)
+    with pytest.raises(ValueError, match="tuple budget"):
+        wu_via_connection_trace(path_complex(41))
+    assert built == []

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import numpy as np
+import pytest
 
 from wucalc.basis import build_basis
 from wucalc.catalog import cylinder, generate_complex, path_complex
@@ -147,6 +148,22 @@ def test_d_squared_vanishes_on_random_complexes():
             for p in range(len(d.blocks) - 1):
                 prod = d.blocks[p + 1].matmul(d.blocks[p])
                 assert all(v == 0 for row in prod.to_dense() for v in row)
+
+
+def test_a_dirac_operator_refuses_a_derivative_with_nonzero_d_squared():
+    # the constructor checks d^2 = 0, so no route to a DiracLaplacian, the
+    # harmonic grade skip's included, can hold an inconsistent derivative
+    c = cylinder()
+    d = interaction_derivative(build_basis((c,)))
+    assert DiracLaplacian(d).size == sum(d.grade_sizes)
+    row = next(iter(d.blocks[1].rows.values()))
+    j = next(iter(row))
+    row[j] = -row[j]
+    assert not verify_d_squared(d)
+    for build in (DiracLaplacian, dirac_and_laplacian):
+        with pytest.raises(ArithmeticError, match="d\\^2 != 0"):
+            build(d)
+    assert dirac_and_laplacian is DiracLaplacian
 
 
 def test_dirac_is_symmetric_and_squares_to_the_laplacian():

@@ -277,6 +277,26 @@ def test_pivot_columns_never_changes_its_input():
         assert list(m.triples()) == before
 
 
+def test_pivot_rows_returns_no_row_of_its_input():
+    # _leads hands pivot_rows a copy of every row, so each row it holds is
+    # its own to reduce: none it returns is a row of m, and rank, nullity
+    # and kernel_basis leave m as it was, with non-unit pivots, which swap
+    cyl = cylinder()
+    d = interaction_derivative(build_basis((cyl, cyl)))
+    cases = pivot_cases(random.Random(1317)) + d.blocks
+    non_unit = 0
+    for m in cases:
+        before = {i: dict(row) for i, row in m.rows.items()}
+        ids = {id(row) for row in m.rows.values()}
+        rows = exact.pivot_rows(exact._leads(m), dict)
+        assert not any(id(row) in ids for row in rows.values())
+        non_unit += any(abs(row[c]) > 1 for c, row in rows.items())
+        for route in (rank, exact.nullity, kernel_basis):
+            route(m)
+            assert m.rows == before
+    assert non_unit > 20
+
+
 def rank_mod_cases(rng):
     """Seeded integer matrices for the GF(q) rank: empty shapes, sizes around
     the panel width, negative entries and entries beyond the modulus, and
