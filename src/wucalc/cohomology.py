@@ -152,8 +152,7 @@ class CohomologyData:
 
     @cached_property
     def betti(self):
-        # the blocks stream from the basis, so this never fills
-        # self.derivative
+        # streamed from the basis: never fills self.derivative
         return betti_vector(self.basis)
 
     @cached_property
@@ -182,8 +181,7 @@ def euler_poincare_check(complexes, k=None) -> dict:
     data = cohomology_data(complexes)
     # the face count behind the Wu characteristic refuses an input over the
     # tuple budget before build_basis runs, and checks the basis it builds
-    wu = data.wu
-    betti = data.betti
+    wu, betti = data.wu, data.betti
     alternating = sum((-1) ** p * b for p, b in enumerate(betti))
     return {
         "k": len(complexes),

@@ -51,12 +51,15 @@ class GradedIntMatrix:
 
 def _face_table(system):
     """The face relation of system read upward, per cell in cells order:
-    its cofaces as (coface id, sign), the cells whose cell_boundary holds
-    it with that sign, and the parity of its dimension."""
+    its cofaces as (coface id, sign), ascending, the cells whose cell_boundary
+    holds it with that sign, and the parity of its dimension. Raises
+    ArithmeticError unless each face precedes its cofaces in cells."""
     ids = {cell: i for i, cell in enumerate(system.cells)}
     cofaces = [[] for _ in ids]
     for i, cell in enumerate(system.cells):
         for f, sign in system.cell_boundary(cell):
+            if ids[f] >= i:
+                raise ArithmeticError(f"face {f} does not precede {cell}")
             cofaces[ids[f]].append((i, sign))
     return cofaces, [system.cell_dim(cell) & 1 for cell in system.cells]
 
@@ -66,16 +69,17 @@ def coboundary(b: InteractionBasis):
     once here, one per distinct complex. row(code) builds the coboundary
     of the tuple of code, {coface code: sign}: the one assembly loop.
     leads(codes, skip) yields (least coface code, code) for each code of
-    codes outside skip that has a coface, in order, from the first coface
-    of each digit, and builds no row."""
+    codes outside skip that has a coface, in order, and builds no row: it
+    swaps the last digit that has a coface for its first coface. Faces
+    precede their cofaces in cells, so a swap at slot j adds at least r_j,
+    and one at a later slot j' at most (n_j' - 1) r_j' < r_j."""
     tables = {s: _face_table(s) for s in dict.fromkeys(b.systems)}
     slots = [(r, tables[s]) for r, s in zip(b.radices, b.systems)]
-    # the least coface code is code + min over the digits c_j of
-    # (first coface id - c_j) * r_j; `top`, past every code, means none
-    top = b.radices[0] * len(b.systems[0].cells)
-    shifts = [(r, [(min(cf)[0] - c) * r if cf else top
-                   for c, cf in enumerate(cofaces)])
-              for r, (cofaces, _) in slots]
+    # last slot first: its size, each cell's shift to its first coface or 0
+    (n, last), *earlier = [
+        (len(cofaces), [(cf[0][0] - c) * r if cf else 0
+                        for c, cf in enumerate(cofaces)])
+        for r, (cofaces, _) in reversed(slots)]
 
     def row(code):
         # distinct (slot, coface) swaps give distinct codes, all in b
@@ -92,13 +96,15 @@ def coboundary(b: InteractionBasis):
     def leads(codes, skip):
         for code in codes:
             if code not in skip:
-                rest, least = code, top
-                for r, shift in shifts:
-                    c, rest = divmod(rest, r)
-                    if shift[c] < least:
-                        least = shift[c]
-                if least != top:
-                    yield code + least, code
+                shift = last[code % n]
+                if not shift:
+                    rest = code // n
+                    for m, table in earlier:
+                        rest, c = divmod(rest, m)
+                        if shift := table[c]:
+                            break
+                if shift:
+                    yield code + shift, code
 
     return leads, row
 

@@ -36,9 +36,9 @@ class ProductComplex:
             raise ValueError(
                 f"the product has more than {MAX_SIMPLICES} cells")
         self.factors = factors
-        cells = list(iter_product(*(f.cells for f in factors)))
-        cells.sort(key=lambda c: (self.cell_dim(c), self.flat_key(c)))
-        self.cells = cells
+        # by dimension, then flat key: faces first, as coboundary.leads needs
+        self.cells = sorted(iter_product(*(f.cells for f in factors)),
+                            key=lambda c: (self.cell_dim(c), self.flat_key(c)))
 
     @staticmethod
     def cell_dim(cell) -> int:

@@ -50,7 +50,8 @@ class Complex:
                             f"not closed under subsets: {face} missing from {s}")
         self.simplices = simp
         self.vertex_set = frozenset(v for s in simp for v in s)
-        # global deterministic cell order: by dimension, then lexicographic
+        # global deterministic cell order: by dimension, then lexicographic,
+        # so each face precedes its cofaces, which coboundary.leads relies on
         self.cells = sorted(simp, key=lambda t: (len(t), t))
 
     # the duck-typed cell interface shared with ring.ProductComplex

@@ -534,6 +534,31 @@ def test_the_streamed_ranks_reduce_as_the_built_blocks(monkeypatch):
     assert len(built) < 0.15 * len(ranked)
 
 
+def test_leads_yield_the_least_code_of_each_built_row():
+    # the oracle is the definition: (min(row(code)), code) for each code
+    # outside skip whose row is not empty, at every grade and in order
+    rng = random.Random(3636)
+    cases = rank_cases(3636) + [
+        (pc,) * k for pc in small_products(rng, 3) for k in (1, 2, 3)]
+    cases += list(ungated_table_rows())
+    # a 0-dimensional complex past 64 bits keeps its codes in a list
+    cases.append((generate_complex([(1,), (2,)]),) * 65)
+    yielded = 0
+    for complexes in cases:
+        b = build_basis(complexes)
+        leads, row = differential.coboundary(b)
+        for codes in b.codes:
+            rows = {code: row(code) for code in codes}
+            for skip in (set(), set(rng.sample(list(codes), len(codes) // 3))):
+                want = [(min(r), code) for code, r in rows.items()
+                        if code not in skip and r]
+                got = list(leads(codes, skip))
+                assert got == want, complexes
+                yielded += len(got)
+    assert isinstance(b.codes[0], list) and b.grade_sizes() == [2]
+    assert yielded > 100000
+
+
 HARMONIC_SHA1 = {
     ("cylinder", 1): "3b1940fe1fb08cbf89031893741a2c875c114852",
     ("cylinder", 2): "f25153c3ed3b0783e0e9e5bf91de0073912db30b",

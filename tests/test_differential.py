@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from wucalc import catalog
 from wucalc.basis import build_basis
 from wucalc.catalog import cylinder, generate_complex, path_complex
 from wucalc.cohomology import cohomology_data, harmonic_basis
 from wucalc.differential import (
-    DiracLaplacian, dirac_and_laplacian, dirac_columns, interaction_derivative,
-    verify_d_squared,
+    DiracLaplacian, coboundary, dirac_and_laplacian, dirac_columns,
+    interaction_derivative, verify_d_squared,
 )
 from wucalc.dynamics import lax_deform
 from wucalc.exact import SparseIntMatrix
@@ -148,6 +149,24 @@ def test_d_squared_vanishes_on_random_complexes():
             for p in range(len(d.blocks) - 1):
                 prod = d.blocks[p + 1].matmul(d.blocks[p])
                 assert all(v == 0 for row in prod.to_dense() for v in row)
+
+
+def test_a_cell_order_with_a_face_after_its_coface_is_refused():
+    # coboundary.leads reads the least coface from the last digit, which
+    # holds only when every face comes before its cofaces in cells
+    c = generate_complex([(1, 2, 3), (3, 4)])
+    c.cells = c.cells[::-1]
+    with pytest.raises(ArithmeticError, match="does not precede"):
+        coboundary(build_basis((c,)))
+    rng = random.Random(3637)
+    systems = [make() for make in catalog.NAMED.values()]
+    systems += [generate_complex(random_facets(rng)) for _ in range(20)]
+    systems += [ProductComplex([
+        generate_complex(random_facets(rng, max_vertices=4, max_facets=3,
+                                       max_size=3)) for _ in range(2)])
+        for _ in range(5)]
+    for s in systems:
+        coboundary(build_basis((s,)))
 
 
 def test_a_dirac_operator_refuses_a_derivative_with_nonzero_d_squared():

@@ -272,7 +272,7 @@ def test_pivot_columns_never_changes_its_input():
         before = list(m.triples())
         pivot_columns(m)
         assert list(m.triples()) == before
-        # kernel_basis reads the pivot rows, some of them rows of m
+        # kernel_basis reduces copies of the rows of m, never m itself
         kernel_basis(m)
         assert list(m.triples()) == before
 
