@@ -10,13 +10,11 @@ the commands that ask for floats pay for it.
 
 from __future__ import annotations
 
-import logging
 import math
+import warnings
 
 from .differential import DiracLaplacian
 from .exact import check_dense, dense_array, gram_entries
-
-log = logging.getLogger(__name__)
 
 # RK4 budgets of lax_deform: each step takes four n x n products, so a
 # flow with more steps, or with more work (steps x n**3), is an input error
@@ -33,9 +31,9 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
     gram_entries(M_p) as the certificate reads it. Values with
     |lambda| <= tol are zero modes and snapped to zero, the same rule as in
     supersymmetry_gap; when exact nullities are supplied, the snap count is
-    checked against them and a mismatch logs a warning rather than raising,
-    since the caller asked for floats. A block over the dense budget raises
-    ValueError before the first eigensolve."""
+    checked against them and a mismatch warns (RuntimeWarning) rather than
+    raising, since the caller asked for floats. A block over the dense
+    budget raises ValueError before the first eigensolve."""
     import numpy
 
     for n in dl.grade_sizes:
@@ -49,9 +47,8 @@ def block_spectra(dl: DiracLaplacian, tol: float = 1e-8,
         snapped = numpy.where(numpy.abs(evals) <= tol, 0.0, evals)
         zero_count = int(numpy.sum(snapped == 0.0))
         if exact_nullities is not None and zero_count != exact_nullities[p]:
-            log.warning(
-                "grade %d: %d numerical zero modes but nullity %d",
-                p, zero_count, exact_nullities[p])
+            warnings.warn(f"grade {p}: {zero_count} numerical zero modes "
+                          f"but nullity {exact_nullities[p]}", RuntimeWarning)
         out.append(snapped)
     return out
 
@@ -79,10 +76,8 @@ def supersymmetry_gap(spectra, tol: float = 1e-8) -> dict:
         (even if p % 2 == 0 else odd).extend(vals)
     even.sort()
     odd.sort()
-    if len(even) != len(odd):
-        return {"even": len(even), "odd": len(odd), "max_gap": math.inf,
-                "supersymmetric": False}
-    gap = max((abs(a - b) for a, b in zip(even, odd)), default=0.0)
+    gap = (max((abs(a - b) for a, b in zip(even, odd)), default=0.0)
+           if len(even) == len(odd) else math.inf)
     return {"even": len(even), "odd": len(odd), "max_gap": gap,
             "supersymmetric": gap <= tol * 10}
 
@@ -98,8 +93,7 @@ def wave_evolve(dl: DiracLaplacian, u0, v0, t: float):
     if d.shape[0] != u0.shape[0] or d.shape[0] != v0.shape[0]:
         raise ValueError("initial data does not match operator size")
     evals, q = numpy.linalg.eigh(d)
-    a = q.T @ u0
-    b = q.T @ v0
+    a, b = q.T @ u0, q.T @ v0
     scale = numpy.abs(evals).max(initial=1.0)
     small = numpy.abs(evals) < 1e-12 * (1.0 + scale)
     cos_part = numpy.cos(evals * t) * a
@@ -179,9 +173,8 @@ def lax_deform(dl: DiracLaplacian, mode: str = "real", t_max: float = 1.0,
     spec1 = numpy.linalg.eigvalsh(d)
     drift = float(numpy.abs(spec0 - spec1).max(initial=0.0))
     if drift > 10 * tol:
-        raise ArithmeticError(
-            f"spectral drift {drift:.3e} exceeds 10 * {tol:.3e}; "
-            "reduce dt")
+        raise ArithmeticError(f"spectral drift {drift:.3e} exceeds 10 * "
+                              f"{tol:.3e}; reduce dt")
     raising = numpy.where(raising_mask, d, 0.0)
     d2 = float(numpy.abs(raising @ raising).max(initial=0.0))
     report = {

@@ -14,7 +14,9 @@ row it is handed is its own to reduce: a new dict, or a key it builds one
 from.
 
 det_bareiss() stays a separate fraction-free elimination without any gcd
-rescaling, because the determinant value itself is the result.
+rescaling, because the determinant value itself is the result; each entry
+keeps the pivot it was last written under, and a step rewrites only the
+entries its pivot row reaches.
 
 rank_mod() stays separate: a blocked LDL^T over GF(q) with no pivoting,
 it gives only a lower bound on the rational rank, fast, which on a
@@ -371,13 +373,13 @@ def det_bareiss(matrix) -> int:
     index), rows are swapped with sign bookkeeping, and every 2x2 update is
     divided by the previous pivot, an exact division (Sylvester's identity).
 
-    A row with a zero multiplier is not rescaled by pk / prev: it keeps the
-    pivot base[i] it was last written under, and its Bareiss entries, each
-    a minor of the input and so an integer, are a[i][j] * prev // base[i],
-    read only for the pivot search, the pivot row and the final entry. A
-    row with a non-zero multiplier aik takes a[i][j] * pk // base[i] -
-    aik * rowk[j] // prev: the exact difference is a minor, an integer, so
-    the two fractional parts cancel. Pivots and swaps are the eager ones.
+    Step k rewrites a[i][j] only where aik = a[i][k] and w = a[k][j], the
+    pivot row's, are both non-zero, to (v * pk - aik * w) // prev under
+    base[i][j] = pk, with v = a[i][j] and all three up to date. Any other
+    entry's update is a rescale by pk / prev, so it keeps the pivot
+    base[i][j] it was last written under: its Bareiss entry, a minor of the
+    input and so an integer, is a[i][j] * prev // base[i][j], an exact
+    quotient. Pivots and swaps are the eager ones.
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
@@ -385,7 +387,7 @@ def det_bareiss(matrix) -> int:
         return 1
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
-    base = [1] * n
+    base = [[1] * n for _ in range(n)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -394,8 +396,8 @@ def det_bareiss(matrix) -> int:
         for i in range(k, n):
             v = a[i][k]
             if v:
-                if base[i] != prev:
-                    v = v * prev // base[i]
+                if base[i][k] != prev:
+                    v = v * prev // base[i][k]
                 if best is None or abs(v) < best:
                     best = abs(v)
                     piv = i
@@ -408,24 +410,26 @@ def det_bareiss(matrix) -> int:
             base[k], base[piv] = base[piv], base[k]
             sign = -sign
         rowk = a[k]
-        if base[k] != prev:
-            rowk = [x * prev // base[k] for x in rowk]
-        pk = rowk[k]
+        basek = base[k]
+        pk = rowk[k] if basek[k] == prev else rowk[k] * prev // basek[k]
+        # the columns the pivot row reaches, with its up-to-date entries
+        reach = [(j, w if basek[j] == prev else w * prev // basek[j])
+                 for j in range(k + 1, n) if (w := rowk[j])]
         for i in range(k + 1, n):
             ai = a[i]
             aik = ai[k]
             if aik:
-                b = base[i]
-                if b == prev:
-                    for j in range(k + 1, n):
-                        ai[j] = (ai[j] * pk - aik * rowk[j]) // prev
-                else:
-                    aik = aik * prev // b
-                    for j in range(k + 1, n):
-                        ai[j] = ai[j] * pk // b - aik * rowk[j] // prev
-                base[i] = pk
+                bi = base[i]
+                if bi[k] != prev:
+                    aik = aik * prev // bi[k]
+                for j, w in reach:
+                    v = ai[j]
+                    if v and bi[j] != prev:
+                        v = v * prev // bi[j]
+                    ai[j] = (v * pk - aik * w) // prev
+                    bi[j] = pk
         prev = pk
-    return sign * (a[n - 1][n - 1] * prev // base[n - 1])
+    return sign * (a[n - 1][n - 1] * prev // base[n - 1][n - 1])
 
 
 def kernel_basis(m: SparseIntMatrix):

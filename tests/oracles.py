@@ -25,9 +25,13 @@ before it read B off a fixed sign pattern, kept unchanged: two products
 per RK4 stage and a re-symmetrization of D after every step.
 dense_det_bareiss is the Bareiss determinant that exact.det_bareiss
 computed before it scaled its rows lazily, kept unchanged: every row is
-rescaled at every pivot step. dict_rcm is the reverse Cuthill-McKee order
-that exact._rcm took from a dict of neighbour lists, sorting each, before
-it walked the ascending CSR lists of exact.envelope, kept unchanged. The
+rescaled at every pivot step. lazy_row_det_bareiss is the one that
+followed it, kept unchanged: a row with a zero multiplier keeps its base,
+but every row the pivot reaches is rewritten over all later columns; then
+exact.det_bareiss kept a base per entry. dict_rcm is the reverse
+Cuthill-McKee order that exact._rcm took from a dict of neighbour lists,
+sorting each, before it walked the ascending CSR lists of exact.envelope,
+kept unchanged. The
 six helpers after laplacian_is_block_diagonal (graph_from_edges to
 heat_trace) left the library because only tests call them; all but
 eval_multivariate wrap package types too: Graph, the catalog, the
@@ -414,6 +418,67 @@ def dense_det_bareiss(matrix) -> int:
                     ai[j] = (ai[j] * pk) // prev
         prev = pk
     return sign * a[n - 1][n - 1]
+
+
+def lazy_row_det_bareiss(matrix) -> int:
+    """Exact determinant of a square integer matrix, by the Bareiss
+    elimination of dense_det_bareiss with its rows scaled lazily.
+
+    A row with a zero multiplier is not rescaled by pk / prev: it keeps the
+    pivot base[i] it was last written under, and its Bareiss entries, each
+    a minor of the input and so an integer, are a[i][j] * prev // base[i],
+    read only for the pivot search, the pivot row and the final entry. A
+    row with a non-zero multiplier aik takes a[i][j] * pk // base[i] -
+    aik * rowk[j] // prev: the exact difference is a minor, an integer, so
+    the two fractional parts cancel. Pivots and swaps are the eager ones.
+    """
+    a = [[int(x) for x in row] for row in matrix]
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    base = [1] * n
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        piv = None
+        best = None
+        for i in range(k, n):
+            v = a[i][k]
+            if v:
+                if base[i] != prev:
+                    v = v * prev // base[i]
+                if best is None or abs(v) < best:
+                    best = abs(v)
+                    piv = i
+                    if best == 1:
+                        break
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            base[k], base[piv] = base[piv], base[k]
+            sign = -sign
+        rowk = a[k]
+        if base[k] != prev:
+            rowk = [x * prev // base[k] for x in rowk]
+        pk = rowk[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
+            if aik:
+                b = base[i]
+                if b == prev:
+                    for j in range(k + 1, n):
+                        ai[j] = (ai[j] * pk - aik * rowk[j]) // prev
+                else:
+                    aik = aik * prev // b
+                    for j in range(k + 1, n):
+                        ai[j] = ai[j] * pk // b - aik * rowk[j] // prev
+                base[i] = pk
+        prev = pk
+    return sign * (a[n - 1][n - 1] * prev // base[n - 1])
 
 
 def cycle_sign(t, s):

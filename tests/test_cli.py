@@ -718,6 +718,16 @@ def test_only_spectrum_and_deform_load_numpy(triangle, interval, tmp_path):
                     + [["spectrum", True, 0]])
 
 
+def test_the_package_and_the_cli_do_not_load_logging():
+    # a zero-mode mismatch is a RuntimeWarning, and warnings is loaded at
+    # interpreter start-up, so no import of the command line pays for
+    # logging
+    proc = run_fresh("-c", "import sys, wucalc, wucalc.cli; "
+                           "print('logging' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "-k", "2"],
                                   ["deform", "-k", "1"]])
 def test_numeric_commands_run_cold(argv, triangle, capsys):

@@ -67,6 +67,20 @@ def test_zero_mode_counts_match_the_betti_vector():
         assert zeros == list(data.betti)
 
 
+def test_a_zero_mode_mismatch_warns():
+    # one nullity off by one: the spectra are still returned, with a
+    # RuntimeWarning naming the grade, the zero-mode count and the nullity
+    data = _data(house(), 1)
+    nullities = list(data.betti)
+    nullities[1] += 1
+    with pytest.warns(RuntimeWarning, match=(
+            f"grade 1: {data.betti[1]} numerical zero modes but nullity "
+            f"{nullities[1]}$")):
+        spectra = block_spectra(data.dirac, exact_nullities=nullities)
+    assert [sum(1 for x in s if x == 0.0) for s in spectra] == \
+        list(data.betti)
+
+
 def test_block_spectra_read_the_gram_entries_not_the_laplacian_blocks():
     # the dense block is scattered from exact.gram_entries(M_p), as the
     # GF(q) certificate reads it, so no dict L_p is built; its eigenvalues

@@ -18,8 +18,8 @@ from wucalc.exact import SparseIntMatrix, det_bareiss, kernel_basis, rank
 from oracles import (
     PRIMES, charpoly, coboundary_assembler, dense_det_bareiss, dict_rcm,
     fraction_det, fraction_kernel, fraction_rank, fraction_rref,
-    matrix_entries, pivot_columns, pivot_count_mod, rank_mod, random_facets,
-    sparse_from_dense,
+    lazy_row_det_bareiss, matrix_entries, pivot_columns, pivot_count_mod,
+    rank_mod, random_facets, sparse_from_dense,
 )
 
 
@@ -127,6 +127,7 @@ def test_lazy_det_bareiss_matches_the_dense_elimination():
     for rows in _det_cases(random.Random(32)):
         det = det_bareiss(rows)
         assert det == dense_det_bareiss(rows)
+        assert det == lazy_row_det_bareiss(rows)
         if len(rows) <= 10:
             assert det == fraction_det(rows)
         count += 1
@@ -163,6 +164,41 @@ def test_det_bareiss_edge_cases_of_the_lazy_rows():
     assert det_bareiss([[0]]) == 0
     with pytest.raises(ValueError, match="square"):
         det_bareiss([[1, 2, 3], [4, 5, 6]])
+
+
+def test_det_bareiss_edge_cases_of_the_lazy_entries():
+    # step 0 pivots on row 1 (3) and rewrites only row 3, in the columns
+    # 1 and 3 the pivot row reaches; the 1 that row 0 holds in column 1 is
+    # never reached and wins step 1 at base 1, read as 1 * 3 // 1 = 3 (a
+    # tie with row 3's current -3; the first row wins)
+    stale_pivot = [[0, 1, 0, 0],
+                   [3, 1, 0, -1],
+                   [0, 0, 3, 0],
+                   [3, 0, 0, 0]]
+    # step 1 cancels column 3 of the last row to 0 under base -3 (18 - 18),
+    # and step 2, whose pivot row reaches column 3, fills it again with
+    # (0 * -12 - 12 * 18) // -3 = 72, the determinant
+    refill = [[1, 1, 0, 2],
+              [3, 0, 4, 0],
+              [0, 3, 0, 0],
+              [3, 0, 0, 0]]
+    # step 0 writes -3 into column 3 of row 2 under base -2, which step 1
+    # does not reach; step 2 swaps that row with the last one, all at base
+    # 1, and the -3 becomes the final entry, read as -3 * 4 // -2 = 6
+    swapped = [[0, 1, 0, 0],
+               [0, 0, -2, 0],
+               [3, 0, 0, 0],
+               [-2, 0, 0, 1]]
+    # step 0 writes the final entry, 2 under base 2; step 1's pivot row
+    # does not reach column 2, so it is read as 2 * 4 // 2 = 4
+    final = [[0, 2, 0],
+             [2, 0, 1],
+             [-2, 0, 0]]
+    cases = ((stale_pivot, -9), (refill, 72), (swapped, -6), (final, -4))
+    for m, det in cases:
+        assert fraction_det(m) == det
+        assert det_bareiss(m) == det
+        assert lazy_row_det_bareiss(m) == det
 
 
 def test_kernel_basis_vectors_are_annihilated():
